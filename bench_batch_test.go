@@ -113,14 +113,11 @@ func BenchmarkBatchCoordinatorRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		rs := predict.NewRemoteSweep(nil, m, c.Submit)
+		rs := predict.NewRemoteSweep(predict.NewCalibrated(m), m, c.Submit)
 		dst := make([]predict.Estimate, space.Size())
 		for pb.Next() {
 			if !rs.PredictSpace(cs, space, dst) {
-				// Saturated: the optimizer's direct fallback.
-				if !m.PredictSpace(cs, space, dst) {
-					b.Fatal("direct fallback returned false")
-				}
+				b.Fatal("PredictSpace declined on a compiled model")
 			}
 		}
 	})

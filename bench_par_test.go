@@ -1,14 +1,14 @@
-// Benchmarks for the parallel hot paths: tree-parallel Random Forest
-// training, batched inference, the sharded exhaustive configuration
-// sweep, and the LRU prediction cache. Serial and parallel variants are
-// paired so the speedup (or, on a single-CPU host, the coordination
-// overhead) is a one-line benchstat comparison:
+// Benchmarks for the parallel hot paths — tree-parallel Random Forest
+// training and batched tree-walk inference, serial and parallel
+// variants paired so the speedup is a one-line benchstat comparison —
+// plus the exhaustive configuration sweep and a full MPC replay, which
+// run serially on the batched compiled path:
 //
-//	go test -run '^$' -bench '^BenchmarkPar' -benchmem
+//	go test -run '^$' -bench '^BenchmarkPar' -benchmem -cpu 1,2
 //
 // Every parallel path is deterministic — these pairs measure cost only;
 // the results are byte-identical by construction (see the property
-// tests in internal/rf, internal/core and determinism_test.go).
+// tests in internal/rf).
 package mpcdvfs_test
 
 import (
@@ -77,8 +77,7 @@ func BenchmarkParPredictBatchSerial(b *testing.B)   { benchParPredictBatch(b, 1)
 func BenchmarkParPredictBatchWorkers4(b *testing.B) { benchParPredictBatch(b, 4) }
 
 // parBenchModel is a small Random Forest predictor shared by the sweep
-// and cache benchmarks — a real forest walk per evaluation, so the
-// sweep's per-task cost is representative.
+// and replay benchmarks.
 var parBenchModel = sync.OnceValues(func() (*predict.RandomForest, error) {
 	opt := mpcdvfs.DefaultTrainOptions(17)
 	opt.NumKernels = 12
@@ -89,13 +88,12 @@ var parBenchModel = sync.OnceValues(func() (*predict.RandomForest, error) {
 	return predict.TrainRandomForest(opt)
 })
 
-func benchParExhaustive(b *testing.B, workers int) {
+func BenchmarkParExhaustiveSerial(b *testing.B) {
 	m, err := parBenchModel()
 	if err != nil {
 		b.Fatal(err)
 	}
 	opt := core.NewOptimizer(m, hw.DefaultSpace())
-	opt.Workers = workers
 	cs := kernel.NewBalanced("bench", 1).Counters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -103,13 +101,9 @@ func benchParExhaustive(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkParExhaustiveSerial(b *testing.B)   { benchParExhaustive(b, 1) }
-func BenchmarkParExhaustiveWorkers4(b *testing.B) { benchParExhaustive(b, 4) }
-
-// The cache pair measures a full MPC replay of Spmv with and without
-// the prediction LRU; repeated horizon evaluations of the same
-// (counters, config) pairs are where the cache pays off, serial or not.
-func benchParMPCCache(b *testing.B, opts ...mpcdvfs.MPCOption) {
+// BenchmarkParMPCReplay measures a full MPC replay of Spmv (profiling
+// run plus one steady run).
+func BenchmarkParMPCReplay(b *testing.B) {
 	m, err := parBenchModel()
 	if err != nil {
 		b.Fatal(err)
@@ -125,13 +119,8 @@ func benchParMPCCache(b *testing.B, opts ...mpcdvfs.MPCOption) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.RunRepeated(&app, sys.NewMPC(m, opts...), target, 2); err != nil {
+		if _, err := sys.RunRepeated(&app, sys.NewMPC(m), target, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkParMPCCacheOff(b *testing.B) { benchParMPCCache(b) }
-func BenchmarkParMPCCacheOn(b *testing.B) {
-	benchParMPCCache(b, mpcdvfs.WithPredictionCache(predict.DefaultCacheSize))
 }

@@ -142,14 +142,11 @@ func BenchmarkRFSpaceEvalParallel(b *testing.B) {
 
 // benchRFExhaustiveSweep measures the full per-decision inner loop —
 // Optimizer.ExhaustiveSearch over the 336-configuration space,
-// including the decision cache and argmin reduction — single-threaded
-// in both modes so the pair isolates the inference engine, not
-// goroutine fan-out.
+// including the decision cache and argmin reduction — in both modes.
 func benchRFExhaustiveSweep(b *testing.B, compiled bool) {
 	m := benchRF(b, compiled)
 	cs := kernel.NewBalanced("bench", 1).Counters()
 	opt := core.NewOptimizer(m, hw.DefaultSpace())
-	opt.Workers = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

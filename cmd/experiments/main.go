@@ -32,7 +32,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	run := flag.String("run", "", "comma-separated experiment IDs (default: all)")
 	parallel := flag.Int("parallel", 1, "experiments to run concurrently (output stays in paper order)")
-	workers := flag.Int("workers", 0, "worker goroutines for RF training and sharded config search (0 = all CPUs, 1 = serial; results are identical either way)")
+	workers := flag.Int("workers", 0, "worker goroutines for RF training (0 = all CPUs, 1 = serial; results are identical either way)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /health and /debug/pprof on this address while running")
 	traceOut := flag.String("trace-out", "", "stream engine events as JSONL to this file (tailable)")
 	logLevel := flag.String("log-level", "info", "log level: debug | info | warn | error")

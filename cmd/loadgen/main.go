@@ -113,7 +113,6 @@ type options struct {
 	replays     int
 	polName     string
 	seed        int64
-	cacheSize   int
 	queueDepth  int
 	traceSample int
 	drift       bool
@@ -133,7 +132,6 @@ func main() {
 	flag.IntVar(&o.replays, "replays", 2, "replays per session at each level (each replay is one full session)")
 	flag.StringVar(&o.polName, "policy", "mpc", "self-host policy: ppk | mpc")
 	flag.Int64Var(&o.seed, "seed", 1, "self-host Random Forest training seed (also seeds the -zipf app draw)")
-	flag.IntVar(&o.cacheSize, "predict-cache", 0, "self-host per-session LRU prediction cache capacity (0 = off, the recommended default: the cache forces the scalar per-configuration path, which loses to the batched compiled sweep)")
 	flag.IntVar(&o.queueDepth, "queue-depth", serve.DefaultQueueDepth, "self-host per-session queue depth")
 	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace 1 in N decisions as spans and report per-phase latency breakdowns from /debug/trace (0 = off; tracing never changes decisions)")
 	flag.BoolVar(&o.drift, "drift", false, "self-host only: swap in an error-injected model after the first level, run the continuous trainer, and report the learning loop's recovery")
@@ -580,9 +578,6 @@ func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
 	gate := new(atomic.Bool)
 	var submit predict.SweepSubmit
 	if o.batch {
-		if o.cacheSize > 0 {
-			return nil, fmt.Errorf("-batch needs the batched sweep path; drop -predict-cache (the cache forces the scalar per-configuration path)")
-		}
 		coord = batch.New(batch.Config{Window: o.batchWindow, MaxFuse: o.batchMax})
 		submit = func(req *predict.SweepRequest) bool {
 			if !gate.Load() {
@@ -598,14 +593,7 @@ func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
 			if o.polName == "ppk" {
 				return sys.NewPPK(m).SetSweepSubmitter(m, submit)
 			}
-			var opts []mpcdvfs.MPCOption
-			if o.cacheSize > 0 {
-				opts = append(opts, mpcdvfs.WithPredictionCache(o.cacheSize))
-			}
-			if submit != nil {
-				opts = append(opts, mpcdvfs.WithSweepSubmitter(submit))
-			}
-			return sys.NewMPC(m, opts...)
+			return sys.NewMPC(m, mpcdvfs.WithSweepSubmitter(submit))
 		},
 		QueueDepth: o.queueDepth,
 		Telemetry:  hub,

@@ -70,7 +70,6 @@ type options struct {
 	seed         int64
 	interval     time.Duration
 	traceOut     string
-	cacheSize    int
 	noCompiledRF bool
 	replay       bool
 	queueDepth   int
@@ -98,8 +97,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "Random Forest training seed")
 	flag.DurationVar(&o.interval, "interval", 100*time.Millisecond, "pause between workload replays")
 	flag.StringVar(&o.traceOut, "trace-out", "", "stream runtime events as JSONL to this file (tailable)")
-	workers := flag.Int("workers", 0, "worker goroutines for RF training and sharded config search (0 = all CPUs, 1 = serial; decisions are identical either way)")
-	flag.IntVar(&o.cacheSize, "predict-cache", 0, "LRU prediction cache capacity for MPC policies (0 = off, the recommended default: the cache forces the scalar per-configuration path, which loses to the batched compiled sweep; decisions are identical either way)")
+	workers := flag.Int("workers", 0, "worker goroutines for RF training (0 = all CPUs, 1 = serial; decisions are identical either way)")
 	flag.BoolVar(&o.noCompiledRF, "no-compiled-rf", false, "disable the compiled-forest inference fast path and walk the trees (decisions are bit-identical either way; escape hatch for A/B timing)")
 	flag.BoolVar(&o.replay, "replay", true, "run the continuous benchmark replay loop (false: serve the decision API only)")
 	flag.IntVar(&o.queueDepth, "queue-depth", serve.DefaultQueueDepth, "per-session decision queue depth (full queues answer 429)")
@@ -257,7 +255,7 @@ func run(o options) error {
 	srv := cli.ServeMux(o.addr, mux)
 
 	if o.replay {
-		if err := replayLoop(ctx, o, sys, sharedModel, apps, reg, replays, savings, speedup); err != nil {
+		if err := replayLoop(ctx, o, sys, sharedModel, apps, replays, savings, speedup); err != nil {
 			return err
 		}
 	} else {
@@ -303,16 +301,12 @@ func newTrainer(o options) *learn.Trainer {
 func newDecider(o options, sys *mpcdvfs.System, sharedModel mpcdvfs.Model, reg *mpcdvfs.MetricsRegistry, hub *mpcdvfs.TelemetryHub, trainer *learn.Trainer) (*serve.Server, error) {
 	var coord *batch.Coordinator
 	if o.batch {
-		if o.cacheSize > 0 {
-			slog.Warn("-batch is ignored with -predict-cache: a fused sweep would bypass the per-configuration cache; sessions use the direct path")
-		} else {
-			coord = batch.New(batch.Config{
-				Window:  o.batchWindow,
-				MaxFuse: o.batchMax,
-				Metrics: reg,
-			})
-			slog.Info("decision batching enabled", "window", o.batchWindow, "max_fuse", o.batchMax)
-		}
+		coord = batch.New(batch.Config{
+			Window:  o.batchWindow,
+			MaxFuse: o.batchMax,
+			Metrics: reg,
+		})
+		slog.Info("decision batching enabled", "window", o.batchWindow, "max_fuse", o.batchMax)
 	}
 	newPolicy := func(m predict.Model) sim.Policy {
 		switch o.policy {
@@ -323,18 +317,10 @@ func newDecider(o options, sys *mpcdvfs.System, sharedModel mpcdvfs.Model, reg *
 			}
 			return p
 		default:
-			var opts []mpcdvfs.MPCOption
-			if o.cacheSize > 0 {
-				opts = append(opts, mpcdvfs.WithPredictionCache(o.cacheSize))
-			}
 			if coord != nil {
-				opts = append(opts, mpcdvfs.WithSweepSubmitter(coord.Submit))
+				return sys.NewMPC(m, mpcdvfs.WithSweepSubmitter(coord.Submit))
 			}
-			mp := sys.NewMPC(m, opts...)
-			if c := mp.PredictionCache(); c != nil {
-				c.Instrument(reg)
-			}
-			return mp
+			return sys.NewMPC(m)
 		}
 	}
 	tag := "trained seed=" + fmt.Sprint(o.seed)
@@ -366,7 +352,7 @@ func newDecider(o options, sys *mpcdvfs.System, sharedModel mpcdvfs.Model, reg *
 // replayLoop is the original mpcserve behaviour: replay each benchmark
 // continuously under the policy, publishing savings/speedup metrics.
 func replayLoop(ctx context.Context, o options, sys *mpcdvfs.System, sharedModel mpcdvfs.Model, apps []mpcdvfs.App,
-	reg *mpcdvfs.MetricsRegistry, replays *metrics.CounterVec, savings, speedup *metrics.GaugeVec) error {
+	replays *metrics.CounterVec, savings, speedup *metrics.GaugeVec) error {
 	// One replayer per app: MPC keeps per-app pattern knowledge across
 	// replays, so horizon and fallback metrics reflect steady state.
 	type replayer struct {
@@ -397,15 +383,7 @@ func replayLoop(ctx context.Context, o options, sys *mpcdvfs.System, sharedModel
 		case "ppk":
 			pol = sys.NewPPK(model)
 		case "mpc":
-			var opts []mpcdvfs.MPCOption
-			if o.cacheSize > 0 {
-				opts = append(opts, mpcdvfs.WithPredictionCache(o.cacheSize))
-			}
-			m := sys.NewMPC(model, opts...)
-			if c := m.PredictionCache(); c != nil {
-				c.Instrument(reg)
-			}
-			pol = m
+			pol = sys.NewMPC(model)
 		default:
 			return fmt.Errorf("unknown policy %q (want turbo-core, ppk or mpc)", o.policy)
 		}

@@ -26,7 +26,6 @@ import (
 	"mpcdvfs/internal/cli"
 	"mpcdvfs/internal/obs"
 	"mpcdvfs/internal/par"
-	"mpcdvfs/internal/policy"
 	"mpcdvfs/internal/predict"
 	"mpcdvfs/internal/trace"
 )
@@ -44,8 +43,7 @@ func main() {
 	traceJSONL := flag.String("trace-out", "", "stream every run's per-kernel records as JSONL to this file")
 	powerOut := flag.String("powertrace", "", "write the last run's 1ms power-controller samples to this CSV file")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /health and /debug/pprof on this address while running")
-	workers := flag.Int("workers", 0, "worker goroutines for RF training and sharded config search (0 = all CPUs, 1 = serial; decisions are identical either way)")
-	cacheSize := flag.Int("predict-cache", 0, "LRU prediction cache capacity for MPC policies (0 = off; decisions are identical either way)")
+	workers := flag.Int("workers", 0, "worker goroutines for RF training (0 = all CPUs, 1 = serial; decisions are identical either way)")
 	noCompiledRF := flag.Bool("no-compiled-rf", false, "disable the compiled-forest inference fast path and walk the trees (decisions are bit-identical either way; escape hatch for A/B timing)")
 	logLevel := flag.String("log-level", "info", "log level: debug | info | warn | error")
 	flag.Parse()
@@ -110,12 +108,7 @@ func main() {
 		}
 	}
 
-	mpcOpts := []mpcdvfs.MPCOption{}
-	if *cacheSize > 0 {
-		mpcOpts = append(mpcOpts, mpcdvfs.WithPredictionCache(*cacheSize))
-	}
 	var pol mpcdvfs.Policy
-	var mpcPol *policy.MPC
 	switch *polName {
 	case "turbo-core":
 		pol = sys.NewTurboCore()
@@ -124,30 +117,16 @@ func main() {
 	case "to":
 		pol = sys.NewTheoreticallyOptimal(&app)
 	case "mpc":
-		mpcPol = sys.NewMPC(model, mpcOpts...)
-		pol = mpcPol
+		pol = sys.NewMPC(model)
 	case "mpc-full":
-		mpcPol = sys.NewMPC(model, append(mpcOpts, mpcdvfs.WithFullHorizon())...)
-		pol = mpcPol
+		pol = sys.NewMPC(model, mpcdvfs.WithFullHorizon())
 	default:
 		slog.Error("unknown policy", "policy", *polName)
 		os.Exit(2)
 	}
-	if mpcPol != nil && reg != nil {
-		if c := mpcPol.PredictionCache(); c != nil {
-			c.Instrument(reg)
-		}
-	}
-
 	results, err := sys.RunRepeated(&app, pol, target, *runs)
 	if err != nil {
 		fatal(err)
-	}
-	if mpcPol != nil {
-		if c := mpcPol.PredictionCache(); c != nil {
-			h, m, ev, size := c.Stats()
-			slog.Info("prediction cache", "hits", h, "misses", m, "evictions", ev, "entries", size)
-		}
 	}
 
 	fmt.Printf("app %s, policy %s, target throughput %.3g insts/ms\n",

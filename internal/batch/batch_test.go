@@ -66,8 +66,8 @@ func newRequest(m *predict.RandomForest, space hw.Space, cs counters.Set) *predi
 // (tiny window, so epochs cut at arbitrary request boundaries), and
 // every result must be bit-identical to the direct batched path. The
 // sessions use RemoteSweep — the exact session-side type the serving
-// stack wires — with submit-rejected decisions falling back to the
-// direct path, as the optimizer would.
+// stack wires — whose submit-rejected decisions fall back to the direct
+// path.
 func TestConcurrentSweepsBitExact(t *testing.T) {
 	m := trainedRF(t)
 	space := hw.DefaultSpace()
@@ -91,7 +91,7 @@ func TestConcurrentSweepsBitExact(t *testing.T) {
 		wg.Add(1)
 		go func(i int, k kernel.Kernel) {
 			defer wg.Done()
-			rs := predict.NewRemoteSweep(nil, m, c.Submit)
+			rs := predict.NewRemoteSweep(predict.NewCalibrated(m), m, c.Submit)
 			cs := k.Counters()
 			dst := make([]predict.Estimate, space.Size())
 			for d := 0; d < decisions; d++ {
@@ -99,11 +99,8 @@ func TestConcurrentSweepsBitExact(t *testing.T) {
 					dst[j] = predict.Estimate{TimeMS: -1}
 				}
 				if !rs.PredictSpace(cs, space, dst) {
-					// Saturated or stopped: the optimizer's fallback.
-					if !m.PredictSpace(cs, space, dst) {
-						t.Error("direct fallback returned false")
-						return
-					}
+					t.Error("PredictSpace declined on a compiled model")
+					return
 				}
 				for j := range dst {
 					if dst[j] != want[i][j] {

@@ -68,9 +68,7 @@ func TestExhaustiveBatchedMatchesSerial(t *testing.T) {
 			batched := NewOptimizer(m, space).ExhaustiveSearch(cs, head)
 
 			m.SetCompiled(false)
-			serial := NewOptimizer(m, space)
-			serial.Workers = 1
-			want := serial.ExhaustiveSearch(cs, head)
+			want := NewOptimizer(m, space).ExhaustiveSearch(cs, head)
 
 			sameClimbResult(t, k.Name(), batched, want)
 			if want.Evals < space.Size() {
@@ -81,7 +79,7 @@ func TestExhaustiveBatchedMatchesSerial(t *testing.T) {
 }
 
 // TestExhaustiveBatchedThroughCalibrated checks the batched path
-// through the full policy model stack minus the cache (Calibrated over
+// through the full policy model stack (Calibrated over
 // RandomForest, with a feedback ratio installed) against the
 // scalar sweep over the identical stack.
 func TestExhaustiveBatchedThroughCalibrated(t *testing.T) {
@@ -98,9 +96,7 @@ func TestExhaustiveBatchedThroughCalibrated(t *testing.T) {
 	m.SetCompiled(true)
 	batched := NewOptimizer(cal, space).ExhaustiveSearch(cs, math.Inf(1))
 	m.SetCompiled(false)
-	serial := NewOptimizer(cal, space)
-	serial.Workers = 1
-	want := serial.ExhaustiveSearch(cs, math.Inf(1))
+	want := NewOptimizer(cal, space).ExhaustiveSearch(cs, math.Inf(1))
 	sameClimbResult(t, "calibrated", batched, want)
 }
 
@@ -116,7 +112,6 @@ func TestExhaustiveBatchedCacheSemantics(t *testing.T) {
 	run := func(compiled bool) (*evalCache, climbResult) {
 		m.SetCompiled(compiled)
 		o := NewOptimizer(m, space)
-		o.Workers = 1
 		cache := newEvalCache(o, cs)
 		cache.eval(o.failSafe) // pre-seed, as OptimizeWindow does
 		res := o.exhaustive(cache, math.Inf(1))
@@ -148,13 +143,13 @@ func TestExhaustiveBatchedCacheSemantics(t *testing.T) {
 }
 
 // TestExhaustiveBatchedDeclinesScalarModels checks the fallback: a
-// model without a batched path (the oracle) routes through the scalar
-// sweep untouched.
+// model without a batched path (the oracle) fills the sweep through the
+// scalar path.
 func TestExhaustiveBatchedDeclinesScalarModels(t *testing.T) {
 	k := kernel.NewBalanced("b", 1)
 	o := NewOptimizer(oracleFor(k), hw.DefaultSpace())
-	if _, ok := o.exhaustiveBatched(newEvalCache(o, k.Counters()), math.Inf(1)); ok {
-		t.Fatal("batched sweep accepted a model with no SpaceEvaluator")
+	if o.fillBatched(k.Counters()) {
+		t.Fatal("batched fill accepted a model with no SpaceEvaluator")
 	}
 	res := o.ExhaustiveSearch(k.Counters(), math.Inf(1))
 	if !res.Feasible || res.Evals != o.Space.Size() {

@@ -6,7 +6,6 @@ import (
 
 	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/hw"
-	"mpcdvfs/internal/par"
 	"mpcdvfs/internal/predict"
 	"mpcdvfs/internal/telemetry"
 )
@@ -22,15 +21,6 @@ type Optimizer struct {
 	// bound improves; the evaluation count explodes by the |S|/Σ|knob|
 	// factor the paper quotes as ~19×.
 	UseExhaustive bool
-	// Workers shards the exhaustive sweep across goroutines: <= 0 uses
-	// the process default (par.Default), 1 forces the serial sweep. The
-	// sharded sweep reduces to the same argmin as the serial one — ties
-	// break toward the lower Space.At index in both — and reports the
-	// same evaluation count, so results are byte-identical for every
-	// value. Requires Model.PredictKernel to be safe for concurrent
-	// calls (every predictor in internal/predict is). The greedy hill
-	// climb is inherently sequential and ignores this field.
-	Workers int
 	// Trace, when non-nil, receives the search's span decomposition:
 	// batched sweeps emit featurize/forest-eval child spans, scalar
 	// predictor calls accumulate into a forest-eval aggregate. Tracing
@@ -38,25 +28,14 @@ type Optimizer struct {
 	// same bytes with Trace nil, unsampled, or active (pinned by the
 	// traced-replay golden test).
 	Trace *telemetry.Context
-	// Sweep, when non-nil, is an injected space evaluator tried before
-	// the model's own batched path — the hook the serving layer uses to
-	// route exhaustive sweeps through the cross-session batch
-	// coordinator (predict.RemoteSweep). It obeys the SpaceEvaluator
-	// bit-exactness contract, so a successful fused sweep returns
-	// exactly the direct path's bytes; when it returns false (batching
-	// off, coordinator saturated, or the request declined) the search
-	// falls through to the model path unchanged.
-	Sweep predict.SpaceEvaluator
 	// failSafe is the guard configuration, clamped into Space.
 	failSafe hw.Config
 
-	// Batched-sweep arena, built lazily on the first exhaustive sweep
-	// against a model with a batched path (predict.SpaceEvaluator):
-	// the space's configurations in At order and a reusable estimate
-	// buffer, so steady-state sweeps cost one batched model call and
-	// zero arena allocations. Optimizer methods are not safe for
-	// concurrent use (they never were — the per-decision eval cache is
-	// shared state); the internal sharded sweep remains race-free.
+	// Exhaustive-sweep arena, built lazily on the first sweep: the
+	// space's configurations in At order and the estimate slice the
+	// sweep fills, so steady-state sweeps allocate nothing. Optimizer
+	// methods are not safe for concurrent use (they never were — the
+	// per-decision eval cache is shared state).
 	sweepSpace hw.Space
 	sweepCfgs  []hw.Config
 	sweepEsts  []predict.Estimate
@@ -256,86 +235,26 @@ func (o *Optimizer) ExhaustiveSearch(cs counters.Set, headroomMS float64) climbR
 	return o.exhaustive(cache, headroomMS)
 }
 
+// exhaustive is the one O(M) sweep. It fills the At-order estimate
+// slice in one of two ways, which produce identical bytes (the
+// predict.SpaceEvaluator contract): through the model's batched path
+// when it has one and accepts the call, else per configuration through
+// the decision cache. One At-order reduce then merges every estimate
+// into the cache and picks the argmin: strictly smaller energy wins, so
+// ties keep the lower Space.At index. Pre-seeded cache entries (e.g.
+// the fail-safe from OptimizeWindow) are reused and not recounted, so
+// Evals and the cache contents come out the same under either fill.
+// When no configuration meets the headroom, the result is the fail-safe
+// with Feasible=false.
 func (o *Optimizer) exhaustive(cache *evalCache, headroomMS float64) climbResult {
-	if res, ok := o.exhaustiveBatched(cache, headroomMS); ok {
-		return res
-	}
-	if workers := par.Resolve(o.Workers); workers > 1 {
-		return o.exhaustiveSharded(cache, headroomMS, workers)
-	}
-	best := climbResult{Config: o.failSafe, Feasible: false}
-	bestE := 0.0
-	o.Space.ForEach(func(c hw.Config) {
-		est, e := cache.eval(c)
-		if est.TimeMS > headroomMS {
-			return
-		}
-		if !best.Feasible || e < bestE {
-			best = climbResult{Config: c, Est: est, Feasible: true}
-			bestE = e
-		}
-	})
-	best.Evals = cache.evals
-	if !best.Feasible {
-		est, _ := cache.eval(o.failSafe)
-		best.Config, best.Est, best.Evals = o.failSafe, est, cache.evals
-	}
-	return best
-}
-
-// exhaustiveBatched is the compiled-forest fast path of the exhaustive
-// sweep: when the model can evaluate a whole space in one call
-// (predict.SpaceEvaluator — the Random Forest's space-vectorized
-// compiled inference, forwarded through the calibration layer), the 336
-// scalar predictor calls collapse into one batched call, and a serial
-// reduction in Space.At order recovers exactly the serial sweep's
-// argmin, evaluation count and cache contents — the same reduce the
-// sharded sweep uses, so all three strategies are byte-identical and
-// the batched one takes precedence (it beats goroutine fan-out at any
-// core count by making the serial work itself cheap).
-//
-// Pre-seeded cache entries (e.g. the fail-safe from OptimizeWindow) are
-// reused without counting an evaluation, exactly as the scalar paths
-// do; the batched prediction for such a configuration is identical
-// anyway, because every model in the stack is deterministic.
-//
-// ok is false when the model has no usable batched path — then the
-// caller falls through to the sharded or serial sweep.
-func (o *Optimizer) exhaustiveBatched(cache *evalCache, headroomMS float64) (res climbResult, ok bool) {
-	se, sok := o.Model.(predict.SpaceEvaluator)
-	if !sok && o.Sweep == nil {
-		return climbResult{}, false
-	}
 	if o.sweepCfgs == nil || !o.sweepSpace.Equal(o.Space) {
 		o.sweepSpace = o.Space
 		o.sweepCfgs = o.Space.Configs()
 		o.sweepEsts = make([]predict.Estimate, len(o.sweepCfgs))
 	}
-	// An injected sweep executor (the batch coordinator's remote path)
-	// takes precedence; its bit-exactness contract means a fused sweep
-	// and a direct one fill sweepEsts with identical bytes, so falling
-	// through on failure changes nothing but the execution venue.
-	swept := false
-	if o.Sweep != nil {
-		if tse, tok := o.Sweep.(predict.TracedSpaceEvaluator); tok {
-			swept = tse.PredictSpaceTraced(cache.cs, o.Space, o.sweepEsts, o.Trace)
-		} else {
-			swept = o.Sweep.PredictSpace(cache.cs, o.Space, o.sweepEsts)
-		}
-	}
-	if !swept {
-		if !sok {
-			return climbResult{}, false
-		}
-		// Prefer the trace-aware batched path so the sweep's featurize and
-		// forest-eval time lands in the active trace; both paths fill
-		// sweepEsts with identical bytes.
-		if tse, tok := o.Model.(predict.TracedSpaceEvaluator); tok {
-			if !tse.PredictSpaceTraced(cache.cs, o.Space, o.sweepEsts, o.Trace) {
-				return climbResult{}, false
-			}
-		} else if !se.PredictSpace(cache.cs, o.Space, o.sweepEsts) {
-			return climbResult{}, false
+	if !o.fillBatched(cache.cs) {
+		for i, c := range o.sweepCfgs {
+			o.sweepEsts[i], _ = cache.eval(c)
 		}
 	}
 	best := climbResult{Config: o.failSafe, Feasible: false}
@@ -363,61 +282,22 @@ func (o *Optimizer) exhaustiveBatched(cache *evalCache, headroomMS float64) (res
 		est, _ := cache.eval(o.failSafe)
 		best.Config, best.Est, best.Evals = o.failSafe, est, cache.evals
 	}
-	return best, true
+	return best
 }
 
-// exhaustiveSharded is the parallel exhaustive sweep: the configuration
-// space is partitioned across workers, every configuration is evaluated
-// into its own index-addressed slot, and a serial reduction in
-// Space.At order recovers exactly the serial sweep's argmin (strictly
-// smaller energy wins, so ties keep the lower index), evaluation count
-// and cache contents.
-//
-// During the fan-out the decision cache is read-only (concurrent map
-// reads are safe; pre-seeded entries — e.g. the fail-safe from
-// OptimizeWindow — are reused without re-evaluation); new entries are
-// merged back serially so downstream searches on the same cache behave
-// as if the serial sweep had run.
-func (o *Optimizer) exhaustiveSharded(cache *evalCache, headroomMS float64, workers int) climbResult {
-	cfgs := o.Space.Configs()
-	type slot struct {
-		est    predict.Estimate
-		e      float64
-		cached bool
+// fillBatched fills the sweep's estimate slice with one call to the
+// model's batched path, preferring the trace-aware form so the sweep's
+// featurize and forest-eval time lands in the active trace. It reports
+// false, with the slice untouched, when the model has no batched path
+// or declines the call.
+func (o *Optimizer) fillBatched(cs counters.Set) bool {
+	if tse, ok := o.Model.(predict.TracedSpaceEvaluator); ok {
+		return tse.PredictSpaceTraced(cs, o.Space, o.sweepEsts, o.Trace)
 	}
-	slots := make([]slot, len(cfgs))
-	par.ForEach(workers, len(cfgs), func(i int) {
-		c := cfgs[i]
-		if v, ok := cache.seen[c]; ok {
-			slots[i] = slot{est: v.est, e: v.e, cached: true}
-			return
-		}
-		est := o.Model.PredictKernel(cache.cs, c)
-		slots[i] = slot{est: est, e: predict.EnergyMJ(est, c)}
-	})
-
-	best := climbResult{Config: o.failSafe, Feasible: false}
-	bestE := 0.0
-	for i, c := range cfgs {
-		s := slots[i]
-		if !s.cached {
-			cache.seen[c] = cachedEval{s.est, s.e}
-			cache.evals++
-		}
-		if s.est.TimeMS > headroomMS {
-			continue
-		}
-		if !best.Feasible || s.e < bestE {
-			best = climbResult{Config: c, Est: s.est, Feasible: true}
-			bestE = s.e
-		}
+	if se, ok := o.Model.(predict.SpaceEvaluator); ok {
+		return se.PredictSpace(cs, o.Space, o.sweepEsts)
 	}
-	best.Evals = cache.evals
-	if !best.Feasible {
-		est, _ := cache.eval(o.failSafe)
-		best.Config, best.Est, best.Evals = o.failSafe, est, cache.evals
-	}
-	return best
+	return false
 }
 
 // fastestNeighbor returns the single-knob neighbour of cur with the

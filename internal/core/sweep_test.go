@@ -10,27 +10,116 @@ import (
 	"mpcdvfs/internal/predict"
 )
 
-// fakeSweep is an injected evaluator that either proxies the model's
-// own batched path (the bit-exactness stand-in for a batch coordinator)
-// or refuses, counting calls either way.
-type fakeSweep struct {
-	m     *predict.RandomForest
-	serve bool
+// constModel predicts the same estimate for every configuration, so
+// every feasible configuration ties on energy apart from the CPU power
+// term; within one CPU state the tie is total. It has no batched path.
+type constModel struct{ est predict.Estimate }
+
+func (constModel) Name() string { return "const" }
+func (m constModel) PredictKernel(counters.Set, hw.Config) predict.Estimate {
+	return m.est
+}
+
+// constSpaceModel is constModel with a batched path.
+type constSpaceModel struct{ constModel }
+
+func (m constSpaceModel) PredictSpace(_ counters.Set, _ hw.Space, dst []predict.Estimate) bool {
+	for i := range dst {
+		dst[i] = m.est
+	}
+	return true
+}
+
+// TestExhaustiveTieBreak checks the reduce's tie-break under both
+// fills: among equal-energy configurations the lowest Space.At index
+// wins.
+func TestExhaustiveTieBreak(t *testing.T) {
+	space := hw.DefaultSpace()
+	m := constModel{est: predict.Estimate{TimeMS: 1, GPUPowerW: 10}}
+	minE, first, ties := math.Inf(1), -1, 0
+	for i := 0; i < space.Size(); i++ {
+		switch e := predict.EnergyMJ(m.est, space.At(i)); {
+		case e < minE:
+			minE, first, ties = e, i, 1
+		case e == minE:
+			ties++
+		}
+	}
+	if ties < 2 {
+		t.Fatalf("fixture has %d minimum-energy configurations, want a tie", ties)
+	}
+	for _, model := range []predict.Model{m, constSpaceModel{m}} {
+		got := NewOptimizer(model, space).ExhaustiveSearch(counters.Set{}, 2)
+		if !got.Feasible || got.Config != space.At(first) || got.Evals != space.Size() {
+			t.Fatalf("%T: got %+v, want config %v (At %d) with %d evals",
+				model, got, space.At(first), first, space.Size())
+		}
+	}
+}
+
+// countingModel counts its scalar calls; it has no batched path.
+type countingModel struct {
+	inner predict.Model
 	calls int
 }
 
-func (f *fakeSweep) PredictSpace(cs counters.Set, space hw.Space, dst []predict.Estimate) bool {
+func (c *countingModel) Name() string { return c.inner.Name() }
+func (c *countingModel) PredictKernel(cs counters.Set, cfg hw.Config) predict.Estimate {
+	c.calls++
+	return c.inner.PredictKernel(cs, cfg)
+}
+
+// TestExhaustiveScalarFillReusesSeed checks the scalar fill's cache
+// semantics: a pre-seeded fail-safe (as OptimizeWindow seeds it) is
+// neither evaluated again nor counted again.
+// (TestExhaustiveBatchedCacheSemantics covers the batched fill.)
+func TestExhaustiveScalarFillReusesSeed(t *testing.T) {
+	k := kernel.NewMemoryBound("mb", 1)
+	m := &countingModel{inner: oracleFor(k)}
+	o := NewOptimizer(m, hw.DefaultSpace())
+	cache := newEvalCache(o, k.Counters())
+	cache.eval(o.failSafe)
+	res := o.exhaustive(cache, math.Inf(1))
+	n := o.Space.Size()
+	if m.calls != n || res.Evals != n || len(cache.seen) != n {
+		t.Fatalf("pre-seeded scalar sweep: %d model calls, %d evals, %d cache entries; want %d each",
+			m.calls, res.Evals, len(cache.seen), n)
+	}
+}
+
+// fakeSubmit is an injected batch coordinator that either serves each
+// request inline through a FusedPlan (the smallest coordinator) or
+// refuses it, counting submits either way.
+type fakeSubmit struct {
+	serve bool
+	plan  *predict.FusedPlan
+	calls int
+}
+
+func (f *fakeSubmit) submit(req *predict.SweepRequest) bool {
 	f.calls++
 	if !f.serve {
 		return false
 	}
-	return f.m.PredictSpace(cs, space, dst)
+	if f.plan == nil || !f.plan.Serves(req.Model, req.Space) {
+		if f.plan = predict.NewFusedPlan(req.Model, req.Space, 1); f.plan == nil {
+			return false
+		}
+	}
+	f.plan.Stage(0, req.CS)
+	f.plan.Execute(1, [][]predict.Estimate{req.Dst})
+	req.OK = true
+	req.Done <- struct{}{}
+	return true
 }
 
-// TestExhaustiveInjectedSweep checks the Optimizer.Sweep seam: a
-// serving evaluator is consulted first and its results decide the
-// search identically to the model path; a refusing evaluator falls
-// through to the model path with no behavioral change.
+// TestExhaustiveInjectedSweep checks the optimizer's sweep seam, a
+// predict.RemoteSweep installed as its model the way MPC and PPK
+// install one: a serving coordinator is consulted and its results
+// decide the search identically to the direct Calibrated model (with
+// non-unit calibration ratios); a
+// refusing coordinator falls through to the direct sweep with no
+// behavioral change.
 func TestExhaustiveInjectedSweep(t *testing.T) {
 	m := batchedModel(t)
 	space := hw.DefaultSpace()
@@ -39,24 +128,25 @@ func TestExhaustiveInjectedSweep(t *testing.T) {
 	}
 	for _, k := range kernels {
 		cs := k.Counters()
-		fsTime := m.PredictKernel(cs, space.Clamp(hw.FailSafe())).TimeMS
+		cal := predict.NewCalibrated(m)
+		truth := k.Evaluate(hw.FailSafe())
+		cal.Feedback(cs, hw.FailSafe(), truth.TimeMS, truth.GPUW+truth.NBW)
+		fsTime := cal.PredictKernel(cs, space.Clamp(hw.FailSafe())).TimeMS
 		for _, head := range []float64{math.Inf(1), fsTime * 1.05, -1} {
-			want := NewOptimizer(m, space).ExhaustiveSearch(cs, head)
+			want := NewOptimizer(cal, space).ExhaustiveSearch(cs, head)
 
-			injected := NewOptimizer(m, space)
-			fs := &fakeSweep{m: m, serve: true}
-			injected.Sweep = fs
+			fs := &fakeSubmit{serve: true}
+			injected := NewOptimizer(predict.NewRemoteSweep(cal, m, fs.submit), space)
 			sameClimbResult(t, k.Name()+"/served", injected.ExhaustiveSearch(cs, head), want)
 			if fs.calls == 0 {
-				t.Fatalf("%s: injected evaluator never consulted", k.Name())
+				t.Fatalf("%s: injected coordinator never consulted", k.Name())
 			}
 
-			refused := NewOptimizer(m, space)
-			fr := &fakeSweep{m: m, serve: false}
-			refused.Sweep = fr
+			fr := &fakeSubmit{serve: false}
+			refused := NewOptimizer(predict.NewRemoteSweep(cal, m, fr.submit), space)
 			sameClimbResult(t, k.Name()+"/refused", refused.ExhaustiveSearch(cs, head), want)
 			if fr.calls == 0 {
-				t.Fatalf("%s: refusing evaluator never consulted", k.Name())
+				t.Fatalf("%s: refusing coordinator never consulted", k.Name())
 			}
 		}
 	}

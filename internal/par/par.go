@@ -1,7 +1,6 @@
 // Package par is the shared worker pool behind the runtime's parallel
-// hot paths: Random Forest tree growth (internal/rf), batched forest
-// inference, and the sharded configuration-space sweep
-// (internal/core). It deliberately provides only order-free fan-out —
+// hot paths: Random Forest tree growth and batched tree-walk inference
+// (internal/rf). It deliberately provides only order-free fan-out —
 // every parallel caller in this repository is required to produce
 // byte-identical results to its serial counterpart, so work is always
 // partitioned by index and each task writes only to its own

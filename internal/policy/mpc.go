@@ -25,12 +25,6 @@ type MPC struct {
 	opt   *core.Optimizer
 	calib *predict.Calibrated
 	space hw.Space
-	// cache, when non-nil, is the bounded LRU memoizing the raw
-	// predictor underneath the calibration layer (WithPredictionCache).
-	cache *predict.Cache
-	// cacheCap is the requested cache capacity; consumed by NewMPC
-	// after options are applied (0 = no cache).
-	cacheCap int
 	// sweepSubmit, when non-nil, routes exhaustive sweeps through a
 	// cross-session batch coordinator (WithSweepSubmitter); consumed by
 	// NewMPC after options are applied.
@@ -111,26 +105,6 @@ func WithExhaustiveSearch() MPCOption {
 // heuristic with plain execution order — the ordering ablation.
 func WithExecutionOrder() MPCOption { return func(m *MPC) { m.naiveOrder = true } }
 
-// WithWorkers shards the policy's exhaustive configuration sweeps
-// across n goroutines (<= 0 uses the process default, 1 is serial).
-// Decisions are byte-identical for every value; see core.Optimizer.
-func WithWorkers(n int) MPCOption { return func(m *MPC) { m.opt.Workers = n } }
-
-// WithPredictionCache memoizes the raw predictor behind a bounded LRU
-// of the given capacity (<= 0 uses predict.DefaultCacheSize), so
-// repeated horizon evaluations of the same (kernel, configuration)
-// point stop re-walking the forest. The cache sits underneath the
-// runtime-feedback calibration layer, which keeps cached entries valid:
-// decisions are byte-identical with the cache on or off.
-func WithPredictionCache(capacity int) MPCOption {
-	return func(m *MPC) {
-		m.cacheCap = capacity
-		if m.cacheCap <= 0 {
-			m.cacheCap = predict.DefaultCacheSize
-		}
-	}
-}
-
 // WithSweepSubmitter routes the policy's exhaustive configuration
 // sweeps through a cross-session batch coordinator (internal/batch):
 // instead of evaluating the space in-process, each sweep is submitted
@@ -138,9 +112,8 @@ func WithPredictionCache(capacity int) MPCOption {
 // mega-batch forest evaluation. Decisions are byte-identical with the
 // submitter installed or not — the fused path obeys the SpaceEvaluator
 // bit-exactness contract and every failure falls back to the direct
-// path. Requires a *predict.RandomForest model; combined with
-// WithPredictionCache the submitter is ignored (a fused sweep would
-// bypass the per-configuration cache the option asks for).
+// path. Requires a *predict.RandomForest model; with any other model
+// the option is ignored.
 func WithSweepSubmitter(submit predict.SweepSubmit) MPCOption {
 	return func(m *MPC) { m.sweepSubmit = submit }
 }
@@ -163,30 +136,13 @@ func NewMPC(model predict.Model, space hw.Space, opts ...MPCOption) *MPC {
 	for _, o := range opts {
 		o(m)
 	}
-	if m.cacheCap > 0 {
-		// Rebuild the predictor stack with the cache at the bottom:
-		// raw model -> LRU cache -> calibration -> optimizer. Options
-		// already applied to the optimizer (workers, exhaustive mode)
-		// are preserved.
-		m.cache = predict.NewCache(model, m.cacheCap)
-		m.calib = predict.NewCalibrated(m.cache)
-		old := m.opt
-		m.opt = core.NewOptimizer(m.calib, space)
-		m.opt.UseExhaustive = old.UseExhaustive
-		m.opt.Workers = old.Workers
-	}
-	if m.sweepSubmit != nil && m.cacheCap <= 0 {
+	if m.sweepSubmit != nil {
 		if rfm, ok := model.(*predict.RandomForest); ok {
-			m.opt.Sweep = predict.NewRemoteSweep(m.calib, rfm, m.sweepSubmit)
+			m.opt.Model = predict.NewRemoteSweep(c, rfm, m.sweepSubmit)
 		}
 	}
 	return m
 }
-
-// PredictionCache returns the policy's prediction cache, or nil when
-// WithPredictionCache was not used. Exposed so callers can instrument
-// it into a metrics registry or inspect hit rates.
-func (m *MPC) PredictionCache() *predict.Cache { return m.cache }
 
 // SetObserver implements obs.Instrumentable: the engine threads its
 // observer in before every run so MPC can report horizon changes and

@@ -46,14 +46,6 @@ func NewPPK(m predict.Model, space hw.Space) *PPK {
 // Name implements sim.Policy.
 func (p *PPK) Name() string { return "ppk" }
 
-// SetWorkers shards PPK's exhaustive O(M) sweep across n goroutines
-// (<= 0 uses the process default, 1 is serial); decisions are
-// byte-identical for every value. Returns p for chaining.
-func (p *PPK) SetWorkers(n int) *PPK {
-	p.opt.Workers = n
-	return p
-}
-
 // SetSweepSubmitter routes PPK's exhaustive sweeps through a cross-
 // session batch coordinator (see WithSweepSubmitter for the MPC
 // equivalent and the bit-exactness argument). model must be the raw
@@ -65,7 +57,7 @@ func (p *PPK) SetSweepSubmitter(model predict.Model, submit predict.SweepSubmit)
 		return p
 	}
 	if rfm, ok := model.(*predict.RandomForest); ok {
-		p.opt.Sweep = predict.NewRemoteSweep(p.calib, rfm, submit)
+		p.opt.Model = predict.NewRemoteSweep(p.calib, rfm, submit)
 	}
 	return p
 }

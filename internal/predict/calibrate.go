@@ -49,8 +49,7 @@ func (c *Calibrated) PredictKernel(cs counters.Set, cfg hw.Config) Estimate {
 // every estimate — the same two multiplications the scalar path
 // performs, so batched and scalar calibrated predictions stay
 // bit-identical. Returns false when the inner model has no usable
-// batched path (then the optimizer's scalar fallback runs, preserving
-// e.g. the prediction cache's per-configuration hit/miss sequence).
+// batched path; the optimizer then fills its sweep per configuration.
 func (c *Calibrated) PredictSpace(cs counters.Set, space hw.Space, dst []Estimate) bool {
 	se, ok := c.inner.(SpaceEvaluator)
 	if !ok || !se.PredictSpace(cs, space, dst) {

@@ -42,14 +42,17 @@ type SweepRequest struct {
 // true when exactly one Done send will follow.
 type SweepSubmit func(*SweepRequest) bool
 
-// RemoteSweep is the session-side SpaceEvaluator that routes exhaustive
-// sweeps through a batch coordinator: it submits a SweepRequest, parks
-// until the epoch that fused it completes, then applies the session's
-// calibration ratios — the same multiplications Calibrated.PredictSpace
-// performs after the in-process batched sweep, so returned estimates
-// are bit-identical to the direct path. Any failure (submit rejected,
-// request declined, compiled inference disabled) returns false without
-// touching dst, and the optimizer falls through to the direct path.
+// RemoteSweep is the session-side Model that routes exhaustive sweeps
+// through a batch coordinator. It wraps the session's Calibrated:
+// Name and PredictKernel forward to it unchanged, and PredictSpace
+// submits a SweepRequest, parks until the epoch that fused it
+// completes, then applies the session's calibration ratios — the same
+// multiplications Calibrated.PredictSpace performs after the in-process
+// batched sweep, so returned estimates are bit-identical to the direct
+// path. On any rejection (submit refused, request declined) it runs the
+// direct batched sweep instead; with compiled inference disabled both
+// report false without touching dst, and the optimizer fills the sweep
+// per configuration.
 //
 // A RemoteSweep belongs to one session goroutine (it reuses one request
 // struct); the coordinator behind submit is the shared part.
@@ -60,8 +63,8 @@ type RemoteSweep struct {
 	req    SweepRequest
 }
 
-// NewRemoteSweep builds the session-side handle. calib may be nil (raw
-// estimates are returned uncorrected); model and submit must not be.
+// NewRemoteSweep builds the session-side model over calib, which must
+// wrap model. No argument may be nil.
 func NewRemoteSweep(calib *Calibrated, model *RandomForest, submit SweepSubmit) *RemoteSweep {
 	rs := &RemoteSweep{calib: calib, model: model, submit: submit}
 	rs.req.Model = model
@@ -69,21 +72,33 @@ func NewRemoteSweep(calib *Calibrated, model *RandomForest, submit SweepSubmit) 
 	return rs
 }
 
-// PredictSpace implements SpaceEvaluator via the batch coordinator.
+// Name implements Model.
+func (rs *RemoteSweep) Name() string { return rs.calib.Name() }
+
+// PredictKernel implements Model through the wrapped Calibrated.
+func (rs *RemoteSweep) PredictKernel(cs counters.Set, c hw.Config) Estimate {
+	return rs.calib.PredictKernel(cs, c)
+}
+
+// PredictSpace implements SpaceEvaluator via the batch coordinator,
+// falling back to the direct batched sweep.
 func (rs *RemoteSweep) PredictSpace(cs counters.Set, space hw.Space, dst []Estimate) bool {
-	return rs.predictSpace(cs, space, dst, nil)
+	return rs.remote(cs, space, dst, nil) || rs.calib.PredictSpace(cs, space, dst)
 }
 
-// PredictSpaceTraced implements TracedSpaceEvaluator: the same fused
-// sweep, with the coordinator-stamped wait and fused-eval intervals
-// recorded as child spans of the caller's active trace.
+// PredictSpaceTraced implements TracedSpaceEvaluator: the same sweep,
+// with the coordinator-stamped wait and fused-eval intervals recorded
+// as child spans of the caller's active trace, or the direct sweep's
+// featurize and forest-eval spans after a fallback.
 func (rs *RemoteSweep) PredictSpaceTraced(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool {
-	return rs.predictSpace(cs, space, dst, tc)
+	return rs.remote(cs, space, dst, tc) || rs.calib.PredictSpaceTraced(cs, space, dst, tc)
 }
 
-func (rs *RemoteSweep) predictSpace(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool {
+// remote runs one sweep through the coordinator, reporting false —
+// with dst untouched — when the coordinator cannot serve it.
+func (rs *RemoteSweep) remote(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool {
 	m := rs.model
-	if m == nil || m.treeWalk || m.timeCompiled == nil {
+	if m.treeWalk || m.timeCompiled == nil {
 		return false
 	}
 	t0 := tc.StartPhase()
@@ -106,9 +121,7 @@ func (rs *RemoteSweep) predictSpace(cs counters.Set, space hw.Space, dst []Estim
 		tc.Record(telemetry.SpanBatchWait, t0, req.EvalStart.Sub(t0))
 		tc.Record(telemetry.SpanBatchEval, req.EvalStart, time.Duration(req.EvalNS))
 	}
-	if rs.calib != nil {
-		rs.calib.ApplyRatio(cs, dst)
-	}
+	rs.calib.ApplyRatio(cs, dst)
 	return true
 }
 
@@ -217,6 +230,6 @@ func (p *FusedPlan) Execute(nreq int, dsts [][]Estimate) {
 
 // Compile-time interface checks for the remote-sweep path.
 var (
-	_ SpaceEvaluator       = (*RemoteSweep)(nil)
+	_ Model                = (*RemoteSweep)(nil)
 	_ TracedSpaceEvaluator = (*RemoteSweep)(nil)
 )

@@ -211,58 +211,62 @@ func TestRemoteSweepMatchesDirect(t *testing.T) {
 	check("after feedback")
 }
 
-// TestRemoteSweepFallsBack covers every false-return: rejected submit,
-// declined request, and a model without the compiled path. dst must be
-// untouched so the optimizer's direct fallback starts clean.
+// TestRemoteSweepFallsBack covers every rejection: a refused submit
+// and a declined request both return the direct calibrated sweep's
+// bytes, and a model without the compiled path reports false with dst
+// untouched, so the optimizer's per-configuration fill starts clean.
 func TestRemoteSweepFallsBack(t *testing.T) {
 	m := trainedRF(t)
 	space := hw.DefaultSpace()
-	cs := kernel.NewBalanced("b", 1).Counters()
-	poison := Estimate{TimeMS: -1, GPUPowerW: -1}
-
-	newDst := func() []Estimate {
-		dst := make([]Estimate, space.Size())
-		for i := range dst {
-			dst[i] = poison
-		}
-		return dst
+	k := kernel.NewBalanced("b", 1)
+	cs := k.Counters()
+	cal := NewCalibrated(m)
+	truth := k.Evaluate(hw.FailSafe())
+	cal.Feedback(cs, hw.FailSafe(), truth.TimeMS, truth.GPUW+truth.NBW)
+	want := make([]Estimate, space.Size())
+	if !cal.PredictSpace(cs, space, want) {
+		t.Fatal("direct path returned false")
 	}
-	checkUntouched := func(stage string, dst []Estimate) {
-		t.Helper()
-		for i := range dst {
-			if dst[i] != poison {
-				t.Fatalf("%s: dst[%d] written on a false return", stage, i)
+
+	for _, tc := range []struct {
+		name   string
+		submit SweepSubmit
+	}{
+		{"rejected", func(*SweepRequest) bool { return false }},
+		{"declined", func(req *SweepRequest) bool {
+			req.OK = false
+			req.Done <- struct{}{}
+			return true
+		}},
+	} {
+		got := make([]Estimate, space.Size())
+		if !NewRemoteSweep(cal, m, tc.submit).PredictSpace(cs, space, got) {
+			t.Fatalf("%s: fallback reported false", tc.name)
+		}
+		for r := range want {
+			if got[r] != want[r] {
+				t.Fatalf("%s row %d: fallback %+v != direct %+v", tc.name, r, got[r], want[r])
 			}
 		}
 	}
 
-	rejected := NewRemoteSweep(nil, m, func(*SweepRequest) bool { return false })
-	dst := newDst()
-	if rejected.PredictSpace(cs, space, dst) {
-		t.Fatal("rejected submit reported success")
-	}
-	checkUntouched("rejected", dst)
-
-	declined := NewRemoteSweep(nil, m, func(req *SweepRequest) bool {
-		req.OK = false
-		req.Done <- struct{}{}
-		return true
-	})
-	dst = newDst()
-	if declined.PredictSpace(cs, space, dst) {
-		t.Fatal("declined request reported success")
-	}
-	checkUntouched("declined", dst)
-
 	m.SetCompiled(false)
 	defer m.SetCompiled(true)
-	walk := NewRemoteSweep(nil, m, func(*SweepRequest) bool {
+	walk := NewRemoteSweep(NewCalibrated(m), m, func(*SweepRequest) bool {
 		t.Fatal("tree-walk model must not submit")
 		return false
 	})
-	dst = newDst()
+	poison := Estimate{TimeMS: -1, GPUPowerW: -1}
+	dst := make([]Estimate, space.Size())
+	for i := range dst {
+		dst[i] = poison
+	}
 	if walk.PredictSpace(cs, space, dst) {
 		t.Fatal("tree-walk model reported success")
 	}
-	checkUntouched("tree-walk", dst)
+	for i := range dst {
+		if dst[i] != poison {
+			t.Fatalf("tree-walk: dst[%d] written on a false return", i)
+		}
+	}
 }

@@ -41,13 +41,12 @@ type Estimate struct {
 // are the only kernel description a Model may rely on: ground-truth
 // parameters never cross this interface except inside Oracle.
 //
-// PredictKernel must be safe for concurrent calls: the sharded
-// configuration search (core.Optimizer with Workers > 1) and batched
-// forest inference fan predictions out across goroutines. All
-// implementations in this package satisfy this — they either are pure
-// functions of their immutable state or, like Calibrated, mutate state
-// only through methods outside this interface (Feedback), which the
-// runtime never overlaps with a search.
+// PredictKernel must be safe for concurrent calls: serving sessions
+// share one model across goroutines. All implementations in this
+// package satisfy this — they either are pure functions of their
+// immutable state or, like Calibrated, mutate state only through
+// methods outside this interface (Feedback), which the runtime never
+// overlaps with a search.
 type Model interface {
 	// Name identifies the model in reports.
 	Name() string

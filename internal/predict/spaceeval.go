@@ -17,14 +17,13 @@ import (
 // single call. PredictSpace fills dst (which must hold space.Size()
 // estimates) in hw.Space.At order and returns true, or returns false —
 // touching nothing — when the batched path is unavailable (compiled
-// inference disabled, or a wrapper in the stack that must see every
-// per-configuration call, like the LRU prediction cache).
+// inference disabled).
 //
 // The contract is strict bit-exactness: dst[i] must equal
 // PredictKernel(cs, space.At(i)) bit for bit, so callers may use either
 // path interchangeably without perturbing replays. The optimizer's
-// exhaustive sweep type-asserts for this interface and falls back to
-// scalar evaluation when the assertion or the call fails.
+// exhaustive sweep type-asserts for this interface and fills its sweep
+// per configuration when the assertion or the call fails.
 type SpaceEvaluator interface {
 	PredictSpace(cs counters.Set, space hw.Space, dst []Estimate) bool
 }

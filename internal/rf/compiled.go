@@ -51,11 +51,6 @@ import (
 // reordering trees would change the float summation order and is never
 // done.
 //
-// Compile also retains the PR 4 depth-first structure-of-arrays pool
-// (legacy) solely so SelfCheck can cross-validate two independently
-// derived layouts against the tree walk; predictLegacy is not a serving
-// path.
-//
 // A CompiledForest is safe for concurrent use: all fields are
 // immutable after Compile, and the Into variants write only into
 // caller-owned buffers.
@@ -68,7 +63,6 @@ type CompiledForest struct {
 	depths  []int32   // per-tree depth = descent trip count
 	nTrees  int
 	nFeat   int
-	legacy  legacyPool
 }
 
 // cnode is one compiled node: 16 bytes, four to a cache line.
@@ -76,16 +70,6 @@ type cnode struct {
 	tkey uint64 // threshKey of the split threshold; ^0 for leaves (self-loop)
 	left int32  // pool index of the left child; right is always left+1; self for leaves
 	feat int32  // split feature; 0 for leaves (kx[0] is always readable)
-}
-
-// legacyPool is the PR 4 depth-first SoA layout, kept only as the
-// second opinion for SelfCheck's three-way cross-validation.
-type legacyPool struct {
-	feature []int16   // split feature per node; -1 marks a leaf
-	thresh  []float64 // split threshold, or the leaf's mean target
-	left    []int32
-	right   []int32
-	roots   []int32
 }
 
 // maxCompiledFeatures bounds the feature dimensionality the compiled
@@ -167,33 +151,8 @@ func (f *Forest) Compile() (*CompiledForest, error) {
 		depths:  make([]int32, len(f.trees)),
 		nTrees:  len(f.trees),
 		nFeat:   f.nFeatures,
-		legacy: legacyPool{
-			feature: make([]int16, total),
-			thresh:  make([]float64, total),
-			left:    make([]int32, total),
-			right:   make([]int32, total),
-			roots:   make([]int32, len(f.trees)),
-		},
 	}
-	base := int32(0)
 	for t := range f.trees {
-		// Legacy depth-first pool: node order as trained.
-		c.legacy.roots[t] = base
-		for i, nd := range f.trees[t].Nodes {
-			j := base + int32(i)
-			if nd.Feature < 0 {
-				c.legacy.feature[j] = -1
-				c.legacy.thresh[j] = nd.Thresh
-				continue
-			}
-			c.legacy.feature[j] = int16(nd.Feature)
-			c.legacy.thresh[j] = nd.Thresh
-			c.legacy.left[j] = base + nd.Left
-			c.legacy.right[j] = base + nd.Right
-		}
-		base += int32(len(f.trees[t].Nodes))
-
-		// Branchless pool: clustered level-order layout.
 		poolBase := int32(len(c.nodes))
 		nodes, leaves, depth, err := compileTree(&f.trees[t], t, poolBase)
 		if err != nil {
@@ -554,79 +513,14 @@ func KeysInto(dst []uint64, X []float64) {
 //mpclint:hotpath pinned transitively under the PredictSpace steady-state pin
 func KeyOf(v float64) uint64 { return keyOf(v) }
 
-// predictLegacy is the PR 4 depth-first branchy descent over the
-// retained legacy pool. It is not a serving path: SelfCheck uses it as
-// an independently derived second opinion, and the paired benchmarks
-// use it as the baseline the branchless kernels are measured against.
-func (c *CompiledForest) predictLegacy(x []float64) float64 {
-	if len(x) != c.nFeat {
-		panic(fmt.Sprintf("rf: predictLegacy with %d features, compiled for %d", len(x), c.nFeat))
-	}
-	lg := &c.legacy
-	s := 0.0
-	for _, root := range lg.roots {
-		i := root
-		for lg.feature[i] >= 0 {
-			if x[lg.feature[i]] <= lg.thresh[i] {
-				i = lg.left[i]
-			} else {
-				i = lg.right[i]
-			}
-		}
-		s += lg.thresh[i]
-	}
-	return s / float64(c.nTrees)
-}
-
-// predictLegacyBatchInto is the PR 4 tree-outer batched descent over
-// the legacy pool, kept as the benchmark baseline for the interleaved
-// kernels (and as batch-level cross-validation in SelfCheck).
-func (c *CompiledForest) predictLegacyBatchInto(dst []float64, X []float64) []float64 {
-	d := c.nFeat
-	if len(X)%d != 0 {
-		panic(fmt.Sprintf("rf: predictLegacyBatchInto matrix of %d values is not a multiple of %d features", len(X), d))
-	}
-	rows := len(X) / d
-	if len(dst) != rows {
-		panic(fmt.Sprintf("rf: predictLegacyBatchInto dst holds %d rows, matrix has %d", len(dst), rows))
-	}
-	for r := range dst {
-		dst[r] = 0
-	}
-	lg := &c.legacy
-	for _, root := range lg.roots {
-		off := 0
-		for r := 0; r < rows; r++ {
-			x := X[off : off+d : off+d]
-			i := root
-			for lg.feature[i] >= 0 {
-				if x[lg.feature[i]] <= lg.thresh[i] {
-					i = lg.left[i]
-				} else {
-					i = lg.right[i]
-				}
-			}
-			dst[r] += lg.thresh[i]
-			off += d
-		}
-	}
-	div := float64(c.nTrees)
-	for r := range dst {
-		dst[r] /= div
-	}
-	return dst
-}
-
 // SelfCheck verifies the compiled forest on `samples` deterministic
-// pseudo-random inputs drawn to straddle every feature's observed
-// threshold range, comparing raw float64 bits three ways: the
-// tree-walking Forest (ground truth), the branchless level-order
-// layout (the serving path), and the retained legacy depth-first pool
-// (an independently derived compilation of the same Forest). Any
-// difference — even in the last ulp, from either layout, scalar or
-// batched — is an error. This is the load/train-time guard cmd/train
-// runs before persisting a model (compiled inference is only trusted
-// because it is bit-exact).
+// pseudo-random inputs drawn to straddle every feature's threshold
+// range in f, comparing raw float64 bits of the tree-walking Forest
+// (ground truth) against the branchless level-order layout (the serving
+// path), both scalar and interleaved-batch. Any difference — even in
+// the last ulp — is an error. This is the load/train-time guard
+// cmd/train runs before persisting a model (compiled inference is only
+// trusted because it is bit-exact).
 func (c *CompiledForest) SelfCheck(f *Forest, samples int, seed int64) error {
 	if f.nFeatures != c.nFeat {
 		return fmt.Errorf("rf: self-check against a forest with %d features, compiled for %d", f.nFeatures, c.nFeat)
@@ -637,15 +531,17 @@ func (c *CompiledForest) SelfCheck(f *Forest, samples int, seed int64) error {
 		lo[i] = math.Inf(1)
 		hi[i] = math.Inf(-1)
 	}
-	for i, ft := range c.legacy.feature {
-		if ft < 0 {
-			continue
-		}
-		if v := c.legacy.thresh[i]; v < lo[ft] {
-			lo[ft] = v
-		}
-		if v := c.legacy.thresh[i]; v > hi[ft] {
-			hi[ft] = v
+	for t := range f.trees {
+		for _, nd := range f.trees[t].Nodes {
+			if nd.Feature < 0 {
+				continue
+			}
+			if nd.Thresh < lo[nd.Feature] {
+				lo[nd.Feature] = nd.Thresh
+			}
+			if nd.Thresh > hi[nd.Feature] {
+				hi[nd.Feature] = nd.Thresh
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -667,25 +563,15 @@ func (c *CompiledForest) SelfCheck(f *Forest, samples int, seed int64) error {
 			return fmt.Errorf("rf: branchless layout diverges at sample %d: compiled %v (bits %#x), tree-walk %v (bits %#x)",
 				s, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-		if lg := c.predictLegacy(x); math.Float64bits(lg) != math.Float64bits(want) {
-			return fmt.Errorf("rf: legacy pool diverges at sample %d: legacy %v (bits %#x), tree-walk %v (bits %#x)",
-				s, lg, math.Float64bits(lg), want, math.Float64bits(want))
-		}
 	}
 	if samples > 0 {
 		dst := make([]float64, samples)
-		ldst := make([]float64, samples)
 		c.PredictBatchInto(dst, batch)
-		c.predictLegacyBatchInto(ldst, batch)
 		for r := 0; r < samples; r++ {
 			want := f.Predict(batch[r*c.nFeat : (r+1)*c.nFeat])
 			if math.Float64bits(dst[r]) != math.Float64bits(want) {
 				return fmt.Errorf("rf: interleaved batch diverges at row %d: batch %v (bits %#x), tree-walk %v (bits %#x)",
 					r, dst[r], math.Float64bits(dst[r]), want, math.Float64bits(want))
-			}
-			if math.Float64bits(ldst[r]) != math.Float64bits(want) {
-				return fmt.Errorf("rf: legacy batch diverges at row %d: batch %v (bits %#x), tree-walk %v (bits %#x)",
-					r, ldst[r], math.Float64bits(ldst[r]), want, math.Float64bits(want))
 			}
 		}
 	}

@@ -192,9 +192,9 @@ func TestCompiledZeroAlloc(t *testing.T) {
 }
 
 // TestSelfCheck exercises the train-time guard: a faithful compilation
-// passes its three-way cross-validation (tree walk vs. branchless
-// layout vs. legacy pool), and corruption in either layout — a leaf
-// payload, a threshold key, or a legacy threshold — is caught.
+// passes its cross-validation against the tree walk, and corruption of
+// the branchless layout — a leaf payload or a threshold key — is
+// caught.
 func TestSelfCheck(t *testing.T) {
 	f := fuzzForest(t)
 	if err := compileOrFatal(t, f).SelfCheck(f, 2048, 99); err != nil {
@@ -224,19 +224,6 @@ func TestSelfCheck(t *testing.T) {
 	}
 	if err := c.SelfCheck(f, 2048, 99); err == nil {
 		t.Fatal("self-check accepted a corrupted threshold key")
-	}
-
-	// Corrupt the legacy pool only: the branchless layout is fine, the
-	// second opinion diverges, and the check must still fail.
-	c = compileOrFatal(t, f)
-	for i, ft := range c.legacy.feature {
-		if ft < 0 {
-			c.legacy.thresh[i] += 1e-9
-			break
-		}
-	}
-	if err := c.SelfCheck(f, 2048, 99); err == nil {
-		t.Fatal("self-check accepted a corrupted legacy pool")
 	}
 }
 

@@ -122,13 +122,6 @@ func TestExtendPrefixTreePredictionsBitIdentical(t *testing.T) {
 		!reflect.DeepEqual(cb.depths, ce.depths[:cb.NumTrees()]) {
 		t.Fatal("compiled extension's node-pool prefix differs from the base compilation")
 	}
-	if !reflect.DeepEqual(cb.legacy.feature, ce.legacy.feature[:n]) ||
-		!reflect.DeepEqual(cb.legacy.thresh, ce.legacy.thresh[:n]) ||
-		!reflect.DeepEqual(cb.legacy.left, ce.legacy.left[:n]) ||
-		!reflect.DeepEqual(cb.legacy.right, ce.legacy.right[:n]) ||
-		!reflect.DeepEqual(cb.legacy.roots, ce.legacy.roots[:cb.NumTrees()]) {
-		t.Fatal("compiled extension's legacy-pool prefix differs from the base compilation")
-	}
 	// And the compiled whole agrees with tree walking on the probes —
 	// the PR 4 contract carried over to extended forests.
 	for pi, x := range probes {

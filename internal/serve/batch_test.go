@@ -148,9 +148,14 @@ func TestShutdownStopsCoordinator(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("Shutdown deadlocked with a coordinator attached")
 	}
-	rs := predict.NewRemoteSweep(nil, model, coord.Submit)
-	dst := make([]predict.Estimate, sys.Space().Size())
-	if rs.PredictSpace(app.Kernels[0].Counters(), sys.Space(), dst) {
-		t.Fatal("stopped coordinator served a sweep after Shutdown")
+	req := &predict.SweepRequest{
+		Model: model,
+		Space: sys.Space(),
+		CS:    app.Kernels[0].Counters(),
+		Dst:   make([]predict.Estimate, sys.Space().Size()),
+		Done:  make(chan struct{}, 1),
+	}
+	if coord.Submit(req) {
+		t.Fatal("stopped coordinator accepted a sweep after Shutdown")
 	}
 }
