@@ -38,11 +38,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"mpcdvfs"
-	"mpcdvfs/internal/batch"
 	"mpcdvfs/internal/cli"
 	"mpcdvfs/internal/learn"
 	"mpcdvfs/internal/par"
@@ -71,7 +69,6 @@ type levelReport struct {
 	P99MS         float64              `json:"p99_ms"`
 	P999MS        float64              `json:"p999_ms"`
 	Retries429    int                  `json:"retries_429"`
-	Batched       bool                 `json:"batched,omitempty"`      // -batch A/B: this run had the epoch coordinator fusing sweeps
 	SnapshotGen   uint64               `json:"snapshot_gen,omitempty"` // -drift only: generation serving new sessions at level end
 	Phases        map[string]phaseStat `json:"phase_breakdown,omitempty"`
 }
@@ -94,13 +91,11 @@ type report struct {
 	NumCPU     int             `json:"num_cpu"`
 	SelfHosted bool            `json:"self_hosted"`
 	DriftMode  bool            `json:"drift_mode,omitempty"`
-	BatchMode  bool            `json:"batch_mode,omitempty"` // -batch: every level ran direct then batched
-	ZipfS      float64         `json:"zipf_s,omitempty"`     // -zipf: skew exponent of the app-popularity draw
-	AppMix     map[string]int  `json:"app_mix,omitempty"`    // -zipf: sessions assigned per app across the run
+	ZipfS      float64         `json:"zipf_s,omitempty"`  // -zipf: skew exponent of the app-popularity draw
+	AppMix     map[string]int  `json:"app_mix,omitempty"` // -zipf: sessions assigned per app across the run
 	Note       string          `json:"note"`
 	Levels     []levelReport   `json:"levels"`
 	CPUSweep   []cpuSweepEntry `json:"cpu_sweep,omitempty"` // -cpus sweep: one entry per GOMAXPROCS setting
-	Batch      *batch.Stats    `json:"batch,omitempty"`     // -batch: coordinator totals across the whole run
 	Learn      *learn.Status   `json:"learn,omitempty"`     // -drift only: trainer state after the sweep
 }
 
@@ -117,9 +112,6 @@ type options struct {
 	traceSample int
 	drift       bool
 	driftErr    float64
-	batch       bool
-	batchWindow time.Duration
-	batchMax    int
 	zipfS       float64
 	out         string
 }
@@ -136,9 +128,6 @@ func main() {
 	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace 1 in N decisions as spans and report per-phase latency breakdowns from /debug/trace (0 = off; tracing never changes decisions)")
 	flag.BoolVar(&o.drift, "drift", false, "self-host only: swap in an error-injected model after the first level, run the continuous trainer, and report the learning loop's recovery")
 	flag.Float64Var(&o.driftErr, "drift-error", 0.8, "mean absolute relative error injected into the degraded model under -drift")
-	flag.BoolVar(&o.batch, "batch", false, "self-host only: run every level twice — direct, then with the epoch coordinator fusing concurrent sweeps — and report both (decisions are bit-identical either way)")
-	flag.DurationVar(&o.batchWindow, "batch-window", 0, "batch epoch collect window (0 = 150µs default)")
-	flag.IntVar(&o.batchMax, "batch-max", 0, "max sweeps fused per epoch (0 = 16 default)")
 	flag.Float64Var(&o.zipfS, "zipf", 0, "Zipf-skew the per-session app draw over the whole benchmark suite with this exponent (> 1; 0 = every session replays -app); seeded and deterministic, recorded in the report header")
 	flag.StringVar(&o.cpusFlag, "cpus", "auto", "comma-separated GOMAXPROCS settings to sweep the whole run across (\"auto\": 1,2,4,8 capped at NumCPU; the top-level levels are recorded at the highest setting)")
 	flag.StringVar(&o.out, "out", "", "write the JSON report to this file (default: stdout summary only)")
@@ -174,9 +163,6 @@ func run(o options) error {
 	if o.drift && len(cpus) > 1 {
 		return fmt.Errorf("-drift sweeps one GOMAXPROCS setting only (its levels are a before/after story, not a scaling curve); pass -cpus with a single value")
 	}
-	if o.drift && o.batch {
-		return fmt.Errorf("-batch and -drift don't compose: the batched A/B doubles every level while the drift story needs each level to advance the learning loop exactly once")
-	}
 	if o.drift && o.zipfS != 0 {
 		return fmt.Errorf("-zipf and -drift don't compose: the drift scoreboard baseline is anchored on one app's error")
 	}
@@ -202,9 +188,6 @@ func run(o options) error {
 	if o.drift && !selfHosted {
 		return fmt.Errorf("-drift needs the self-hosted server (it degrades the in-process model)")
 	}
-	if o.batch && !selfHosted {
-		return fmt.Errorf("-batch needs the self-hosted server (the coordinator lives in-process; start mpcserve with -batch to batch a remote server)")
-	}
 	var h *hosted
 	if selfHosted {
 		h, err = selfHost(sys, o)
@@ -229,54 +212,44 @@ func run(o options) error {
 		NumCPU:     runtime.NumCPU(),
 		SelfHosted: selfHosted,
 		DriftMode:  o.drift,
-		BatchMode:  o.batch,
 		ZipfS:      o.zipfS,
 		AppMix:     mix,
 		Note: "closed-loop: one in-flight decision per session; latencies include 429 retry waits. " +
 			"Throughput scaling with session count requires spare cores — on a single-CPU host the " +
 			"sessions time-share one core and aggregate throughput stays flat by construction. " +
 			"cpu_sweep (when present) re-runs the whole grid at each GOMAXPROCS setting; read the " +
-			"scaling curve across entries at a fixed session count. With batch_mode, every level " +
-			"appears twice — direct then batched (fused epoch sweeps) — with bit-identical decisions; " +
-			"fusing pays off once concurrent sessions queue sweeps faster than one epoch evaluates " +
-			"(≥2 cores or ≥16 queued requests), and is flat-at-worst on one CPU.",
+			"scaling curve across entries at a fixed session count.",
 	}
 	if o.zipfS != 0 {
 		rep.App = "zipf-mix"
 	}
 
-	// runModes runs one concurrency level once (direct) or twice
-	// (direct + batched) depending on -batch, flipping the coordinator
-	// gate around the batched run.
-	runModes := func(n int) ([]levelReport, error) {
+	// runAt draws one concurrency level's workload, runs it and, under
+	// -trace-sample, attaches the phase breakdown of the spans the level
+	// added to the ring. The span-ID watermark carries across
+	// GOMAXPROCS settings, so no level's breakdown mixes in another's.
+	var lastSpanID uint64
+	runAt := func(n int) (levelReport, error) {
 		assign, err := catalog.assign(n, o)
 		if err != nil {
-			return nil, err
+			return levelReport{}, err
 		}
 		lr, err := runLevel(sys, assign, base, o.replays)
+		if err != nil || o.traceSample == 0 {
+			return lr, err
+		}
+		phases, maxID, err := phaseBreakdown(base, lastSpanID)
 		if err != nil {
-			return nil, err
+			slog.Warn("phase breakdown unavailable", "err", err)
+		} else {
+			lr.Phases, lastSpanID = phases, maxID
 		}
-		out := []levelReport{lr}
-		if o.batch {
-			h.batchOn.Store(true)
-			blr, err := runLevel(sys, assign, base, o.replays)
-			h.batchOn.Store(false)
-			if err != nil {
-				return nil, err
-			}
-			blr.Batched = true
-			out = append(out, blr)
-		}
-		return out, nil
+		return lr, nil
 	}
 	printLevel := func(lr levelReport) {
-		mode := ""
-		if lr.Batched {
-			mode = " batched"
-		}
-		fmt.Printf("sessions=%d%s decisions=%d wall=%.2fs throughput=%.1f dec/s p50=%.3fms p99=%.3fms p999=%.3fms\n",
-			lr.Sessions, mode, lr.Decisions, lr.WallS, lr.ThroughputDPS, lr.P50MS, lr.P99MS, lr.P999MS)
+		fmt.Printf("sessions=%d decisions=%d wall=%.2fs throughput=%.1f dec/s p50=%.3fms p99=%.3fms p999=%.3fms\n",
+			lr.Sessions, lr.Decisions, lr.WallS, lr.ThroughputDPS, lr.P50MS, lr.P99MS, lr.P999MS)
+		printPhases(lr.Phases)
 	}
 
 	// GOMAXPROCS scaling sweep: every setting below the primary runs the
@@ -291,14 +264,12 @@ func run(o options) error {
 		fmt.Printf("gomaxprocs=%d\n", c)
 		var lrs []levelReport
 		for _, n := range levels {
-			got, err := runModes(n)
+			lr, err := runAt(n)
 			if err != nil {
 				return err
 			}
-			for _, lr := range got {
-				printLevel(lr)
-			}
-			lrs = append(lrs, got...)
+			printLevel(lr)
+			lrs = append(lrs, lr)
 		}
 		rep.CPUSweep = append(rep.CPUSweep, cpuSweepEntry{GOMAXPROCS: c, Levels: lrs})
 	}
@@ -309,40 +280,18 @@ func run(o options) error {
 		fmt.Printf("gomaxprocs=%d\n", primary)
 	}
 
-	var lastSpanID uint64
 	for li, n := range levels {
-		got, err := runModes(n)
+		lr, err := runAt(n)
 		if err != nil {
 			return err
 		}
-		for i := range got {
-			lr := &got[i]
-			if o.traceSample > 0 {
-				phases, maxID, err := phaseBreakdown(base, lastSpanID)
-				if err != nil {
-					slog.Warn("phase breakdown unavailable", "err", err)
-				} else {
-					lr.Phases, lastSpanID = phases, maxID
-				}
-			}
-			if o.drift {
-				lr.SnapshotGen = h.decider.CurrentSnapshot().Gen
-			}
-			rep.Levels = append(rep.Levels, *lr)
-			printLevel(*lr)
-			printPhases(lr.Phases)
+		if o.drift {
+			lr.SnapshotGen = h.decider.CurrentSnapshot().Gen
 		}
+		rep.Levels = append(rep.Levels, lr)
+		printLevel(lr)
 		if o.drift && li == 0 {
 			injectDrift(h, o.appName, o.seed, o.driftErr)
-		}
-	}
-	if o.batch {
-		printBatchDeltas(rep.Levels)
-		if h.coord != nil {
-			st := h.coord.Stats()
-			rep.Batch = &st
-			fmt.Printf("batch: epochs=%d fused=%d declined=%d rejected=%d (window=%dµs max_fuse=%d)\n",
-				st.Epochs, st.Fused, st.Declined, st.Rejected, st.WindowUS, st.MaxFuse)
 		}
 	}
 
@@ -421,8 +370,8 @@ func buildCatalog(sys *mpcdvfs.System, o options) (*workloadCatalog, map[string]
 
 // assign draws one (app, target) per session for a level. The Zipf draw
 // is seeded from (-seed, level) so a level's assignment is identical
-// across repeat runs — the batched A/B replays the exact same workload.
-// Baselines are computed once per distinct app and cached.
+// across repeat runs and GOMAXPROCS settings. Baselines are computed
+// once per distinct app and cached.
 func (c *workloadCatalog) assign(n int, o options) ([]sessApp, error) {
 	idx := make([]int, n)
 	if !c.uniform {
@@ -449,28 +398,6 @@ func (c *workloadCatalog) assign(n int, o options) ([]sessApp, error) {
 		}
 	}
 	return out, nil
-}
-
-// printBatchDeltas prints, per session count, the batched run's
-// throughput and p99 change versus the direct run at the same level.
-func printBatchDeltas(levels []levelReport) {
-	direct := make(map[int]levelReport)
-	for _, lr := range levels {
-		if !lr.Batched {
-			direct[lr.Sessions] = lr
-		}
-	}
-	for _, lr := range levels {
-		if !lr.Batched {
-			continue
-		}
-		d, ok := direct[lr.Sessions]
-		if !ok || d.ThroughputDPS == 0 || d.P99MS == 0 {
-			continue
-		}
-		fmt.Printf("batch delta sessions=%d throughput %+.1f%% p99 %+.1f%%\n",
-			lr.Sessions, (lr.ThroughputDPS/d.ThroughputDPS-1)*100, (lr.P99MS/d.P99MS-1)*100)
-	}
 }
 
 // runLevel sweeps one concurrency level: each assigned session runs its
@@ -526,26 +453,19 @@ func runLevel(sys *mpcdvfs.System, assign []sessApp, base string, replays int) (
 
 // hosted is the self-hosted server bundle: the HTTP front, the decision
 // server, the model it was built around, and — depending on flags — the
-// hub and trainer closing the learning loop, plus the epoch coordinator
-// and the gate the batched A/B flips around each level.
+// hub and trainer closing the learning loop.
 type hosted struct {
 	ts      *httptest.Server
 	decider *serve.Server
 	model   predict.Model
 	hub     *telemetry.Hub
 	trainer *learn.Trainer
-	coord   *batch.Coordinator
-	batchOn *atomic.Bool
 }
 
 // selfHost builds an in-process decision server over httptest, with the
 // same per-session policy stack mpcserve serves. Under drift it also
 // wires the continuous trainer the way mpcserve -learn does, so the
 // sweep exercises the full observe → reservoir → retrain → promote loop.
-// Under -batch it wires the epoch coordinator behind an atomic gate:
-// sessions always hold a submitter, but sweeps only reach the
-// coordinator while the gate is up, so the same server A/Bs direct
-// versus batched levels without rebuilding its sessions.
 func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
 	slog.Info("training Random Forest predictor for the self-hosted server", "seed", o.seed)
 	model, err := mpcdvfs.TrainRandomForest(mpcdvfs.DefaultTrainOptions(o.seed))
@@ -574,31 +494,18 @@ func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
 			BaselineSlack: 3,
 		})
 	}
-	var coord *batch.Coordinator
-	gate := new(atomic.Bool)
-	var submit predict.SweepSubmit
-	if o.batch {
-		coord = batch.New(batch.Config{Window: o.batchWindow, MaxFuse: o.batchMax})
-		submit = func(req *predict.SweepRequest) bool {
-			if !gate.Load() {
-				return false
-			}
-			return coord.Submit(req)
-		}
-	}
 	decider, err := serve.New(serve.Config{
 		Model: model,
 		Tag:   "loadgen seed=" + strconv.FormatInt(o.seed, 10),
 		NewPolicy: func(m predict.Model) sim.Policy {
 			if o.polName == "ppk" {
-				return sys.NewPPK(m).SetSweepSubmitter(m, submit)
+				return sys.NewPPK(m)
 			}
-			return sys.NewMPC(m, mpcdvfs.WithSweepSubmitter(submit))
+			return sys.NewMPC(m)
 		},
 		QueueDepth: o.queueDepth,
 		Telemetry:  hub,
 		Learn:      trainer,
-		Batch:      coord,
 	})
 	if err != nil {
 		return nil, err
@@ -624,8 +531,6 @@ func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
 		model:   model,
 		hub:     hub,
 		trainer: trainer,
-		coord:   coord,
-		batchOn: gate,
 	}, nil
 }
 

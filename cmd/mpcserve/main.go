@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"mpcdvfs"
-	"mpcdvfs/internal/batch"
 	"mpcdvfs/internal/cli"
 	"mpcdvfs/internal/learn"
 	"mpcdvfs/internal/metrics"
@@ -75,9 +74,6 @@ type options struct {
 	queueDepth   int
 	traceSample  int
 	traceRing    int
-	batch        bool
-	batchWindow  time.Duration
-	batchMax     int
 
 	learn          bool
 	learnInterval  time.Duration
@@ -103,9 +99,6 @@ func main() {
 	flag.IntVar(&o.queueDepth, "queue-depth", serve.DefaultQueueDepth, "per-session decision queue depth (full queues answer 429)")
 	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace 1 in N decisions as spans on /debug/trace (0 = off, 1 = every decision; tracing never changes decisions)")
 	flag.IntVar(&o.traceRing, "trace-ring", 0, "span ring capacity (0 = default)")
-	flag.BoolVar(&o.batch, "batch", false, "fuse concurrent sessions' exhaustive sweeps into epoch mega-batches (internal/batch; decisions are bit-identical either way)")
-	flag.DurationVar(&o.batchWindow, "batch-window", 0, "batch epoch collect window (0 = 150µs default)")
-	flag.IntVar(&o.batchMax, "batch-max", 0, "max sweeps fused per epoch (0 = 16 default)")
 	flag.BoolVar(&o.learn, "learn", false, "continuously retrain from /v1/observe traffic and promote candidates that pass the holdout gate (needs the decision API)")
 	flag.DurationVar(&o.learnInterval, "learn-interval", time.Minute, "periodic retraining cadence; scoreboard drift triggers a round early")
 	flag.Float64Var(&o.learnHoldout, "learn-holdout", 0.25, "fraction of the reservoir held out for candidate validation")
@@ -299,29 +292,11 @@ func newTrainer(o options) *learn.Trainer {
 }
 
 func newDecider(o options, sys *mpcdvfs.System, sharedModel mpcdvfs.Model, reg *mpcdvfs.MetricsRegistry, hub *mpcdvfs.TelemetryHub, trainer *learn.Trainer) (*serve.Server, error) {
-	var coord *batch.Coordinator
-	if o.batch {
-		coord = batch.New(batch.Config{
-			Window:  o.batchWindow,
-			MaxFuse: o.batchMax,
-			Metrics: reg,
-		})
-		slog.Info("decision batching enabled", "window", o.batchWindow, "max_fuse", o.batchMax)
-	}
 	newPolicy := func(m predict.Model) sim.Policy {
-		switch o.policy {
-		case "ppk":
-			p := sys.NewPPK(m)
-			if coord != nil {
-				p.SetSweepSubmitter(m, coord.Submit)
-			}
-			return p
-		default:
-			if coord != nil {
-				return sys.NewMPC(m, mpcdvfs.WithSweepSubmitter(coord.Submit))
-			}
-			return sys.NewMPC(m)
+		if o.policy == "ppk" {
+			return sys.NewPPK(m)
 		}
+		return sys.NewMPC(m)
 	}
 	tag := "trained seed=" + fmt.Sprint(o.seed)
 	if o.modelPath != "" {
@@ -337,7 +312,6 @@ func newDecider(o options, sys *mpcdvfs.System, sharedModel mpcdvfs.Model, reg *
 		QueueDepth: o.queueDepth,
 		Telemetry:  hub,
 		Learn:      trainer,
-		Batch:      coord,
 	})
 	if err != nil {
 		return nil, err

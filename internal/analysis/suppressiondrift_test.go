@@ -47,9 +47,6 @@ func TestNoSuppressionDrift(t *testing.T) {
 		filepath.Join("internal", "telemetry", "span.go"): 3,
 		// pooled-concurrency: the CLI's long-lived HTTP accept loop.
 		filepath.Join("internal", "cli", "cli.go"): 1,
-		// pooled-concurrency: the batch coordinator's singleton epoch
-		// loop, joined by Stop via the done channel.
-		filepath.Join("internal", "batch", "batch.go"): 1,
 	}
 
 	got := map[string]int{}

@@ -178,6 +178,9 @@ func TestEvalCacheHitZeroAlloc(t *testing.T) {
 // buckets). This is the per-window-kernel cost OptimizeWindow pays on
 // every receding-horizon step.
 func TestEvalCachePoolWarmZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops 1 in 4 Puts under -race, so pooled reuse cannot be pinned at 0 allocs")
+	}
 	m := batchedModel(t)
 	m.SetCompiled(true)
 	o := NewOptimizer(m, hw.DefaultSpace())
@@ -223,6 +226,9 @@ func TestEvalCachePoolResetOnRelease(t *testing.T) {
 // builds the optimizer and model arenas, a sweep's only allocations are
 // the decision cache's own map growth.
 func TestExhaustiveBatchedSweepZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops 1 in 4 Puts under -race, so pooled reuse cannot be pinned at 0 allocs")
+	}
 	m := batchedModel(t)
 	m.SetCompiled(true)
 	space := hw.DefaultSpace()

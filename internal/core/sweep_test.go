@@ -86,68 +86,3 @@ func TestExhaustiveScalarFillReusesSeed(t *testing.T) {
 			m.calls, res.Evals, len(cache.seen), n)
 	}
 }
-
-// fakeSubmit is an injected batch coordinator that either serves each
-// request inline through a FusedPlan (the smallest coordinator) or
-// refuses it, counting submits either way.
-type fakeSubmit struct {
-	serve bool
-	plan  *predict.FusedPlan
-	calls int
-}
-
-func (f *fakeSubmit) submit(req *predict.SweepRequest) bool {
-	f.calls++
-	if !f.serve {
-		return false
-	}
-	if f.plan == nil || !f.plan.Serves(req.Model, req.Space) {
-		if f.plan = predict.NewFusedPlan(req.Model, req.Space, 1); f.plan == nil {
-			return false
-		}
-	}
-	f.plan.Stage(0, req.CS)
-	f.plan.Execute(1, [][]predict.Estimate{req.Dst})
-	req.OK = true
-	req.Done <- struct{}{}
-	return true
-}
-
-// TestExhaustiveInjectedSweep checks the optimizer's sweep seam, a
-// predict.RemoteSweep installed as its model the way MPC and PPK
-// install one: a serving coordinator is consulted and its results
-// decide the search identically to the direct Calibrated model (with
-// non-unit calibration ratios); a
-// refusing coordinator falls through to the direct sweep with no
-// behavioral change.
-func TestExhaustiveInjectedSweep(t *testing.T) {
-	m := batchedModel(t)
-	space := hw.DefaultSpace()
-	kernels := []kernel.Kernel{
-		kernel.NewComputeBound("c", 1), kernel.NewMemoryBound("m", 1), kernel.NewPeak("p", 1),
-	}
-	for _, k := range kernels {
-		cs := k.Counters()
-		cal := predict.NewCalibrated(m)
-		truth := k.Evaluate(hw.FailSafe())
-		cal.Feedback(cs, hw.FailSafe(), truth.TimeMS, truth.GPUW+truth.NBW)
-		fsTime := cal.PredictKernel(cs, space.Clamp(hw.FailSafe())).TimeMS
-		for _, head := range []float64{math.Inf(1), fsTime * 1.05, -1} {
-			want := NewOptimizer(cal, space).ExhaustiveSearch(cs, head)
-
-			fs := &fakeSubmit{serve: true}
-			injected := NewOptimizer(predict.NewRemoteSweep(cal, m, fs.submit), space)
-			sameClimbResult(t, k.Name()+"/served", injected.ExhaustiveSearch(cs, head), want)
-			if fs.calls == 0 {
-				t.Fatalf("%s: injected coordinator never consulted", k.Name())
-			}
-
-			fr := &fakeSubmit{serve: false}
-			refused := NewOptimizer(predict.NewRemoteSweep(cal, m, fr.submit), space)
-			sameClimbResult(t, k.Name()+"/refused", refused.ExhaustiveSearch(cs, head), want)
-			if fr.calls == 0 {
-				t.Fatalf("%s: refusing coordinator never consulted", k.Name())
-			}
-		}
-	}
-}

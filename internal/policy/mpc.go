@@ -25,10 +25,6 @@ type MPC struct {
 	opt   *core.Optimizer
 	calib *predict.Calibrated
 	space hw.Space
-	// sweepSubmit, when non-nil, routes exhaustive sweeps through a
-	// cross-session batch coordinator (WithSweepSubmitter); consumed by
-	// NewMPC after options are applied.
-	sweepSubmit predict.SweepSubmit
 
 	// Alpha is the total performance-loss bound for the adaptive horizon
 	// (default core.DefaultAlpha = 5%).
@@ -105,19 +101,6 @@ func WithExhaustiveSearch() MPCOption {
 // heuristic with plain execution order — the ordering ablation.
 func WithExecutionOrder() MPCOption { return func(m *MPC) { m.naiveOrder = true } }
 
-// WithSweepSubmitter routes the policy's exhaustive configuration
-// sweeps through a cross-session batch coordinator (internal/batch):
-// instead of evaluating the space in-process, each sweep is submitted
-// and the session parks until the coordinator's epoch fuses it into one
-// mega-batch forest evaluation. Decisions are byte-identical with the
-// submitter installed or not — the fused path obeys the SpaceEvaluator
-// bit-exactness contract and every failure falls back to the direct
-// path. Requires a *predict.RandomForest model; with any other model
-// the option is ignored.
-func WithSweepSubmitter(submit predict.SweepSubmit) MPCOption {
-	return func(m *MPC) { m.sweepSubmit = submit }
-}
-
 // NewMPC returns an MPC policy using the given predictor and
 // configuration space. Optimization overhead is measured, not assumed:
 // the engine reports the wall time it charged for each decision (after
@@ -135,11 +118,6 @@ func NewMPC(model predict.Model, space hw.Space, opts ...MPCOption) *MPC {
 	}
 	for _, o := range opts {
 		o(m)
-	}
-	if m.sweepSubmit != nil {
-		if rfm, ok := model.(*predict.RandomForest); ok {
-			m.opt.Model = predict.NewRemoteSweep(c, rfm, m.sweepSubmit)
-		}
 	}
 	return m
 }

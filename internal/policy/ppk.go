@@ -46,22 +46,6 @@ func NewPPK(m predict.Model, space hw.Space) *PPK {
 // Name implements sim.Policy.
 func (p *PPK) Name() string { return "ppk" }
 
-// SetSweepSubmitter routes PPK's exhaustive sweeps through a cross-
-// session batch coordinator (see WithSweepSubmitter for the MPC
-// equivalent and the bit-exactness argument). model must be the raw
-// *predict.RandomForest the policy was built over; any other model (or
-// a nil submit) leaves the direct path in place. Returns p for
-// chaining.
-func (p *PPK) SetSweepSubmitter(model predict.Model, submit predict.SweepSubmit) *PPK {
-	if submit == nil {
-		return p
-	}
-	if rfm, ok := model.(*predict.RandomForest); ok {
-		p.opt.Model = predict.NewRemoteSweep(p.calib, rfm, submit)
-	}
-	return p
-}
-
 // SetObserver implements obs.Instrumentable: PPK reports per-kernel
 // prediction errors when an observer is attached.
 func (p *PPK) SetObserver(o obs.Observer) {

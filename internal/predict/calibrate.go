@@ -55,7 +55,7 @@ func (c *Calibrated) PredictSpace(cs counters.Set, space hw.Space, dst []Estimat
 	if !ok || !se.PredictSpace(cs, space, dst) {
 		return false
 	}
-	c.ApplyRatio(cs, dst)
+	c.applyRatio(cs, dst)
 	return true
 }
 
@@ -71,17 +71,14 @@ func (c *Calibrated) PredictSpaceTraced(cs counters.Set, space hw.Space, dst []E
 	if !tse.PredictSpaceTraced(cs, space, dst, tc) {
 		return false
 	}
-	c.ApplyRatio(cs, dst)
+	c.applyRatio(cs, dst)
 	return true
 }
 
-// ApplyRatio applies the kernel's learned correction ratio to every
+// applyRatio applies the kernel's learned correction ratio to every
 // estimate of a batched sweep — the same two multiplications the
-// scalar path performs. Exported for the remote-sweep path, which
-// evaluates the raw forest in the batch coordinator and must apply the
-// session-local calibration on the way back to stay bit-identical to
-// the in-process Calibrated sweep.
-func (c *Calibrated) ApplyRatio(cs counters.Set, dst []Estimate) {
+// scalar path performs.
+func (c *Calibrated) applyRatio(cs counters.Set, dst []Estimate) {
 	if r, ok := c.ratios[counters.SignatureOf(cs)]; ok {
 		for i := range dst {
 			dst[i].TimeMS *= r.time

@@ -164,6 +164,9 @@ func TestPredictKernelZeroAlloc(t *testing.T) {
 // sweep pays the one-time layout; every per-decision sweep after it is
 // allocation-free).
 func TestPredictSpaceZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops 1 in 4 Puts under -race, so pooled reuse cannot be pinned at 0 allocs")
+	}
 	m := quickRF(t)
 	space := hw.DefaultSpace()
 	cs := kernel.NewPeak("pk", 1).Counters()

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"mpcdvfs/internal/batch"
 	"mpcdvfs/internal/learn"
 	"mpcdvfs/internal/telemetry"
 )
@@ -38,7 +37,6 @@ type DebugState struct {
 	TraceSampleN int                      `json:"trace_sample_n"`
 	TraceRoots   uint64                   `json:"trace_roots"`
 	TraceSampled uint64                   `json:"trace_sampled"`
-	Batch        *batch.Stats             `json:"batch,omitempty"`
 	RecentSpans  []telemetry.SpanRecord   `json:"recent_spans"`
 }
 
@@ -56,10 +54,6 @@ func (s *Server) debugState() DebugState {
 		TraceSampleN: hub.Tracer.SampleN(),
 	}
 	st.TraceRoots, st.TraceSampled = hub.Tracer.Stats()
-	if c := s.cfg.Batch; c != nil {
-		bs := c.Stats()
-		st.Batch = &bs
-	}
 
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.sessions))

@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mpcdvfs/internal/batch"
 	"mpcdvfs/internal/learn"
 	"mpcdvfs/internal/metrics"
 	"mpcdvfs/internal/predict"
@@ -99,14 +98,6 @@ type Config struct {
 	// caller only constructs the trainer and decides whether to Start
 	// its periodic loop.
 	Learn *learn.Trainer
-	// Batch, when set, is the cross-session decision batching
-	// coordinator whose lifecycle the server owns: Shutdown stops it
-	// after every session drains, so no parked sweep request is ever
-	// stranded. Wiring the coordinator's Submit into policies is
-	// NewPolicy's job (policy.WithSweepSubmitter / PPK.SetSweepSubmitter)
-	// — the server only sequences the shutdown and exposes its stats in
-	// /debug/mpc.
-	Batch *batch.Coordinator
 }
 
 // Server is the concurrent decision service. Create with New, mount
@@ -242,12 +233,6 @@ func (s *Server) Shutdown() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	// All owner goroutines are gone, so no session can submit another
-	// sweep; stopping the coordinator now drains any still-buffered
-	// requests (each gets its Done send) without stranding a submitter.
-	if c := s.cfg.Batch; c != nil {
-		c.Stop()
-	}
 	if m := s.m.Load(); m != nil && n > 0 {
 		m.active.Add(-float64(n))
 	}

@@ -104,26 +104,18 @@ func post(t *testing.T, base, path string, req any) (int, http.Header, []byte) {
 	return resp.StatusCode, resp.Header, b
 }
 
-// TestRemoteReplayMatchesLocalGolden is the determinism contract over
-// the wire: several sessions replay the same workload concurrently
-// through serve.Client, and every one of them must be byte-identical to
-// the local single-threaded golden. Run under -race this also proves
-// the sessions share nothing unsynchronized.
-func TestRemoteReplayMatchesLocalGolden(t *testing.T) {
-	sys, app, target, model := testStack(t)
-	golden := goldenReplay(t, sys, app, target, model)
-
-	_, ts := newTestServer(t, sys, model, serve.Config{})
-
-	const sessions = 4
-	replays := make([][]byte, sessions)
-	errs := make([]error, sessions)
+// concurrentReplays runs n concurrent sessions against base and returns
+// each session's replay bytes.
+func concurrentReplays(t *testing.T, sys *mpcdvfs.System, app *mpcdvfs.App, target mpcdvfs.Target, base string, n int) [][]byte {
+	t.Helper()
+	replays := make([][]byte, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < sessions; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := serve.NewClient(ts.URL)
+			c := serve.NewClient(base)
 			res, err := sys.Run(app, c, target, true)
 			if err == nil {
 				err = c.Close()
@@ -141,14 +133,55 @@ func TestRemoteReplayMatchesLocalGolden(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	for i := 0; i < sessions; i++ {
-		if errs[i] != nil {
-			t.Fatalf("session %d: %v", i, errs[i])
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
 		}
-		if !bytes.Equal(replays[i], golden) {
+	}
+	return replays
+}
+
+// TestRemoteReplayMatchesLocalGolden is the determinism contract over
+// the wire: several sessions replay the same workload concurrently
+// through serve.Client, and every one of them must be byte-identical to
+// the local single-threaded golden. Run under -race this also proves
+// the sessions share nothing unsynchronized.
+func TestRemoteReplayMatchesLocalGolden(t *testing.T) {
+	sys, app, target, model := testStack(t)
+	golden := goldenReplay(t, sys, app, target, model)
+
+	_, ts := newTestServer(t, sys, model, serve.Config{})
+	for i, rep := range concurrentReplays(t, sys, app, target, ts.URL, 4) {
+		if !bytes.Equal(rep, golden) {
 			t.Fatalf("session %d replay diverges from local golden:\nremote: %s\nlocal:  %s",
-				i, firstDiffLine(replays[i], golden), firstDiffLine(golden, replays[i]))
+				i, firstDiffLine(rep, golden), firstDiffLine(golden, rep))
 		}
+	}
+}
+
+// TestCompiledReplaysMatchGoldenConcurrent is the same contract over
+// the committed Random Forest: its profiling runs sweep the space on
+// the compiled batched path, so concurrent sessions share the forest's
+// pooled space-eval arenas. Every replay must still be byte-identical
+// to the local single-threaded golden, under -race too.
+func TestCompiledReplaysMatchGoldenConcurrent(t *testing.T) {
+	sys, app, target, _ := testStack(t)
+	model := loadGoldenModel(t)
+	rfm := model.(*predict.RandomForest)
+	golden := goldenReplay(t, sys, app, target, model)
+
+	const sessions = 4
+	_, ts := newTestServer(t, sys, model, serve.Config{})
+	hits0, misses0 := rfm.ArenaPoolStats()
+	for i, rep := range concurrentReplays(t, sys, app, target, ts.URL, sessions) {
+		if !bytes.Equal(rep, golden) {
+			t.Fatalf("session %d diverges from local golden: %s",
+				i, firstDiffLine(rep, golden))
+		}
+	}
+	hits, misses := rfm.ArenaPoolStats()
+	if sweeps := hits + misses - hits0 - misses0; sweeps < sessions {
+		t.Fatalf("%d sessions ran %d batched sweeps: the compiled path was never served", sessions, sweeps)
 	}
 }
 
@@ -273,6 +306,12 @@ func TestBackpressure429AndDrain(t *testing.T) {
 	if err := json.Unmarshal(body, &sresp); err != nil {
 		t.Fatal(err)
 	}
+	depth := depthOf.With(sresp.SessionID)
+
+	// Session open enqueues Begin without waiting for it, and with a
+	// depth-1 queue a decide offered while Begin still sits there
+	// bounces with 429. Wait for the owner goroutine to drain it.
+	waitGauge(t, depth, 0, "Begin never drained from the session queue")
 
 	// Hold the owner goroutine inside Decide #0...
 	results := make(chan int, 2)
@@ -280,7 +319,11 @@ func TestBackpressure429AndDrain(t *testing.T) {
 		code, _, _ := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 0})
 		results <- code
 	}()
-	<-pol.started
+	select {
+	case <-pol.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("decide #0 never reached the policy")
+	}
 
 	// ...queue decide #1 behind it (fills the depth-1 queue). The depth
 	// gauge flips to 1 the instant the enqueue lands, which makes the
@@ -289,13 +332,7 @@ func TestBackpressure429AndDrain(t *testing.T) {
 		code, _, _ := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 1})
 		results <- code
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for depthOf.With(sresp.SessionID).Value() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queued decide never showed up in the depth gauge")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitGauge(t, depth, 1, "queued decide never showed up in the depth gauge")
 
 	// ...and offer decide #2: the queue is provably full, so this must
 	// bounce with 429.
@@ -330,6 +367,18 @@ func TestBackpressure429AndDrain(t *testing.T) {
 	}
 	if code, _, _ := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 3}); code != http.StatusNotFound {
 		t.Fatalf("decide after close: %d, want 404", code)
+	}
+}
+
+// waitGauge polls g until it reads want, failing after 5 s.
+func waitGauge(t *testing.T, g *metrics.Gauge, want float64, msg string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for g.Value() != want {
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -14,14 +14,12 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 
 	"mpcdvfs"
 	"mpcdvfs/internal/predict"
 	"mpcdvfs/internal/serve"
 	"mpcdvfs/internal/telemetry"
-	"mpcdvfs/internal/trace"
 )
 
 // loadGoldenModel loads the committed random-forest model — the only
@@ -72,38 +70,10 @@ func TestTracedReplayMatchesGoldenConcurrent(t *testing.T) {
 	_, ts := newTestServer(t, sys, model, serve.Config{Telemetry: hub})
 
 	const sessions = 4
-	replays := make([][]byte, sessions)
-	errs := make([]error, sessions)
-	var wg sync.WaitGroup
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := serve.NewClient(ts.URL)
-			res, err := sys.Run(app, c, target, true)
-			if err == nil {
-				err = c.Close()
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var buf bytes.Buffer
-			if err := trace.WriteJSONL(&buf, res); err != nil {
-				errs[i] = err
-				return
-			}
-			replays[i] = buf.Bytes()
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < sessions; i++ {
-		if errs[i] != nil {
-			t.Fatalf("session %d: %v", i, errs[i])
-		}
-		if !bytes.Equal(replays[i], golden) {
+	for i, rep := range concurrentReplays(t, sys, app, target, ts.URL, sessions) {
+		if !bytes.Equal(rep, golden) {
 			t.Fatalf("traced session %d diverges from untraced golden at: %s",
-				i, firstDiffLine(replays[i], golden))
+				i, firstDiffLine(rep, golden))
 		}
 	}
 

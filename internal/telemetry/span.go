@@ -30,13 +30,6 @@ const (
 	// aggregate span) the sum of scalar predictor calls a hill climb
 	// spends within one enclosing span.
 	SpanForestEval = "mpcdvfs_forest_eval"
-	// SpanBatchWait covers the time a fused sweep request waited in
-	// the batch coordinator — from submission until its epoch's fused
-	// evaluation began.
-	SpanBatchWait = "mpcdvfs_batch_wait"
-	// SpanBatchEval covers the fused mega-batch forest evaluation the
-	// request's epoch ran (shared across every request fused into it).
-	SpanBatchEval = "mpcdvfs_batch_eval"
 )
 
 // SpanRecord is one finished span. Records are immutable once
@@ -296,30 +289,6 @@ func (c *Context) RecordSince(name string, start time.Time) {
 		Index:    c.index,
 		StartUNS: start.UnixNano(),
 		DurNS:    time.Since(start).Nanoseconds(),
-	})
-}
-
-// Record emits an already-elapsed child span of explicit duration
-// under the innermost open span — RecordSince for intervals whose
-// endpoints were both clocked elsewhere (the batch coordinator stamps
-// a fused request's evaluation start and duration; the session
-// goroutine records them after being woken). Record reads no clock, so
-// decision-path callers stay free of wall-clock taint. A zero start is
-// a no-op, pairing with StartPhase's disabled path.
-func (c *Context) Record(name string, start time.Time, d time.Duration) {
-	if start.IsZero() || c == nil || c.depth == 0 {
-		return
-	}
-	top := &c.frames[c.depth-1]
-	c.buf = append(c.buf, SpanRecord{
-		TraceID:  c.traceID,
-		SpanID:   c.t.ids.Add(1),
-		ParentID: top.id,
-		Name:     name,
-		Session:  c.session,
-		Index:    c.index,
-		StartUNS: start.UnixNano(),
-		DurNS:    d.Nanoseconds(),
 	})
 }
 
