@@ -1,7 +1,7 @@
 // Paired benchmarks of the Random Forest inference engines: the
 // reference tree-walking path versus the compiled branchless engine
 // (clustered level-order node layout, key-transformed predicated
-// descent, interleaved batch evaluation — see DESIGN.md §10), at the
+// descent, set descent for sweeps — see DESIGN.md §10), at the
 // three granularities the MPC runtime exercises: one scalar
 // prediction, one batched space evaluation, and one full 336-config
 // exhaustive sweep (the per-decision inner loop). Both engines are
@@ -17,8 +17,8 @@
 //
 // Regenerate BENCH_rf.json with:
 //
-//	go test -run '^$' -bench '^BenchmarkRF' -benchmem -cpu 1,2,4
-//	go test ./internal/rf -run '^$' -bench '^BenchmarkCompiled' -benchmem
+//	go test -run '^$' -bench '^BenchmarkRF' -benchmem -count=3 -cpu 1,2
+//	go test ./internal/rf -run '^$' -bench '^BenchmarkCompiled' -benchmem -count=3 -cpu 1,2
 package mpcdvfs_test
 
 import (
@@ -120,8 +120,8 @@ func BenchmarkRFSpaceEvalCompiled(b *testing.B) { benchRFSpace(b, true) }
 
 // BenchmarkRFSpaceEvalParallel fans concurrent batched sweeps across
 // GOMAXPROCS goroutines — each with its own kernels and dst, sharing
-// one model and its arena pool, the decision batcher's sharing
-// pattern. Run with -cpu 1,2,4 for the multi-core scaling curve
+// one model and its immutable sweep plan, as concurrent serving
+// sessions do. Run with -cpu 1,2 for the multi-core scaling curve
 // (ns/op should fall roughly linearly with cores; on a single-CPU
 // host every -cpu level measures the same serialized work).
 func BenchmarkRFSpaceEvalParallel(b *testing.B) {

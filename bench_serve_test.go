@@ -1,28 +1,22 @@
-// Paired benchmarks for the concurrent decision-serving path: the
-// pooled space-eval arenas under parallel sweeps versus the
-// mutex-serialized discipline they replaced, and the end-to-end
-// /v1/decide closed loop over HTTP, serial versus concurrent sessions.
+// Benchmarks for the decision-serving path: the end-to-end /v1/decide
+// closed loop over HTTP, serial versus concurrent sessions.
 //
 // Regenerate the numbers behind BENCH_serve.json with:
 //
-//	go test . -run '^$' -bench '^BenchmarkArenaPool|^BenchmarkServe' -benchmem
-//	go run ./cmd/loadgen -levels 1,2,4,8,16 -replays 3 -batch -zipf 1.2 -cpus 1,2 -out BENCH_serve.json
+//	go test . -run '^$' -bench '^BenchmarkServe' -benchmem
+//	go run ./cmd/loadgen -levels 1,2,4,8,16 -replays 3 -zipf 1.2 -cpus 1,2 -out BENCH_serve.json
 //
 // On a single-CPU host the parallel variants measure coordination
 // overhead, not speedup — concurrent sessions time-share one core, so
 // aggregate throughput is flat by construction (see BENCH_serve.json's
-// note). The pairs still prove the pooled arena path costs nothing over
-// the serialized one while removing the lock from the sweep hot loop.
+// note).
 package mpcdvfs_test
 
 import (
-	"sync"
 	"testing"
 
 	"mpcdvfs"
 	"mpcdvfs/internal/experiments"
-	"mpcdvfs/internal/hw"
-	"mpcdvfs/internal/kernel"
 	"mpcdvfs/internal/predict"
 	"mpcdvfs/internal/serve"
 	"mpcdvfs/internal/sim"
@@ -39,48 +33,6 @@ func benchServeRF(b *testing.B) *predict.RandomForest {
 	}
 	m.SetCompiled(true)
 	return m
-}
-
-// BenchmarkArenaPoolPooled sweeps the full configuration space from
-// parallel goroutines through the sync.Pool'd arenas — the decision
-// service's sharing pattern, where concurrent sessions sweep the same
-// model snapshot.
-func BenchmarkArenaPoolPooled(b *testing.B) {
-	m := benchServeRF(b)
-	space := hw.DefaultSpace()
-	cs := kernel.NewBalanced("bench", 1).Counters()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]predict.Estimate, space.Size())
-		for pb.Next() {
-			if !m.PredictSpace(cs, space, dst) {
-				b.Fatal("PredictSpace returned false on a compiled model")
-			}
-		}
-	})
-}
-
-// BenchmarkArenaPoolSerialized is the baseline the pool replaced: one
-// arena guarded by a mutex, every concurrent sweep funneled through it.
-func BenchmarkArenaPoolSerialized(b *testing.B) {
-	m := benchServeRF(b)
-	space := hw.DefaultSpace()
-	cs := kernel.NewBalanced("bench", 1).Counters()
-	var mu sync.Mutex
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]predict.Estimate, space.Size())
-		for pb.Next() {
-			mu.Lock()
-			ok := m.PredictSpace(cs, space, dst)
-			mu.Unlock()
-			if !ok {
-				b.Fatal("PredictSpace returned false on a compiled model")
-			}
-		}
-	})
 }
 
 // benchServeStack boots an in-process decision server over the shared

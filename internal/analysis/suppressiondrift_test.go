@@ -25,9 +25,8 @@ func TestNoSuppressionDrift(t *testing.T) {
 		// hotpath-alloc: the eval cache's miss-path insert and the
 		// deployed-model PredictKernel call, both off the pinned warm path.
 		filepath.Join("internal", "core", "climb.go"): 2,
-		// hotpath-alloc: batched-sweep arena pool — once-per-space
-		// install, pool-miss build, defensive foreign-arena rebuild.
-		filepath.Join("internal", "predict", "spaceeval.go"): 3,
+		// hotpath-alloc: the batched sweep's once-per-space plan build.
+		filepath.Join("internal", "predict", "spaceeval.go"): 1,
 		// determinism-taint: CHA may-target through serve.Client.Decide
 		// (latency-callback timing, not decision input).
 		filepath.Join("internal", "sim", "sim.go"): 1,

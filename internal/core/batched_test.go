@@ -222,19 +222,16 @@ func TestEvalCachePoolResetOnRelease(t *testing.T) {
 
 // TestExhaustiveBatchedSweepZeroAllocSteadyState pins the whole batched
 // sweep reduction (minus the per-decision cache, which each decision
-// owns) at a bounded, arena-free steady state: after the first sweep
-// builds the optimizer and model arenas, a sweep's only allocations are
-// the decision cache's own map growth.
+// owns) at a bounded steady state: after the first sweep builds the
+// optimizer's sweep buffers and the model's plan, a sweep's only
+// allocations are the decision cache's own map growth.
 func TestExhaustiveBatchedSweepZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops 1 in 4 Puts under -race, so pooled reuse cannot be pinned at 0 allocs")
-	}
 	m := batchedModel(t)
 	m.SetCompiled(true)
 	space := hw.DefaultSpace()
 	cs := kernel.NewPeak("pk", 1).Counters()
 	o := NewOptimizer(m, space)
-	o.exhaustive(newEvalCache(o, cs), math.Inf(1)) // warm up arenas
+	o.exhaustive(newEvalCache(o, cs), math.Inf(1)) // warm up the sweep buffers and plan
 
 	cache := newEvalCache(o, cs)
 	o.exhaustive(cache, math.Inf(1)) // fill this decision's cache

@@ -237,8 +237,8 @@ func (s Space) Size() int { return len(s.CPUs) * len(s.NBs) * len(s.GPUs) * len(
 // Equal reports whether the two spaces enumerate exactly the same
 // configurations in the same At order (identical per-knob state lists,
 // element for element). Callers that precompute per-configuration state
-// — e.g. the batched predictor's config-feature arena — use this to
-// detect when a cached layout can be reused.
+// — e.g. the batched predictor's sweep plan — use this to detect when a
+// cached layout can be reused.
 func (s Space) Equal(o Space) bool {
 	if len(s.CPUs) != len(o.CPUs) || len(s.NBs) != len(o.NBs) ||
 		len(s.GPUs) != len(o.GPUs) || len(s.CUs) != len(o.CUs) {

@@ -50,47 +50,80 @@ func TestPredictKernelCompiledEquivalence(t *testing.T) {
 }
 
 // TestPredictSpaceMatchesScalar checks the batched sweep against a
-// scalar PredictKernel loop: same configurations, same order, same
-// bits.
+// scalar PredictKernel loop and the tree walk: same configurations,
+// same order, same bits. It sweeps the default and the full space
+// (which also swaps the installed plan back and forth), with random
+// kernels and with counter sets holding NaN, ±Inf and negative values,
+// which reach the forest as NaN and +Inf features.
 func TestPredictSpaceMatchesScalar(t *testing.T) {
 	m := quickRF(t)
-	space := hw.DefaultSpace()
+	defer m.SetCompiled(true)
 	rng := rand.New(rand.NewSource(6))
-	dst := make([]Estimate, space.Size())
+	var sets []counters.Set
 	for i := 0; i < 4; i++ {
-		cs := kernel.Random("sp", rng).Counters()
-		if !m.PredictSpace(cs, space, dst) {
-			t.Fatal("PredictSpace returned false on a compiled model")
-		}
-		for r, c := range space.Configs() {
-			want := m.PredictKernel(cs, c)
-			if math.Float64bits(dst[r].TimeMS) != math.Float64bits(want.TimeMS) ||
-				math.Float64bits(dst[r].GPUPowerW) != math.Float64bits(want.GPUPowerW) {
-				t.Fatalf("row %d (%+v): batched %+v != scalar %+v", r, c, dst[r], want)
+		sets = append(sets, kernel.Random("sp", rng).Counters())
+	}
+	base := kernel.NewBalanced("adv", 1).Counters()
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3, 1e308} {
+		cs := base
+		cs[0], cs[counters.NumCounters-1] = v, v
+		sets = append(sets, cs)
+	}
+	for _, space := range []hw.Space{hw.DefaultSpace(), hw.FullSpace()} {
+		dst := make([]Estimate, space.Size())
+		for i, cs := range sets {
+			if !m.PredictSpace(cs, space, dst) {
+				t.Fatalf("PredictSpace returned false on a compiled model over %d configurations", space.Size())
+			}
+			for r, c := range space.Configs() {
+				want := m.PredictKernel(cs, c)
+				m.SetCompiled(false)
+				ref := m.PredictKernel(cs, c)
+				m.SetCompiled(true)
+				for _, w := range []Estimate{want, ref} {
+					if math.Float64bits(dst[r].TimeMS) != math.Float64bits(w.TimeMS) ||
+						math.Float64bits(dst[r].GPUPowerW) != math.Float64bits(w.GPUPowerW) {
+						t.Fatalf("space %d set %d row %d (%+v): batched %+v != scalar %+v / tree-walk %+v",
+							space.Size(), i, r, c, dst[r], want, ref)
+					}
+				}
 			}
 		}
 	}
 }
 
 // TestPredictSpaceDisabled checks the contract for the unavailable
-// case: tree-walk mode refuses the batched path and leaves dst alone.
+// cases: tree-walk mode, and a space beyond the set descent's row
+// capacity, refuse the batched path and leave dst alone (the optimizer
+// then fills its sweep per configuration).
 func TestPredictSpaceDisabled(t *testing.T) {
 	m := quickRF(t)
 	m.SetCompiled(false)
 	defer m.SetCompiled(true)
-	space := hw.DefaultSpace()
-	dst := make([]Estimate, space.Size())
+	big := hw.FullSpace()
+	big.CPUs = append(big.CPUs, big.CPUs...) // 1,120 configurations
 	sentinel := Estimate{TimeMS: -1, GPUPowerW: -1}
-	for i := range dst {
-		dst[i] = sentinel
-	}
 	cs := kernel.NewPeak("pk", 1).Counters()
-	if m.PredictSpace(cs, space, dst) {
-		t.Fatal("PredictSpace returned true with compiled inference disabled")
-	}
-	for i := range dst {
-		if dst[i] != sentinel {
-			t.Fatalf("dst[%d] touched on the refused path: %+v", i, dst[i])
+	for _, tc := range []struct {
+		name     string
+		compiled bool
+		space    hw.Space
+	}{
+		{"compiled inference disabled", false, hw.DefaultSpace()},
+		{"space beyond MaxSetRows", true, big},
+	} {
+		m.SetCompiled(tc.compiled)
+		dst := make([]Estimate, tc.space.Size())
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		if m.PredictSpace(cs, tc.space, dst) {
+			t.Fatalf("%s: PredictSpace returned true", tc.name)
+		}
+		for i := range dst {
+			if dst[i] != sentinel {
+				t.Fatalf("%s: dst[%d] touched on the refused path: %+v", tc.name, i, dst[i])
+			}
 		}
 	}
 }
@@ -160,18 +193,15 @@ func TestPredictKernelZeroAlloc(t *testing.T) {
 }
 
 // TestPredictSpaceZeroAllocSteadyState pins the batched sweep at zero
-// allocations once the arena has been built for the space (the first
-// sweep pays the one-time layout; every per-decision sweep after it is
+// allocations once the plan has been built for the space (the first
+// sweep pays the one-time build; every per-decision sweep after it is
 // allocation-free).
 func TestPredictSpaceZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops 1 in 4 Puts under -race, so pooled reuse cannot be pinned at 0 allocs")
-	}
 	m := quickRF(t)
 	space := hw.DefaultSpace()
 	cs := kernel.NewPeak("pk", 1).Counters()
 	dst := make([]Estimate, space.Size())
-	m.PredictSpace(cs, space, dst) // warm up: builds the arena
+	m.PredictSpace(cs, space, dst) // warm up: builds the plan
 	if allocs := testing.AllocsPerRun(50, func() { m.PredictSpace(cs, space, dst) }); allocs != 0 {
 		t.Fatalf("warm PredictSpace allocates %v times per call, want 0", allocs)
 	}
@@ -223,9 +253,10 @@ func TestCompiledForestsExposed(t *testing.T) {
 // TestPredictSpaceConcurrent hammers one model's batched sweep from
 // many goroutines at once — the exact sharing pattern of the decision
 // service, where every session's optimizer sweeps through the same
-// snapshot's pooled arenas. Each goroutine uses its own kernels and its
-// own dst, and every row must be bit-identical to a serial sweep. Run
-// under -race this pins the arena pool against aliasing two sweeps.
+// snapshot's immutable plan. Each goroutine uses its own kernels and
+// its own dst, and every row must be bit-identical to a serial sweep.
+// Run under -race this pins the shared plan as read-only: no sweep
+// writes anything another sweep reads.
 func TestPredictSpaceConcurrent(t *testing.T) {
 	m := quickRF(t)
 	space := hw.DefaultSpace()

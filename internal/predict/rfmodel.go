@@ -82,12 +82,11 @@ type RandomForest struct {
 	powerCompiled *rf.CompiledForest
 	treeWalk      bool
 
-	// arenas is the pool of reusable batched-sweep workspaces behind
-	// PredictSpace: concurrent sweeps each borrow a private arena, so
-	// batched evaluation from many sessions never serializes on a lock.
-	// Rebuilt (by arenaFor) whenever the swept space changes.
-	arenas atomic.Pointer[arenaPool]
-	// Cumulative arena pool traffic, plus the optional metrics mirror
+	// plan is the immutable set-descent plan behind PredictSpace, shared
+	// by concurrent sweeps and rebuilt (by planFor) whenever the swept
+	// space changes.
+	plan atomic.Pointer[sweepPlan]
+	// Cumulative plan lookups, plus the optional metrics mirror
 	// installed by InstrumentArenaPool.
 	arenaHits, arenaMisses atomic.Uint64
 	arenaInstr             atomic.Pointer[arenaInstr]

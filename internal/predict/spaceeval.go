@@ -3,7 +3,6 @@ package predict
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/hw"
@@ -40,115 +39,76 @@ type TracedSpaceEvaluator interface {
 	PredictSpaceTraced(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool
 }
 
-// spaceArena is one batched-sweep workspace: a row-major matrix of
-// key-transformed features (rf.KeyOf order-preserving integer keys, the
-// form the branchless compiled kernels compare in) with the
-// per-configuration suffix columns pre-keyed for every configuration of
-// one space, plus the two forest output vectors. Only the
-// counter-prefix columns change between sweeps, so a steady-state sweep
-// keys the eight counter features once, patches those keys into each
-// row, runs two batched forest evaluations over the keyed matrix, and
-// allocates nothing.
-//
-// Arenas are space-specific: every arena in a pool was built by
-// newSpaceArena for the pool's space, and PredictSpace revalidates with
-// hw.Space.Equal before trusting the precomputed suffix columns.
-type spaceArena struct {
-	space hw.Space  // the space keys was built for
-	keys  []uint64  // space.Size() × numRFFeatures feature keys, config suffix pre-keyed
-	tOut  []float64 // time-forest outputs, one per configuration
-	pOut  []float64 // power-forest outputs, one per configuration
+// sweepPlan is the set-descent form of one configuration space: for
+// each of the six configuration features, the split table of its value
+// on every configuration (row r is space.At(r)), built by the same
+// patchConfig the scalar path uses. The eight counter features are
+// shared by every row of a sweep and carry no table. A plan depends on
+// the space alone — not on the forest — and is immutable once built, so
+// concurrent sweeps share it with no pool and no lock.
+type sweepPlan struct {
+	space  hw.Space
+	splits [numRFFeatures]rf.RowSplits
 }
 
-// newSpaceArena lays out an arena for a space: one key row per
-// configuration in At order, with the six config-derived columns filled
-// by the same patchConfig the scalar path uses (identical expressions,
-// identical values) and then key-transformed. The transform is exact —
-// keyed comparisons decide identically to the float comparisons the
-// tree walk performs — so pre-keying changes no prediction bit.
-func newSpaceArena(space hw.Space) *spaceArena {
+// newSweepPlan builds the plan for a space of at most rf.MaxSetRows
+// configurations.
+func newSweepPlan(space hw.Space) *sweepPlan {
 	n := space.Size()
-	a := &spaceArena{
-		space: space,
-		keys:  make([]uint64, n*numRFFeatures),
-		tOut:  make([]float64, n),
-		pOut:  make([]float64, n),
-	}
+	cols := make([]float64, numConfigFeatures*n)
 	var row [numRFFeatures]float64
-	i := 0
+	r := 0
 	space.ForEach(func(c hw.Config) {
 		patchConfig(row[:], c)
-		rf.KeysInto(a.keys[i*numRFFeatures+counters.NumCounters:(i+1)*numRFFeatures],
-			row[counters.NumCounters:])
-		i++
+		for f := 0; f < numConfigFeatures; f++ {
+			cols[f*n+r] = row[counters.NumCounters+f]
+		}
+		r++
 	})
-	return a
-}
-
-// arenaPool hands out spaceArenas for one space. It replaces the old
-// single mutex-guarded arena: concurrent PredictSpace calls each take
-// their own arena from the sync.Pool (building one only when the pool
-// is empty) and return it afterwards, so batched sweeps from many
-// sessions scale with cores instead of serializing. The pool is
-// space-keyed as a whole — a model asked to sweep a different space
-// installs a fresh pool (see RandomForest.arenaFor); mixed-space
-// workloads therefore thrash the pool but never corrupt an arena.
-type arenaPool struct {
-	space hw.Space
-	pool  sync.Pool // of *spaceArena, all built for space
-}
-
-// get returns an arena for p.space, reporting whether it was pooled
-// (true) or freshly built (false).
-func (p *arenaPool) get() (*spaceArena, bool) {
-	if a, ok := p.pool.Get().(*spaceArena); ok {
-		return a, true
+	p := &sweepPlan{space: space}
+	for f := 0; f < numConfigFeatures; f++ {
+		p.splits[counters.NumCounters+f] = rf.NewRowSplits(cols[f*n : (f+1)*n])
 	}
-	return newSpaceArena(p.space), false
+	return p
 }
 
-// arenaInstr mirrors pool traffic into a metrics registry.
+// planFor returns the model's sweep plan for space, building and
+// installing one when none is installed or the installed plan was built
+// for a different space; it reports whether the installed plan served.
+// Racing installs are benign: every plan for a space is the same.
+func (m *RandomForest) planFor(space hw.Space) (*sweepPlan, bool) {
+	if p := m.plan.Load(); p != nil && p.space.Equal(space) {
+		return p, true
+	}
+	p := newSweepPlan(space)
+	m.plan.Store(p)
+	return p, false
+}
+
+// arenaInstr mirrors plan lookups into a metrics registry.
 type arenaInstr struct {
 	hit, miss *metrics.Counter
 }
 
-// arenaFor returns the model's arena pool for space, installing a new
-// one when none exists or the cached pool was built for a different
-// space. The install races benignly: a loser keeps using the pool it
-// created (correct, just unshared for that one sweep).
-func (m *RandomForest) arenaFor(space hw.Space) *arenaPool {
-	ap := m.arenas.Load()
-	if ap != nil && ap.space.Equal(space) {
-		return ap
-	}
-	fresh := &arenaPool{space: space}
-	m.arenas.CompareAndSwap(ap, fresh)
-	if cur := m.arenas.Load(); cur != nil && cur.space.Equal(space) {
-		return cur
-	}
-	return fresh
-}
-
-// ArenaPoolStats returns the cumulative batched-sweep arena pool
-// traffic: sweeps served by a pooled arena (hits) and sweeps that had
-// to build one (misses, including every first sweep after a space
-// change). The steady-state hit rate of a concurrent server is the
-// fraction of sweeps that allocated nothing.
+// ArenaPoolStats returns the cumulative batched-sweep plan traffic:
+// sweeps served by the installed plan (hits) and plan builds (misses,
+// one for the first sweep and one after every change of space). The
+// name predates the plan, which replaced a pool of per-sweep arenas.
 func (m *RandomForest) ArenaPoolStats() (hits, misses uint64) {
 	return m.arenaHits.Load(), m.arenaMisses.Load()
 }
 
-// InstrumentArenaPool mirrors the arena pool counters into reg as
+// InstrumentArenaPool mirrors the plan counters into reg as
 // mpcdvfs_predict_arena_events_total{event="hit"|"miss"} from now on
 // (earlier traffic is reported once as a baseline on the first event).
 func (m *RandomForest) InstrumentArenaPool(reg *metrics.Registry) {
 	events := reg.Counter("mpcdvfs_predict_arena_events_total",
-		"Batched-sweep arena pool requests by outcome (hit = reused a pooled arena, miss = built one).",
+		"Batched-sweep plan lookups by outcome (hit = served by the installed plan, miss = built one).",
 		"event")
 	m.arenaInstr.Store(&arenaInstr{hit: events.With("hit"), miss: events.With("miss")})
 }
 
-// countArena records one pool outcome in the stats and their optional
+// countArena records one plan lookup in the stats and their optional
 // metrics mirror.
 func (m *RandomForest) countArena(hit bool) {
 	if hit {
@@ -165,19 +125,16 @@ func (m *RandomForest) countArena(hit bool) {
 	}
 }
 
-// PredictSpace implements SpaceEvaluator with one batched compiled-
-// forest evaluation per forest: the kernel's counter prefix is computed
-// once and patched into every row, the whole matrix runs through the
-// compiled time and power forests tree-by-tree, and each estimate is
-// assembled with exactly the scalar path's final operations
+// PredictSpace implements SpaceEvaluator with one set descent per
+// forest: the kernel's counter prefix is computed once and shared by
+// every row, the space's configurations form the row set, and each
+// estimate is assembled with exactly the scalar path's final operations
 // (math.Exp(t)·insts, p). Returns false — leaving dst untouched — when
-// compiled inference is disabled (SetCompiled(false)).
+// compiled inference is disabled (SetCompiled(false)) or the space has
+// more than rf.MaxSetRows configurations.
 //
-// PredictSpace is safe for concurrent use: each call borrows a private
-// arena from the model's pool, so concurrent sweeps (one per serving
-// session) proceed without serializing on any lock. Per-sweep results
-// are bit-identical regardless of which arena serves them — arenas
-// differ only in identity, never in contents.
+// PredictSpace is safe for concurrent use: sweeps share the model's
+// immutable plan and keep their accumulators on their own stacks.
 //
 //mpclint:hotpath warm sweep pinned at 0 allocs/op by TestPredictSpaceZeroAllocSteadyState
 func (m *RandomForest) PredictSpace(cs counters.Set, space hw.Space, dst []Estimate) bool {
@@ -196,7 +153,7 @@ func (m *RandomForest) PredictSpaceTraced(cs counters.Set, space hw.Space, dst [
 // entry points differ only in whether span bookkeeping runs — every
 // value written to dst is computed identically.
 //
-//mpclint:hotpath warm sweep pinned at 0 allocs/op by TestPredictSpaceZeroAllocSteadyState; arena-miss slow paths carry reasoned suppressions
+//mpclint:hotpath warm sweep pinned at 0 allocs/op by TestPredictSpaceZeroAllocSteadyState; the plan build is a reasoned slow path
 func (m *RandomForest) predictSpace(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool {
 	if m.treeWalk || m.timeCompiled == nil {
 		return false
@@ -208,35 +165,26 @@ func (m *RandomForest) predictSpace(cs counters.Set, space hw.Space, dst []Estim
 	if n == 0 {
 		return true
 	}
+	if n > rf.MaxSetRows {
+		return false
+	}
 	sp := tc.Start(telemetry.SpanFeaturize)
-	var prefix [counters.NumCounters]float64
-	counterPrefix(prefix[:], cs)
-	var kprefix [counters.NumCounters]uint64
-	rf.KeysInto(kprefix[:], prefix[:])
-
-	//mpclint:ignore hotpath-alloc pool install is a once-per-space slow path; warm sweeps load the existing pool, pinned by TestPredictSpaceZeroAllocSteadyState
-	ap := m.arenaFor(space)
-	//mpclint:ignore hotpath-alloc arena build is the pool-miss slow path; warm sweeps reuse a pooled arena, pinned by TestPredictSpaceZeroAllocSteadyState
-	a, pooled := ap.get()
-	if !a.space.Equal(space) {
-		// Defensive: never trust a foreign arena's suffix columns.
-		//mpclint:ignore hotpath-alloc defensive rebuild only runs if a foreign arena leaks into the pool, which the space-keyed install forbids
-		a, pooled = newSpaceArena(space), false
-	}
-	m.countArena(pooled)
-	for r := 0; r < n; r++ {
-		copy(a.keys[r*numRFFeatures:r*numRFFeatures+counters.NumCounters], kprefix[:])
-	}
+	var x [numRFFeatures]float64
+	counterPrefix(x[:], cs)
+	//mpclint:ignore hotpath-alloc the plan build runs once per space; warm sweeps load the installed plan, pinned by TestPredictSpaceZeroAllocSteadyState
+	plan, hit := m.planFor(space)
+	m.countArena(hit)
 	sp.End()
 	sp = tc.Start(telemetry.SpanForestEval)
-	m.timeCompiled.PredictBatchKeysInto(a.tOut, a.keys)
-	m.powerCompiled.PredictBatchKeysInto(a.pOut, a.keys)
+	var acc [rf.MaxSetRows]float64
 	insts := instsOf(cs)
-	for r := 0; r < n; r++ {
-		dst[r] = Estimate{TimeMS: math.Exp(a.tOut[r]) * insts, GPUPowerW: a.pOut[r]}
+	for r, t := range m.timeCompiled.PredictSetInto(acc[:n], x[:], plan.splits[:]) {
+		dst[r].TimeMS = math.Exp(t) * insts
+	}
+	for r, p := range m.powerCompiled.PredictSetInto(acc[:n], x[:], plan.splits[:]) {
+		dst[r].GPUPowerW = p
 	}
 	sp.End()
-	ap.pool.Put(a)
 	return true
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // CompiledForest is an immutable, cache-friendly compilation of a
@@ -34,15 +35,14 @@ import (
 //
 // — a subtract-with-borrow and an add, no data-dependent branch. The
 // scalar path transforms the input row to keys once and descends eight
-// trees at a time in register-resident cursors; the batched paths
-// advance blocks of sixteen independent rows one level at a time, so
-// the node loads of many rows overlap instead of serializing on one
-// row's dependent chain.
+// trees at a time in register-resident cursors. The set path
+// (PredictSetInto) evaluates many rows that share most features by
+// descending each tree once with the whole row set as a bitset.
 //
 // The compiled form is derived state, never persisted: MarshalBinary
 // stays the canonical wire format, and a CompiledForest is rebuilt from
 // the Forest after every load or train. Its contract is bit-exactness —
-// Predict and PredictBatch return results bit-identical to the
+// Predict and PredictSetInto return results bit-identical to the
 // tree-walking Forest for every input (the comparisons decide
 // identically, the per-tree summation order and the final division are
 // the same operations in the same order), so golden replays,
@@ -52,8 +52,8 @@ import (
 // done.
 //
 // A CompiledForest is safe for concurrent use: all fields are
-// immutable after Compile, and the Into variants write only into
-// caller-owned buffers.
+// immutable after Compile, and PredictSetInto writes only into the
+// caller's dst.
 //
 //mpclint:immutable node pool is shared lock-free by concurrent predictors; any post-Compile write is a data race and breaks bit-exactness
 type CompiledForest struct {
@@ -73,9 +73,9 @@ type cnode struct {
 }
 
 // maxCompiledFeatures bounds the feature dimensionality the compiled
-// kernels can address: the scalar and batched descents hold the
-// key-transformed input row(s) in fixed-size stack buffers of this
-// width (so they stay provably allocation-free).
+// kernels can address: the scalar and set descents hold the
+// key-transformed input row in a fixed-size stack buffer of this width
+// (so they stay provably allocation-free).
 const maxCompiledFeatures = 64
 
 const (
@@ -87,9 +87,6 @@ const (
 	// treeBlock is the scalar interleave width: how many trees descend
 	// concurrently in register cursors.
 	treeBlock = 8
-	// rowBlock is the batched interleave width: how many independent
-	// rows advance one level per step of the inner loop.
-	rowBlock = 16
 )
 
 // keyOf maps a float64 to its totally-ordered uint64 key: for all a, b
@@ -343,112 +340,98 @@ func (c *CompiledForest) Predict(x []float64) float64 {
 	return s / float64(nt)
 }
 
-// PredictBatch evaluates a row-major flat feature matrix (len(X) must
-// be a multiple of NumFeatures; row r is X[r*d : (r+1)*d]) and returns
-// one prediction per row. An empty matrix returns nil without touching
-// the pool. Allocates the result slice; use PredictBatchInto for a
-// zero-allocation steady state.
-func (c *CompiledForest) PredictBatch(X []float64) []float64 {
-	if len(X) == 0 {
-		return nil
-	}
-	return c.PredictBatchInto(make([]float64, len(X)/c.nFeat), X)
+// setWords is the width of a rowSet in 64-bit words: enough for the
+// 560 configurations of the full hardware space.
+const setWords = 9
+
+// MaxSetRows is the largest row count one set descent carries.
+const MaxSetRows = setWords * 64
+
+// rowSet is a set of row indices below MaxSetRows, one bit per row.
+type rowSet [setWords]uint64
+
+// RowSplits is the set-descent form of one feature whose value differs
+// across the rows of a set: the distinct keys the rows take, in
+// ascending order, and for each of them the rows whose key is at or
+// below it. A split on the feature then partitions any row set with one
+// mask — the mask at the rank of the split's threshold key among those
+// keys. The zero value marks a feature every row shares.
+type RowSplits struct {
+	keys  []uint64 // distinct row keys, ascending
+	below []rowSet // below[i]: the rows whose key is <= keys[i]
+	rows  int
 }
 
-// PredictBatchInto is PredictBatch writing into the caller-owned dst,
-// which must hold exactly one slot per row; it returns dst. Rows are
-// processed in blocks of rowBlock: each block's rows are
-// key-transformed into a stack buffer once, then every tree advances
-// the whole block one level at a time — sixteen independent descent
-// chains in flight — before the block's leaf values accumulate. Every
-// row still accumulates tree values in tree order and divides once, so
+// NewRowSplits builds the split table of a feature from its value on
+// each row of a set: row r holds vals[r]. It panics beyond MaxSetRows
+// rows.
+func NewRowSplits(vals []float64) RowSplits {
+	if len(vals) > MaxSetRows {
+		panic(fmt.Sprintf("rf: NewRowSplits over %d rows, max %d", len(vals), MaxSetRows))
+	}
+	rowKeys := make([]uint64, len(vals))
+	for r, v := range vals {
+		rowKeys[r] = keyOf(v)
+	}
+	keys := slices.Clone(rowKeys)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	below := make([]rowSet, len(keys))
+	for i, k := range keys {
+		for r, rk := range rowKeys {
+			if rk <= k {
+				below[i][r>>6] |= 1 << (r & 63)
+			}
+		}
+	}
+	return RowSplits{keys: keys, below: below, rows: len(vals)}
+}
+
+// PredictSetInto evaluates a set of rows that share some features and
+// differ in others, writing row r's prediction into dst[r]; it returns
+// dst. Row r is x with every feature f whose splits[f] is non-zero
+// replaced by that feature's row-r value (x[f] is then ignored), and
+// the row count is len(dst).
+//
+// Each tree descends once for the whole set, depth first, carrying the
+// rows that reach a node as a bitset. A split on a shared feature sends
+// the whole set one way with one key compare; a split on a row-varying
+// feature partitions it with the mask at its threshold's rank, and an
+// empty half is pruned. At a leaf every row of the set adds the leaf's
+// value. Trees run outermost and in order, so each row adds exactly the
+// leaves the scalar descent would, in the same order, and divides once:
 // results are bit-identical to calling Predict row by row. It panics on
-// a dimensionality or size mismatch, checked up front.
-//
-// Callers that can cache the key transform across sweeps (the
-// predict-layer space arena) should use PredictBatchKeysInto instead.
+// a dimensionality or row-count mismatch, checked up front.
 //
 //mpclint:hotpath pinned at 0 allocs/op by TestCompiledZeroAlloc
-func (c *CompiledForest) PredictBatchInto(dst []float64, X []float64) []float64 {
-	d := c.nFeat
-	if len(X)%d != 0 {
-		panic(fmt.Sprintf("rf: PredictBatch matrix of %d values is not a multiple of %d features", len(X), d))
+func (c *CompiledForest) PredictSetInto(dst, x []float64, splits []RowSplits) []float64 {
+	if len(x) != c.nFeat || len(splits) != c.nFeat {
+		panic(fmt.Sprintf("rf: PredictSetInto with %d features and %d split tables, compiled for %d",
+			len(x), len(splits), c.nFeat))
 	}
-	rows := len(X) / d
-	if len(dst) != rows {
-		panic(fmt.Sprintf("rf: PredictBatchInto dst holds %d rows, matrix has %d", len(dst), rows))
+	n := len(dst)
+	if n > MaxSetRows {
+		panic(fmt.Sprintf("rf: PredictSetInto over %d rows, max %d", n, MaxSetRows))
 	}
-	if rows == 0 {
-		return dst
-	}
-	var kbuf [rowBlock * maxCompiledFeatures]uint64
-	for b0 := 0; b0 < rows; b0 += rowBlock {
-		bn := rows - b0
-		if bn > rowBlock {
-			bn = rowBlock
+	for f := range splits {
+		if len(splits[f].keys) > 0 && splits[f].rows != n {
+			panic(fmt.Sprintf("rf: PredictSetInto feature %d splits %d rows, dst holds %d", f, splits[f].rows, n))
 		}
-		blk := X[b0*d : (b0+bn)*d]
-		for i, v := range blk {
-			kbuf[i] = keyOf(v)
-		}
-		c.descendBlock(dst[b0:b0+bn], kbuf[:bn*d])
 	}
-	div := float64(c.nTrees)
-	for r := range dst {
-		dst[r] /= div
+	w := setWalk{nodes: c.nodes, leafVal: c.leafVal, splits: splits, acc: dst}
+	for i, v := range x {
+		w.kx[i] = keyOf(v)
 	}
-	return dst
-}
-
-// PredictBatchKeysInto is the batched evaluation over an already
-// key-transformed matrix: kX must hold KeysInto of the row-major input,
-// and dst one slot per row. Trees iterate outermost — each tree's hot
-// cluster stays cached across every row of the sweep — with rows
-// advancing level-synchronously in blocks of rowBlock. This is the
-// fastest batched path when the caller can precompute or cache keys
-// (the space arena pre-keys its config columns once per space and only
-// re-keys the eight counter columns per sweep). Bit-identical to
-// Predict on each row.
-//
-//mpclint:hotpath pinned at 0 allocs/op by TestCompiledZeroAlloc
-func (c *CompiledForest) PredictBatchKeysInto(dst []float64, kX []uint64) []float64 {
-	d := c.nFeat
-	if len(kX)%d != 0 {
-		panic(fmt.Sprintf("rf: PredictBatchKeysInto matrix of %d keys is not a multiple of %d features", len(kX), d))
-	}
-	rows := len(kX) / d
-	if len(dst) != rows {
-		panic(fmt.Sprintf("rf: PredictBatchKeysInto dst holds %d rows, matrix has %d", len(dst), rows))
-	}
-	for r := range dst {
+	var all rowSet
+	for r := 0; r < n; r++ {
+		all[r>>6] |= 1 << (r & 63)
 		dst[r] = 0
 	}
-	nodes := c.nodes
-	var idx [rowBlock]int32
-	for t, root := range c.roots {
-		dep := c.depths[t]
-		for b0 := 0; b0 < rows; b0 += rowBlock {
-			bn := rows - b0
-			if bn > rowBlock {
-				bn = rowBlock
-			}
-			for j := 0; j < bn; j++ {
-				idx[j] = root
-			}
-			off := b0 * d
-			for lv := int32(0); lv < dep; lv++ {
-				o := off
-				for j := 0; j < bn; j++ {
-					n := &nodes[idx[j]]
-					_, b := bits.Sub64(n.tkey, kX[o+int(n.feat)], 0)
-					idx[j] = n.left + int32(b)
-					o += d
-				}
-			}
-			for j := 0; j < bn; j++ {
-				dst[b0+j] += c.leafVal[idx[j]]
-			}
-		}
+	if n == 0 {
+		return dst
+	}
+	for _, root := range c.roots {
+		w.descend(root, all)
 	}
 	div := float64(c.nTrees)
 	for r := range dst {
@@ -457,70 +440,84 @@ func (c *CompiledForest) PredictBatchKeysInto(dst []float64, kX []uint64) []floa
 	return dst
 }
 
-// descendBlock zeroes out and runs every tree over one key-transformed
-// row block, accumulating raw leaf sums (no division) into out — one
-// slot per row, trees in index order, so each row's sum is built by
-// exactly the tree walk's additions.
+// setWalk is the read-only state of one set descent plus its
+// accumulator, one slot per row.
+type setWalk struct {
+	nodes   []cnode
+	leafVal []float64
+	splits  []RowSplits
+	acc     []float64
+	kx      [maxCompiledFeatures]uint64
+}
+
+// descend walks the subtree at node i with the row set s (never
+// empty). One side of a split that keeps rows on both sides recurses;
+// the other continues in the loop, so the recursion is as deep as the
+// splits that divide the set, never deeper than the tree.
 //
-//mpclint:hotpath pinned transitively under the PredictBatchInto pin
-func (c *CompiledForest) descendBlock(out []float64, kblk []uint64) {
-	d := c.nFeat
-	bn := len(out)
-	for r := range out {
-		out[r] = 0
-	}
-	nodes := c.nodes
-	var idx [rowBlock]int32
-	for t, root := range c.roots {
-		dep := c.depths[t]
-		for j := 0; j < bn; j++ {
-			idx[j] = root
-		}
-		for lv := int32(0); lv < dep; lv++ {
-			o := 0
-			for j := 0; j < bn; j++ {
-				n := &nodes[idx[j]]
-				_, b := bits.Sub64(n.tkey, kblk[o+int(n.feat)], 0)
-				idx[j] = n.left + int32(b)
-				o += d
+//mpclint:hotpath pinned transitively under the PredictSetInto pin
+func (w *setWalk) descend(i int32, s rowSet) {
+	for {
+		n := &w.nodes[i]
+		if n.left == i { // leaf
+			v := w.leafVal[i]
+			for j, word := range s {
+				for word != 0 {
+					w.acc[j<<6|bits.TrailingZeros64(word)] += v
+					word &= word - 1
+				}
 			}
+			return
 		}
-		for j := 0; j < bn; j++ {
-			out[j] += c.leafVal[idx[j]]
+		sp := &w.splits[n.feat]
+		if len(sp.keys) == 0 { // shared feature: the whole set goes one way
+			_, b := bits.Sub64(n.tkey, w.kx[n.feat], 0)
+			i = n.left + int32(b)
+			continue
+		}
+		rank := 0 // how many of the feature's row keys are <= the threshold
+		for _, k := range sp.keys {
+			_, b := bits.Sub64(n.tkey, k, 0)
+			rank += int(1 - b)
+		}
+		if rank == 0 { // every row goes right
+			i = n.left + 1
+			continue
+		}
+		m := &sp.below[rank-1]
+		var l, r rowSet
+		var anyL, anyR uint64
+		for j := range s {
+			l[j] = s[j] & m[j]
+			r[j] = s[j] &^ m[j]
+			anyL |= l[j]
+			anyR |= r[j]
+		}
+		switch {
+		case anyR == 0:
+			i = n.left
+		case anyL == 0:
+			i = n.left + 1
+		default:
+			w.descend(n.left+1, r)
+			i, s = n.left, l
 		}
 	}
 }
-
-// KeysInto key-transforms a row-major feature matrix (or any slice of
-// feature values) for PredictBatchKeysInto: dst must be the same length
-// as X. The transform is positionless — dst[i] = keyOf(X[i]) — so
-// callers may pre-key stable columns once and re-key only the columns
-// that change between sweeps.
-//
-//mpclint:hotpath pinned transitively under the PredictSpace steady-state pin
-func KeysInto(dst []uint64, X []float64) {
-	if len(dst) != len(X) {
-		panic(fmt.Sprintf("rf: KeysInto dst holds %d keys, matrix has %d values", len(dst), len(X)))
-	}
-	for i, v := range X {
-		dst[i] = keyOf(v)
-	}
-}
-
-// KeyOf exposes the input-side key transform for callers that patch
-// single feature values into a pre-keyed matrix.
-//
-//mpclint:hotpath pinned transitively under the PredictSpace steady-state pin
-func KeyOf(v float64) uint64 { return keyOf(v) }
 
 // SelfCheck verifies the compiled forest on `samples` deterministic
 // pseudo-random inputs drawn to straddle every feature's threshold
 // range in f, comparing raw float64 bits of the tree-walking Forest
 // (ground truth) against the branchless level-order layout (the serving
-// path), both scalar and interleaved-batch. Any difference — even in
-// the last ulp — is an error. This is the load/train-time guard
-// cmd/train runs before persisting a model (compiled inference is only
-// trusted because it is bit-exact).
+// path), both scalar and as set descents. Any difference — even in the
+// last ulp — is an error. This is the load/train-time guard cmd/train
+// runs before persisting a model (compiled inference is only trusted
+// because it is bit-exact).
+//
+// The set check runs the samples MaxSetRows at a time. Within a set the
+// odd-numbered features are shared, taking the set's first sample's
+// values, and the even-numbered ones vary per row, as the configuration
+// features of a decision sweep do.
 func (c *CompiledForest) SelfCheck(f *Forest, samples int, seed int64) error {
 	if f.nFeatures != c.nFeat {
 		return fmt.Errorf("rf: self-check against a forest with %d features, compiled for %d", f.nFeatures, c.nFeat)
@@ -545,9 +542,9 @@ func (c *CompiledForest) SelfCheck(f *Forest, samples int, seed int64) error {
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	x := make([]float64, c.nFeat)
-	batch := make([]float64, 0, samples*c.nFeat)
-	for s := 0; s < samples; s++ {
+	probes := make([][]float64, samples)
+	for s := range probes {
+		x := make([]float64, c.nFeat)
 		for i := range x {
 			l, h := lo[i], hi[i]
 			if l > h { // feature never split on: any value exercises it
@@ -556,7 +553,7 @@ func (c *CompiledForest) SelfCheck(f *Forest, samples int, seed int64) error {
 			pad := (h-l)*0.25 + 1
 			x[i] = l - pad + rng.Float64()*(h-l+2*pad)
 		}
-		batch = append(batch, x...)
+		probes[s] = x
 		want := f.Predict(x)
 		got := c.Predict(x)
 		if math.Float64bits(got) != math.Float64bits(want) {
@@ -564,14 +561,27 @@ func (c *CompiledForest) SelfCheck(f *Forest, samples int, seed int64) error {
 				s, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
-	if samples > 0 {
-		dst := make([]float64, samples)
-		c.PredictBatchInto(dst, batch)
-		for r := 0; r < samples; r++ {
-			want := f.Predict(batch[r*c.nFeat : (r+1)*c.nFeat])
-			if math.Float64bits(dst[r]) != math.Float64bits(want) {
-				return fmt.Errorf("rf: interleaved batch diverges at row %d: batch %v (bits %#x), tree-walk %v (bits %#x)",
-					r, dst[r], math.Float64bits(dst[r]), want, math.Float64bits(want))
+	splits := make([]RowSplits, c.nFeat)
+	dst := make([]float64, 0, MaxSetRows)
+	for s0 := 0; s0 < samples; s0 += MaxSetRows {
+		set := probes[s0:min(s0+MaxSetRows, samples)]
+		col := make([]float64, len(set))
+		for j := 0; j < c.nFeat; j += 2 {
+			for r, x := range set {
+				col[r] = x[j]
+			}
+			splits[j] = NewRowSplits(col)
+		}
+		dst = c.PredictSetInto(dst[:len(set)], set[0], splits)
+		row := make([]float64, c.nFeat)
+		for r, x := range set {
+			copy(row, set[0])
+			for j := 0; j < c.nFeat; j += 2 {
+				row[j] = x[j]
+			}
+			if want := f.Predict(row); math.Float64bits(dst[r]) != math.Float64bits(want) {
+				return fmt.Errorf("rf: set descent diverges at sample %d: set %v (bits %#x), tree-walk %v (bits %#x)",
+					s0+r, dst[r], math.Float64bits(dst[r]), want, math.Float64bits(want))
 			}
 		}
 	}

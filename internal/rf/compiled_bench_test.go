@@ -7,7 +7,8 @@ package rf
 // tree walk speculates perfectly) and cycling over 64 distinct rows
 // (the serving regime — every decision carries fresh counters, so
 // branchy descent pays misprediction flushes while the predicated
-// kernels are input-oblivious).
+// kernels are input-oblivious). The set sweep times the set descent
+// over one decision-sweep-shaped row set.
 //
 // The "kernels" section of BENCH_rf.json is recorded from:
 //
@@ -87,37 +88,34 @@ func BenchmarkCompiledScalarBranchlessVaried(b *testing.B) {
 	}
 }
 
-// benchMatrix builds a 336-row flat matrix, the default decision-space
-// sweep size.
-func benchMatrix() []float64 {
-	rng := rand.New(rand.NewSource(3))
-	flat := make([]float64, 336*14)
-	for i := range flat {
-		flat[i] = (rng.Float64() - 0.5) * 4
-	}
-	return flat
-}
-
-func BenchmarkCompiledBatchInterleaved(b *testing.B) {
+// BenchmarkCompiledSetSweep measures one 336-row set descent shaped
+// like a decision sweep: the eight leading features are one input row
+// shared by every row, and the six trailing features take a few
+// distinct values each, laid out as the 7×4×3×4 product of a
+// configuration space.
+func BenchmarkCompiledSetSweep(b *testing.B) {
 	c := compileOrFatal(b, benchForest(b))
-	flat := benchMatrix()
-	dst := make([]float64, len(flat)/14)
+	x := benchInputs(1)[0]
+	levels := [6]int{3, 5, 4, 4, 2, 7} // distinct values per trailing feature
+	cols := make([][]float64, len(levels))
+	for f := range cols {
+		cols[f] = make([]float64, 336)
+	}
+	for r := 0; r < 336; r++ {
+		cpu, nb, gpu, cu := r/48, r/12%4, r/4%3, r%4
+		level := [6]int{gpu, (gpu + nb) % 5, cu, nb, nb / 3, cpu}
+		for f, l := range level {
+			cols[f][r] = -2 + 4*float64(l)/float64(levels[f]-1)
+		}
+	}
+	splits := make([]RowSplits, 14)
+	for f, col := range cols {
+		splits[8+f] = NewRowSplits(col)
+	}
+	dst := make([]float64, 336)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.PredictBatchInto(dst, flat)
-	}
-}
-
-func BenchmarkCompiledBatchInterleavedKeys(b *testing.B) {
-	c := compileOrFatal(b, benchForest(b))
-	flat := benchMatrix()
-	keys := make([]uint64, len(flat))
-	KeysInto(keys, flat)
-	dst := make([]float64, len(flat)/14)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.PredictBatchKeysInto(dst, keys)
+		c.PredictSetInto(dst, x, splits)
 	}
 }

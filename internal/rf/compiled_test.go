@@ -2,6 +2,7 @@ package rf
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -54,8 +55,9 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 						c.NumTrees(), c.NumFeatures(), f.NumTrees(), f.NumFeatures())
 				}
 				rng := rand.New(rand.NewSource(seed * 31))
-				special := []float64{0, -0.0, 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), 1e308, -1e308, 5e-324}
-				for trial := 0; trial < 200; trial++ {
+				special := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), 1e308, -1e308, 5e-324}
+				rows := make([][]float64, 200)
+				for trial := range rows {
 					x := make([]float64, d)
 					for j := range x {
 						if trial%4 == 3 {
@@ -64,6 +66,7 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 							x[j] = (rng.Float64() - 0.5) * 4
 						}
 					}
+					rows[trial] = x
 					want := f.Predict(x)
 					got := c.Predict(x)
 					if !bitsEqual(got, want) {
@@ -71,56 +74,23 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 							nTrees, depth, d, trial, got, want)
 					}
 				}
+				// The same rows as set descents: every feature varying,
+				// and alternate features shared.
+				name := fmt.Sprintf("trees=%d depth=%d d=%d", nTrees, depth, d)
+				checkSetDescent(t, name, f, c, rows, make([]bool, d))
+				shared := make([]bool, d)
+				for j := range shared {
+					shared[j] = (j+int(seed))%2 == 0
+				}
+				checkSetDescent(t, name, f, c, rows, shared)
 			}
 		}
 	}
 }
 
-// TestCompiledBatchMatchesScalar checks that the tree-outer batched
-// evaluation returns, for every row, exactly the scalar compiled (and
-// therefore tree-walking) prediction.
-func TestCompiledBatchMatchesScalar(t *testing.T) {
-	X, y := makeDataset(200, 5, 0.05, 7, func(x []float64) float64 { return x[0]*x[1] - x[4] })
-	f, err := Train(X, y, Config{NumTrees: 6, MaxDepth: 6, MinLeaf: 1, NumThresh: 8, SampleFrac: 1.0, Seed: 7, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := compileOrFatal(t, f)
-
-	const rows = 64
-	rng := rand.New(rand.NewSource(8))
-	flat := make([]float64, rows*5)
-	for i := range flat {
-		flat[i] = (rng.Float64() - 0.5) * 3
-	}
-	got := c.PredictBatch(flat)
-	if len(got) != rows {
-		t.Fatalf("batch returned %d rows, want %d", len(got), rows)
-	}
-	for r := 0; r < rows; r++ {
-		row := flat[r*5 : (r+1)*5]
-		if want := c.Predict(row); !bitsEqual(got[r], want) {
-			t.Fatalf("row %d: batch %v != scalar %v", r, got[r], want)
-		}
-		if want := f.Predict(row); !bitsEqual(got[r], want) {
-			t.Fatalf("row %d: batch %v != tree-walk %v", r, got[r], want)
-		}
-	}
-
-	// Into variant reuses the caller's buffer and returns it.
-	dst := make([]float64, rows)
-	if out := c.PredictBatchInto(dst, flat); &out[0] != &dst[0] {
-		t.Fatal("PredictBatchInto did not reuse the caller's buffer")
-	}
-	for r := range dst {
-		if !bitsEqual(dst[r], got[r]) {
-			t.Fatalf("row %d: Into %v != Batch %v", r, dst[r], got[r])
-		}
-	}
-}
-
 // TestPredictBatchEmpty pins the n==0 fast paths: no allocation, no
-// worker-pool dispatch, nil result — on both engines.
+// worker-pool dispatch, nil result from the tree walk, and an empty set
+// descent that returns at once.
 func TestPredictBatchEmpty(t *testing.T) {
 	f := fuzzForest(t)
 	c := compileOrFatal(t, f)
@@ -133,14 +103,10 @@ func TestPredictBatchEmpty(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { _ = f.PredictBatch(nil, 0) }); allocs != 0 {
 		t.Fatalf("Forest.PredictBatch(nil) allocates %v times per call, want 0", allocs)
 	}
-	if out := c.PredictBatch(nil); out != nil {
-		t.Fatalf("CompiledForest.PredictBatch(nil) = %v, want nil", out)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = c.PredictBatch(nil) }); allocs != 0 {
-		t.Fatalf("CompiledForest.PredictBatch(nil) allocates %v times per call, want 0", allocs)
-	}
-	if out := c.PredictBatchInto([]float64{}, nil); len(out) != 0 {
-		t.Fatalf("PredictBatchInto(empty) = %v, want empty", out)
+	x := []float64{0.3, 0.7, 0.1}
+	splits := make([]RowSplits, 3)
+	if out := c.PredictSetInto(nil, x, splits); len(out) != 0 {
+		t.Fatalf("PredictSetInto(empty) = %v, want empty", out)
 	}
 }
 
@@ -156,11 +122,15 @@ func TestCompiledBatchPanics(t *testing.T) {
 		}()
 		fn()
 	}
+	x := []float64{0.3, 0.7, 0.1}
+	splits := make([]RowSplits, 3)
 	expectPanic("Predict wrong dim", func() { c.Predict(make([]float64, 2)) })
-	expectPanic("PredictBatch ragged", func() { c.PredictBatch(make([]float64, 7)) })
-	expectPanic("PredictBatchInto short dst", func() {
-		c.PredictBatchInto(make([]float64, 1), make([]float64, 6))
-	})
+	expectPanic("PredictSetInto wrong dim", func() { c.PredictSetInto(make([]float64, 2), x[:2], splits) })
+	expectPanic("PredictSetInto short splits", func() { c.PredictSetInto(make([]float64, 2), x, splits[:2]) })
+	expectPanic("PredictSetInto too many rows", func() { c.PredictSetInto(make([]float64, MaxSetRows+1), x, splits) })
+	splits[1] = NewRowSplits([]float64{1, 2, 3})
+	expectPanic("PredictSetInto row-count mismatch", func() { c.PredictSetInto(make([]float64, 2), x, splits) })
+	expectPanic("NewRowSplits too many rows", func() { NewRowSplits(make([]float64, MaxSetRows+1)) })
 }
 
 // TestCompiledZeroAlloc pins the steady-state compiled inference paths
@@ -173,21 +143,98 @@ func TestCompiledZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() { _ = c.Predict(x) }); allocs != 0 {
 		t.Fatalf("CompiledForest.Predict allocates %v times per call, want 0", allocs)
 	}
-	rows := 21 // a full rowBlock plus a ragged tail
-	flat := make([]float64, rows*3)
-	for i := range flat {
-		flat[i] = float64(i%7) * 0.2
+	const rows = 70 // more than one bitset word
+	col := make([]float64, rows)
+	for r := range col {
+		col[r] = float64(r%7) * 0.2
 	}
+	splits := []RowSplits{{}, NewRowSplits(col), {}}
 	dst := make([]float64, rows)
-	if allocs := testing.AllocsPerRun(200, func() { c.PredictBatchInto(dst, flat) }); allocs != 0 {
-		t.Fatalf("CompiledForest.PredictBatchInto allocates %v times per call, want 0", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { c.PredictSetInto(dst, x, splits) }); allocs != 0 {
+		t.Fatalf("CompiledForest.PredictSetInto allocates %v times per call, want 0", allocs)
 	}
-	keys := make([]uint64, len(flat))
-	if allocs := testing.AllocsPerRun(200, func() { KeysInto(keys, flat) }); allocs != 0 {
-		t.Fatalf("KeysInto allocates %v times per call, want 0", allocs)
+}
+
+// checkSetDescent runs rows through one set descent — features marked
+// shared take rows[0]'s value on every row, the others vary per row —
+// and requires each row's result to match the tree walk on that row
+// bit for bit. The destination sits inside a larger buffer whose other
+// slots must stay untouched.
+func checkSetDescent(tb testing.TB, name string, f *Forest, c *CompiledForest, rows [][]float64, shared []bool) {
+	tb.Helper()
+	d := f.NumFeatures()
+	n := len(rows)
+	splits := make([]RowSplits, d)
+	col := make([]float64, n)
+	for j := 0; j < d; j++ {
+		if shared[j] {
+			continue
+		}
+		for r, x := range rows {
+			col[r] = x[j]
+		}
+		splits[j] = NewRowSplits(col)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { c.PredictBatchKeysInto(dst, keys) }); allocs != 0 {
-		t.Fatalf("CompiledForest.PredictBatchKeysInto allocates %v times per call, want 0", allocs)
+	const pad = 3
+	sentinel := math.Float64frombits(0x7ff8dead0000beef)
+	buf := make([]float64, n+2*pad)
+	for i := range buf {
+		buf[i] = sentinel
+	}
+	dst := c.PredictSetInto(buf[pad:pad+n], rows[0], splits)
+	row := make([]float64, d)
+	for r, x := range rows {
+		for j := range row {
+			if shared[j] {
+				row[j] = rows[0][j]
+			} else {
+				row[j] = x[j]
+			}
+		}
+		if want := f.Predict(row); !bitsEqual(dst[r], want) {
+			tb.Fatalf("%s shared=%v row %d of %d (%v): set %v (bits %#x) != tree-walk %v (bits %#x)",
+				name, shared, r, n, row, dst[r], math.Float64bits(dst[r]), want, math.Float64bits(want))
+		}
+	}
+	for i := range buf {
+		if (i < pad || i >= pad+n) && math.Float64bits(buf[i]) != math.Float64bits(sentinel) {
+			tb.Fatalf("%s: set descent over %d rows wrote slot %d outside dst", name, n, i-pad)
+		}
+	}
+}
+
+// TestPredictSetRowCounts runs set descents over row counts at and
+// around the bitset word boundaries, the 336-configuration default
+// space, the 560-configuration full space and the maximum, each with a
+// few distinct values per varying feature (as a configuration space
+// has) and, separately, with every row distinct.
+func TestPredictSetRowCounts(t *testing.T) {
+	f := benchForest(t)
+	c := compileOrFatal(t, f)
+	d := f.NumFeatures()
+	shared := make([]bool, d)
+	for j := 0; j < d/2; j++ {
+		shared[j] = true
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{1, 63, 64, 65, 336, 560, MaxSetRows} {
+		for _, levels := range []int{5, n} {
+			table := make([][]float64, d)
+			for j := range table {
+				table[j] = make([]float64, levels)
+				for k := range table[j] {
+					table[j][k] = (rng.Float64() - 0.5) * 4
+				}
+			}
+			rows := make([][]float64, n)
+			for r := range rows {
+				rows[r] = make([]float64, d)
+				for j := range rows[r] {
+					rows[r][j] = table[j][rng.Intn(levels)]
+				}
+			}
+			checkSetDescent(t, fmt.Sprintf("rows=%d levels=%d", n, levels), f, c, rows, shared)
+		}
 	}
 }
 
@@ -313,7 +360,7 @@ func chainTree(depth int, leafBase float64) tree {
 // skewed spines, depths exactly at (and one off) the cluster-stratum
 // boundary, and ensembles straddling the scalar tree-block width — and
 // requires bit-exact agreement with the tree walk on every path,
-// scalar and batched.
+// scalar and set descent.
 func TestCompiledLayoutEdgeCases(t *testing.T) {
 	const d = 3
 	depths := []int{0, 1, clusterStratum - 1, clusterStratum, clusterStratum + 1,
@@ -338,9 +385,9 @@ func TestCompiledLayoutEdgeCases(t *testing.T) {
 			}
 		}
 		rng := rand.New(rand.NewSource(int64(nTrees)))
-		special := []float64{0, -0.0, math.Inf(1), math.Inf(-1), math.NaN(), 1e308, -1e308, 5e-324}
-		var flat []float64
-		for trial := 0; trial < 300; trial++ {
+		special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e308, -1e308, 5e-324}
+		rows := make([][]float64, 300)
+		for trial := range rows {
 			x := make([]float64, d)
 			for j := range x {
 				if trial%3 == 2 {
@@ -350,28 +397,18 @@ func TestCompiledLayoutEdgeCases(t *testing.T) {
 					x[j] = (rng.Float64() - 0.5) * 50
 				}
 			}
+			rows[trial] = x
 			want := f.Predict(x)
 			if got := c.Predict(x); !bitsEqual(got, want) {
 				t.Fatalf("nTrees=%d trial=%d x=%v: compiled %v != tree-walk %v", nTrees, trial, x, got, want)
 			}
-			flat = append(flat, x...)
 		}
-		rows := len(flat) / d
-		dst := make([]float64, rows)
-		c.PredictBatchInto(dst, flat)
-		keys := make([]uint64, len(flat))
-		KeysInto(keys, flat)
-		kdst := make([]float64, rows)
-		c.PredictBatchKeysInto(kdst, keys)
-		for r := 0; r < rows; r++ {
-			want := f.Predict(flat[r*d : (r+1)*d])
-			if !bitsEqual(dst[r], want) {
-				t.Fatalf("nTrees=%d batch row %d: %v != tree-walk %v", nTrees, r, dst[r], want)
-			}
-			if !bitsEqual(kdst[r], want) {
-				t.Fatalf("nTrees=%d keyed batch row %d: %v != tree-walk %v", nTrees, r, kdst[r], want)
-			}
-		}
+		// The chains split on feature 0 only: varying it drives the
+		// mask partition down every spine, sharing it the whole-set
+		// compare.
+		name := fmt.Sprintf("nTrees=%d", nTrees)
+		checkSetDescent(t, name, f, c, rows, []bool{false, false, false})
+		checkSetDescent(t, name, f, c, rows, []bool{true, false, true})
 		if err := c.SelfCheck(f, 256, int64(nTrees)*7+1); err != nil {
 			t.Fatalf("nTrees=%d: self-check failed: %v", nTrees, err)
 		}
@@ -426,7 +463,7 @@ func TestCompiledLayoutInvariants(t *testing.T) {
 // fuzzer-chosen forest shapes and raw input bits: any trainable forest,
 // compiled, must predict bit-identically to the tree-walking original
 // on any input — including NaNs, infinities and denormals assembled
-// from the raw bytes.
+// from the raw bytes — both scalar and as one set descent.
 func FuzzCompiledEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), []byte("0123456789abcdef0123456789abcdef"))
 	f.Add(int64(42), uint8(1), uint8(1), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f})                   // +Inf input
@@ -478,11 +515,17 @@ func FuzzCompiledEquivalence(f *testing.F) {
 					x, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
-		batch := c.PredictBatch(rows)
-		for r := range batch {
-			if want := forest.Predict(rows[r*d : (r+1)*d]); math.Float64bits(batch[r]) != math.Float64bits(want) {
-				t.Fatalf("batch row %d: %v != %v", r, batch[r], want)
-			}
+		// Set descent over the same rows: the seed's low bits pick the
+		// shared features, whose keys come from the first row's raw
+		// bytes.
+		set := make([][]float64, 8)
+		shared := make([]bool, d)
+		for r := range set {
+			set[r] = rows[r*d : (r+1)*d]
 		}
+		for j := range shared {
+			shared[j] = seed>>j&1 == 1
+		}
+		checkSetDescent(t, "fuzz", forest, c, set, shared)
 	})
 }

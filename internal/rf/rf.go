@@ -153,8 +153,7 @@ func (f *Forest) Predict(x []float64) float64 {
 // row has the wrong dimensionality — checked up front, before any
 // goroutine is spawned, so the panic is synchronous like Predict's.
 // An empty batch returns nil immediately: no result allocation, no
-// worker resolution, no pool dispatch (CompiledForest.PredictBatch
-// mirrors the same fast path).
+// worker resolution, no pool dispatch.
 func (f *Forest) PredictBatch(X [][]float64, workers int) []float64 {
 	if len(X) == 0 {
 		return nil

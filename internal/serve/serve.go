@@ -14,8 +14,8 @@
 // is byte-identical to a single-threaded replay of the same workload
 // (golden-tested), no matter how many sibling sessions run
 // concurrently; concurrency only exists between sessions, which share
-// nothing mutable but internally synchronized structures (pooled sweep
-// arenas).
+// nothing mutable but internally synchronized structures (the model's
+// sweep plan is shared too, but it is immutable once installed).
 //
 // # Snapshot lifecycle
 //

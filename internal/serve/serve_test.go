@@ -162,8 +162,8 @@ func TestRemoteReplayMatchesLocalGolden(t *testing.T) {
 // TestCompiledReplaysMatchGoldenConcurrent is the same contract over
 // the committed Random Forest: its profiling runs sweep the space on
 // the compiled batched path, so concurrent sessions share the forest's
-// pooled space-eval arenas. Every replay must still be byte-identical
-// to the local single-threaded golden, under -race too.
+// sweep plan. Every replay must still be byte-identical to the local
+// single-threaded golden, under -race too.
 func TestCompiledReplaysMatchGoldenConcurrent(t *testing.T) {
 	sys, app, target, _ := testStack(t)
 	model := loadGoldenModel(t)
