@@ -34,18 +34,22 @@ import (
 	"mpcdvfs/internal/predict"
 )
 
-// benchRF fetches the fixture's shared forest in the requested engine
-// mode and restores the compiled default when the benchmark ends (other
-// benchmarks and tests share this model).
-func benchRF(b *testing.B, compiled bool) *predict.RandomForest {
+// benchRF fetches the fixture's shared forest: the served compiled
+// model, or the tree-walk reference over its tree form.
+func benchRF(b *testing.B, compiled bool) predict.Model {
 	b.Helper()
 	m, err := experiments.Shared().RF()
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.SetCompiled(compiled)
-	b.Cleanup(func() { m.SetCompiled(true) })
-	return m
+	if compiled {
+		return m
+	}
+	walk, err := predict.NewTreeWalk(m.Forests())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return walk
 }
 
 // benchRFPredictKernel measures one scalar time+power prediction — the
@@ -96,6 +100,7 @@ func BenchmarkRFPredictKernelCompiledVaried(b *testing.B) { benchRFPredictKernel
 // PredictSpace against the equivalent scalar PredictKernel loop.
 func benchRFSpace(b *testing.B, compiled bool) {
 	m := benchRF(b, compiled)
+	sweep, _ := m.(predict.SpaceEvaluator) // nil for the tree walk, which loops below
 	cs := kernel.NewBalanced("bench", 1).Counters()
 	space := hw.DefaultSpace()
 	dst := make([]predict.Estimate, space.Size())
@@ -104,7 +109,7 @@ func benchRFSpace(b *testing.B, compiled bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if compiled {
-			if !m.PredictSpace(cs, space, dst) {
+			if !sweep.PredictSpace(cs, space, dst) {
 				b.Fatal("PredictSpace declined on a compiled model")
 			}
 		} else {
@@ -125,7 +130,7 @@ func BenchmarkRFSpaceEvalCompiled(b *testing.B) { benchRFSpace(b, true) }
 // (ns/op should fall roughly linearly with cores; on a single-CPU
 // host every -cpu level measures the same serialized work).
 func BenchmarkRFSpaceEvalParallel(b *testing.B) {
-	m := benchRF(b, true)
+	m := benchRF(b, true).(predict.SpaceEvaluator)
 	space := hw.DefaultSpace()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -31,7 +31,6 @@ func benchServeRF(b *testing.B) *predict.RandomForest {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.SetCompiled(true)
 	return m
 }
 

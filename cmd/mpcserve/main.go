@@ -61,19 +61,18 @@ import (
 )
 
 type options struct {
-	addr         string
-	apps         string
-	policy       string
-	oracle       bool
-	modelPath    string
-	seed         int64
-	interval     time.Duration
-	traceOut     string
-	noCompiledRF bool
-	replay       bool
-	queueDepth   int
-	traceSample  int
-	traceRing    int
+	addr        string
+	apps        string
+	policy      string
+	oracle      bool
+	modelPath   string
+	seed        int64
+	interval    time.Duration
+	traceOut    string
+	replay      bool
+	queueDepth  int
+	traceSample int
+	traceRing   int
 
 	learn          bool
 	learnInterval  time.Duration
@@ -94,7 +93,6 @@ func main() {
 	flag.DurationVar(&o.interval, "interval", 100*time.Millisecond, "pause between workload replays")
 	flag.StringVar(&o.traceOut, "trace-out", "", "stream runtime events as JSONL to this file (tailable)")
 	workers := flag.Int("workers", 0, "worker goroutines for RF training (0 = all CPUs, 1 = serial; decisions are identical either way)")
-	flag.BoolVar(&o.noCompiledRF, "no-compiled-rf", false, "disable the compiled-forest inference fast path and walk the trees (decisions are bit-identical either way; escape hatch for A/B timing)")
 	flag.BoolVar(&o.replay, "replay", true, "run the continuous benchmark replay loop (false: serve the decision API only)")
 	flag.IntVar(&o.queueDepth, "queue-depth", serve.DefaultQueueDepth, "per-session decision queue depth (full queues answer 429)")
 	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace 1 in N decisions as spans on /debug/trace (0 = off, 1 = every decision; tracing never changes decisions)")
@@ -194,12 +192,6 @@ func run(o options) error {
 			return err
 		}
 		slog.Info("predictor trained", "took", time.Since(start).Round(time.Millisecond))
-	}
-	if o.noCompiledRF {
-		if rfm, ok := sharedModel.(*predict.RandomForest); ok {
-			rfm.SetCompiled(false)
-			slog.Info("compiled-forest fast path disabled; walking trees")
-		}
 	}
 
 	// The decision API serves sessions from the shared model; mount it

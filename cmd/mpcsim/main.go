@@ -44,7 +44,6 @@ func main() {
 	powerOut := flag.String("powertrace", "", "write the last run's 1ms power-controller samples to this CSV file")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /health and /debug/pprof on this address while running")
 	workers := flag.Int("workers", 0, "worker goroutines for RF training (0 = all CPUs, 1 = serial; decisions are identical either way)")
-	noCompiledRF := flag.Bool("no-compiled-rf", false, "disable the compiled-forest inference fast path and walk the trees (decisions are bit-identical either way; escape hatch for A/B timing)")
 	logLevel := flag.String("log-level", "info", "log level: debug | info | warn | error")
 	flag.Parse()
 
@@ -99,12 +98,6 @@ func main() {
 		model, err = mpcdvfs.TrainRandomForest(mpcdvfs.DefaultTrainOptions(*seed))
 		if err != nil {
 			fatal(err)
-		}
-	}
-	if *noCompiledRF {
-		if rfm, ok := model.(*predict.RandomForest); ok {
-			rfm.SetCompiled(false)
-			slog.Info("compiled-forest fast path disabled; walking trees")
 		}
 	}
 

@@ -173,9 +173,9 @@ func TestGoldenMPCReplay(t *testing.T) {
 }
 
 // TestGoldenCompiledVsTreeWalk replays the committed model through the
-// full MPC pipeline twice — once on the default compiled-forest fast
-// path and once with compiled inference disabled (the -no-compiled-rf
-// escape hatch) — and requires the two JSONL traces to be
+// full MPC pipeline twice — once as served, on the compiled forests
+// LoadModel builds, and once on the tree-walk reference over the same
+// file's decoded forests — and requires the two JSONL traces to be
 // byte-identical. This is the end-to-end statement of the compiled
 // contract: which inference engine runs is unobservable in any output.
 func TestGoldenCompiledVsTreeWalk(t *testing.T) {
@@ -187,12 +187,19 @@ func TestGoldenCompiledVsTreeWalk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v (regenerate with go test -run TestGoldenMPCReplay -update)", err)
 		}
-		model, err := predict.LoadModel(mf)
+		var model predict.Model
+		if compiled {
+			model, err = predict.LoadModel(mf)
+		} else {
+			var tf, pf *rf.Forest
+			if tf, pf, err = predict.ReadForests(mf); err == nil {
+				model, err = predict.NewTreeWalk(tf, pf)
+			}
+		}
 		mf.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		model.SetCompiled(compiled)
 
 		sys := mpcdvfs.NewSystem()
 		app, err := mpcdvfs.BenchmarkByName("Spmv")

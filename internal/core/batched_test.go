@@ -32,6 +32,22 @@ func batchedModel(t *testing.T) *predict.RandomForest {
 	return batchedRF
 }
 
+// treeWalkModel returns the tree-walking reference over the shared
+// forest: scalar only, so an optimizer over it fills every sweep per
+// configuration.
+func treeWalkModel(t *testing.T) predict.Model {
+	t.Helper()
+	walk, err := predict.NewTreeWalk(batchedModel(t).Forests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return walk
+}
+
+// scalarOnly hides a model's batched path, so an optimizer over it
+// fills every sweep per configuration through the same engine.
+type scalarOnly struct{ predict.Model }
+
 func sameClimbResult(t *testing.T, label string, got, want climbResult) {
 	t.Helper()
 	if got.Config != want.Config || got.Evals != want.Evals || got.Feasible != want.Feasible ||
@@ -43,13 +59,13 @@ func sameClimbResult(t *testing.T, label string, got, want climbResult) {
 
 // TestExhaustiveBatchedMatchesSerial checks the three-way contract of
 // the exhaustive sweep: the batched compiled path, the serial scalar
-// path (compiled inference disabled) and the tree-walking serial path
-// all return byte-identical results — configuration, estimate bits,
+// path over the compiled forests and the tree-walking serial path all
+// return byte-identical results — configuration, estimate bits,
 // evaluation count and feasibility — across kernels and headrooms,
 // including the infeasible fail-safe fallback.
 func TestExhaustiveBatchedMatchesSerial(t *testing.T) {
 	m := batchedModel(t)
-	defer m.SetCompiled(true)
+	walk := treeWalkModel(t)
 	space := hw.DefaultSpace()
 	rng := rand.New(rand.NewSource(9))
 
@@ -61,18 +77,15 @@ func TestExhaustiveBatchedMatchesSerial(t *testing.T) {
 		cs := k.Counters()
 		// Headrooms: unconstrained, moderately tight (around the
 		// fail-safe's own predicted time), and impossible.
-		m.SetCompiled(true)
 		fsTime := m.PredictKernel(cs, space.Clamp(hw.FailSafe())).TimeMS
 		for _, head := range []float64{math.Inf(1), fsTime * 1.05, fsTime * 0.5, -1} {
-			m.SetCompiled(true)
 			batched := NewOptimizer(m, space).ExhaustiveSearch(cs, head)
-
-			m.SetCompiled(false)
-			want := NewOptimizer(m, space).ExhaustiveSearch(cs, head)
-
-			sameClimbResult(t, k.Name(), batched, want)
-			if want.Evals < space.Size() {
-				t.Fatalf("%s: serial sweep reports %d evals, want >= %d", k.Name(), want.Evals, space.Size())
+			for _, serial := range []predict.Model{scalarOnly{m}, walk} {
+				want := NewOptimizer(serial, space).ExhaustiveSearch(cs, head)
+				sameClimbResult(t, k.Name(), batched, want)
+				if want.Evals < space.Size() {
+					t.Fatalf("%s: serial sweep reports %d evals, want >= %d", k.Name(), want.Evals, space.Size())
+				}
 			}
 		}
 	}
@@ -81,22 +94,22 @@ func TestExhaustiveBatchedMatchesSerial(t *testing.T) {
 // TestExhaustiveBatchedThroughCalibrated checks the batched path
 // through the full policy model stack (Calibrated over
 // RandomForest, with a feedback ratio installed) against the
-// scalar sweep over the identical stack.
+// scalar sweep over the same stack on the tree-walk reference, given
+// the same feedback.
 func TestExhaustiveBatchedThroughCalibrated(t *testing.T) {
 	m := batchedModel(t)
-	defer m.SetCompiled(true)
 	space := hw.DefaultSpace()
 	k := kernel.NewMemoryBound("mb", 1)
 	cs := k.Counters()
 
-	cal := predict.NewCalibrated(m)
 	raw := m.PredictKernel(cs, space.At(0))
-	cal.Feedback(cs, space.At(0), raw.TimeMS*1.3, raw.GPUPowerW*0.9)
-
-	m.SetCompiled(true)
-	batched := NewOptimizer(cal, space).ExhaustiveSearch(cs, math.Inf(1))
-	m.SetCompiled(false)
-	want := NewOptimizer(cal, space).ExhaustiveSearch(cs, math.Inf(1))
+	calibrated := func(inner predict.Model) *predict.Calibrated {
+		cal := predict.NewCalibrated(inner)
+		cal.Feedback(cs, space.At(0), raw.TimeMS*1.3, raw.GPUPowerW*0.9)
+		return cal
+	}
+	batched := NewOptimizer(calibrated(m), space).ExhaustiveSearch(cs, math.Inf(1))
+	want := NewOptimizer(calibrated(treeWalkModel(t)), space).ExhaustiveSearch(cs, math.Inf(1))
 	sameClimbResult(t, "calibrated", batched, want)
 }
 
@@ -109,17 +122,15 @@ func TestExhaustiveBatchedCacheSemantics(t *testing.T) {
 	space := hw.DefaultSpace()
 	cs := kernel.NewComputeBound("cb", 1).Counters()
 
-	run := func(compiled bool) (*evalCache, climbResult) {
-		m.SetCompiled(compiled)
-		o := NewOptimizer(m, space)
+	run := func(model predict.Model) (*evalCache, climbResult) {
+		o := NewOptimizer(model, space)
 		cache := newEvalCache(o, cs)
 		cache.eval(o.failSafe) // pre-seed, as OptimizeWindow does
 		res := o.exhaustive(cache, math.Inf(1))
 		return cache, res
 	}
-	bCache, bRes := run(true)
-	sCache, sRes := run(false)
-	m.SetCompiled(true)
+	bCache, bRes := run(m)
+	sCache, sRes := run(treeWalkModel(t))
 
 	sameClimbResult(t, "pre-seeded", bRes, sRes)
 	if bRes.Evals != space.Size() {
@@ -182,7 +193,6 @@ func TestEvalCachePoolWarmZeroAlloc(t *testing.T) {
 		t.Skip("sync.Pool drops 1 in 4 Puts under -race, so pooled reuse cannot be pinned at 0 allocs")
 	}
 	m := batchedModel(t)
-	m.SetCompiled(true)
 	o := NewOptimizer(m, hw.DefaultSpace())
 	cs := kernel.NewBalanced("b", 1).Counters()
 
@@ -227,7 +237,6 @@ func TestEvalCachePoolResetOnRelease(t *testing.T) {
 // allocations are the decision cache's own map growth.
 func TestExhaustiveBatchedSweepZeroAllocSteadyState(t *testing.T) {
 	m := batchedModel(t)
-	m.SetCompiled(true)
 	space := hw.DefaultSpace()
 	cs := kernel.NewPeak("pk", 1).Counters()
 	o := NewOptimizer(m, space)

@@ -339,8 +339,8 @@ func (t *Trainer) TrainOnce() (promoted bool, err error) {
 		return false, fmt.Errorf("learn: round %d candidate: %w", round, err)
 	}
 	tm, pm, _ := predict.EvaluateOnSamples(cand, hold)
-	tf, _ := cand.Forests()
-	trees := tf.NumTrees()
+	tc, _ := cand.CompiledForests()
+	trees := tc.NumTrees()
 
 	// Adaptive extension: grow the same candidate (bit-identical to a
 	// bigger from-scratch train, per rf.Extend's contract) while the

@@ -25,22 +25,30 @@ func quickRF(t *testing.T) *RandomForest {
 	return m
 }
 
-// TestPredictKernelCompiledEquivalence checks that the compiled default
+// treeWalkOf returns the tree-walking reference for a trained model.
+func treeWalkOf(t *testing.T, m *RandomForest) Model {
+	t.Helper()
+	ref, err := NewTreeWalk(m.Forests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// TestPredictKernelCompiledEquivalence checks that the compiled serving
 // path and the reference tree-walking path agree bit for bit across a
 // population of kernels and the full configuration space — the
-// invariant that makes the fast path unobservable in any replay.
+// invariant that makes the compiled engine unobservable in any replay.
 func TestPredictKernelCompiledEquivalence(t *testing.T) {
 	m := quickRF(t)
-	defer m.SetCompiled(true)
+	walk := treeWalkOf(t, m)
 	rng := rand.New(rand.NewSource(5))
 	space := hw.DefaultSpace()
 	for i := 0; i < 6; i++ {
 		cs := kernel.Random("eq", rng).Counters()
 		space.ForEach(func(c hw.Config) {
-			m.SetCompiled(true)
 			fast := m.PredictKernel(cs, c)
-			m.SetCompiled(false)
-			ref := m.PredictKernel(cs, c)
+			ref := walk.PredictKernel(cs, c)
 			if math.Float64bits(fast.TimeMS) != math.Float64bits(ref.TimeMS) ||
 				math.Float64bits(fast.GPUPowerW) != math.Float64bits(ref.GPUPowerW) {
 				t.Fatalf("kernel %d config %+v: compiled %+v != tree-walk %+v", i, c, fast, ref)
@@ -57,7 +65,7 @@ func TestPredictKernelCompiledEquivalence(t *testing.T) {
 // which reach the forest as NaN and +Inf features.
 func TestPredictSpaceMatchesScalar(t *testing.T) {
 	m := quickRF(t)
-	defer m.SetCompiled(true)
+	walk := treeWalkOf(t, m)
 	rng := rand.New(rand.NewSource(6))
 	var sets []counters.Set
 	for i := 0; i < 4; i++ {
@@ -77,9 +85,7 @@ func TestPredictSpaceMatchesScalar(t *testing.T) {
 			}
 			for r, c := range space.Configs() {
 				want := m.PredictKernel(cs, c)
-				m.SetCompiled(false)
-				ref := m.PredictKernel(cs, c)
-				m.SetCompiled(true)
+				ref := walk.PredictKernel(cs, c)
 				for _, w := range []Estimate{want, ref} {
 					if math.Float64bits(dst[r].TimeMS) != math.Float64bits(w.TimeMS) ||
 						math.Float64bits(dst[r].GPUPowerW) != math.Float64bits(w.GPUPowerW) {
@@ -93,38 +99,30 @@ func TestPredictSpaceMatchesScalar(t *testing.T) {
 }
 
 // TestPredictSpaceDisabled checks the contract for the unavailable
-// cases: tree-walk mode, and a space beyond the set descent's row
-// capacity, refuse the batched path and leave dst alone (the optimizer
-// then fills its sweep per configuration).
+// case: a space beyond the set descent's row capacity refuses the
+// batched path and leaves dst alone (the optimizer then fills its sweep
+// per configuration). The tree-walk reference has no batched path at
+// all.
 func TestPredictSpaceDisabled(t *testing.T) {
 	m := quickRF(t)
-	m.SetCompiled(false)
-	defer m.SetCompiled(true)
 	big := hw.FullSpace()
 	big.CPUs = append(big.CPUs, big.CPUs...) // 1,120 configurations
 	sentinel := Estimate{TimeMS: -1, GPUPowerW: -1}
 	cs := kernel.NewPeak("pk", 1).Counters()
-	for _, tc := range []struct {
-		name     string
-		compiled bool
-		space    hw.Space
-	}{
-		{"compiled inference disabled", false, hw.DefaultSpace()},
-		{"space beyond MaxSetRows", true, big},
-	} {
-		m.SetCompiled(tc.compiled)
-		dst := make([]Estimate, tc.space.Size())
-		for i := range dst {
-			dst[i] = sentinel
+	dst := make([]Estimate, big.Size())
+	for i := range dst {
+		dst[i] = sentinel
+	}
+	if m.PredictSpace(cs, big, dst) {
+		t.Fatal("PredictSpace returned true over a space beyond MaxSetRows")
+	}
+	for i := range dst {
+		if dst[i] != sentinel {
+			t.Fatalf("dst[%d] touched on the refused path: %+v", i, dst[i])
 		}
-		if m.PredictSpace(cs, tc.space, dst) {
-			t.Fatalf("%s: PredictSpace returned true", tc.name)
-		}
-		for i := range dst {
-			if dst[i] != sentinel {
-				t.Fatalf("%s: dst[%d] touched on the refused path: %+v", tc.name, i, dst[i])
-			}
-		}
+	}
+	if _, ok := treeWalkOf(t, m).(SpaceEvaluator); ok {
+		t.Fatal("the tree-walk reference implements SpaceEvaluator")
 	}
 }
 
@@ -169,14 +167,10 @@ func TestCalibratedPredictSpaceForwards(t *testing.T) {
 	}
 
 	// A wrapper over a model with no batched path must refuse too.
-	calOracle := NewCalibrated(NewOracle())
-	if calOracle.PredictSpace(cs, space, dst) {
-		t.Fatal("Calibrated.PredictSpace returned true over a scalar-only model")
-	}
-	m.SetCompiled(false)
-	defer m.SetCompiled(true)
-	if cal.PredictSpace(cs, space, dst) {
-		t.Fatal("Calibrated.PredictSpace returned true with the inner fast path disabled")
+	for _, inner := range []Model{NewOracle(), treeWalkOf(t, m)} {
+		if NewCalibrated(inner).PredictSpace(cs, space, dst) {
+			t.Fatalf("Calibrated.PredictSpace returned true over scalar-only %s", inner.Name())
+		}
 	}
 }
 

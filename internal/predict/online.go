@@ -108,9 +108,13 @@ func TrainOnSamples(samples []Sample, fcfg rf.Config, workers int) (*RandomFores
 // the result is bit-identical to having trained the bigger forest from
 // scratch on the same samples, so gate decisions made against an
 // extended candidate are decisions about the equivalent full retrain.
+// It needs the tree form, so it fails on a loaded model.
 func ExtendOnSamples(m *RandomForest, samples []Sample, fcfg rf.Config, extra, workers int) (*RandomForest, error) {
 	if m == nil {
 		return nil, fmt.Errorf("predict: extend of a nil model")
+	}
+	if m.timeForest == nil {
+		return nil, errNoTrees
 	}
 	if fcfg.NumTrees == 0 {
 		fcfg = OnlineForestConfig(fcfg.Seed)

@@ -19,10 +19,11 @@ type modelFile struct {
 
 const modelMagic = "mpcdvfs-rf-v1"
 
-// SaveModel writes the trained predictor to w.
+// SaveModel writes a predictor trained in this process to w. It needs
+// the tree form, so it fails on a loaded model.
 func SaveModel(w io.Writer, m *RandomForest) error {
-	if m == nil || m.timeForest == nil || m.powerForest == nil {
-		return fmt.Errorf("predict: cannot save an empty model")
+	if m == nil || m.timeForest == nil {
+		return errNoTrees
 	}
 	enc := gob.NewEncoder(w)
 	if err := enc.Encode(modelFile{Magic: modelMagic, TimeForest: m.timeForest, PowerForest: m.powerForest}); err != nil {
@@ -31,14 +32,26 @@ func SaveModel(w io.Writer, m *RandomForest) error {
 	return nil
 }
 
-// LoadModel reads a predictor previously written by SaveModel.
+// LoadModel reads a predictor previously written by SaveModel, for
+// serving: it compiles both forests and drops their tree form, so the
+// model cannot be saved, extended or asked for feature importance.
 func LoadModel(r io.Reader) (*RandomForest, error) {
+	tf, pf, err := ReadForests(r)
+	if err != nil {
+		return nil, err
+	}
+	return compileForests(tf, pf)
+}
+
+// ReadForests decodes the tree form of a model file written by
+// SaveModel: the time forest and the power forest.
+func ReadForests(r io.Reader) (timeForest, powerForest *rf.Forest, err error) {
 	var f modelFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("predict: load model: %w", err)
+		return nil, nil, fmt.Errorf("predict: load model: %w", err)
 	}
 	if f.Magic != modelMagic {
-		return nil, fmt.Errorf("predict: not a model file (magic %q)", f.Magic)
+		return nil, nil, fmt.Errorf("predict: not a model file (magic %q)", f.Magic)
 	}
-	return NewFromForests(f.TimeForest, f.PowerForest)
+	return f.TimeForest, f.PowerForest, nil
 }

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"mpcdvfs/internal/hw"
 	"mpcdvfs/internal/kernel"
+	"mpcdvfs/internal/rf"
 )
 
 func benchmarkKernels() []kernel.Kernel {
@@ -269,6 +271,7 @@ func TestModelPersistRoundTrip(t *testing.T) {
 	if err := SaveModel(&buf, m); err != nil {
 		t.Fatal(err)
 	}
+	saved := bytes.Clone(buf.Bytes())
 	loaded, err := LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -278,6 +281,104 @@ func TestModelPersistRoundTrip(t *testing.T) {
 		if got, want := loaded.PredictKernel(cs, cfg), m.PredictKernel(cs, cfg); got != want {
 			t.Errorf("loaded model differs at %v: %v vs %v", cfg, got, want)
 		}
+	}
+
+	// The file's tree form, rebuilt into a trained-style model, saves
+	// the same bytes: a save/load cycle loses nothing SaveModel writes.
+	tf, pf, err := ReadForests(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := NewFromForests(tf, pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := SaveModel(&again, rebuilt); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved) {
+		t.Fatalf("re-saved model differs: %d bytes vs %d", again.Len(), len(saved))
+	}
+}
+
+// TestLoadedModelKeepsOnlyCompiledForm pins the model lifetime: a
+// loaded model holds its compiled forests and no tree form, so
+// Forests() is nil and the three operations that need trees return
+// errors instead of panicking, while a trained model still saves the
+// bytes the loaded one was read from.
+func TestLoadedModelKeepsOnlyCompiledForm(t *testing.T) {
+	m := quickRF(t)
+	var buf bytes.Buffer
+	if err := SaveModel(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	saved := bytes.Clone(buf.Bytes())
+	loaded, err := LoadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tf, pf := loaded.Forests(); tf != nil || pf != nil {
+		t.Fatal("loaded model kept its tree form")
+	}
+	if tc, pc := loaded.CompiledForests(); tc == nil || pc == nil {
+		t.Fatal("loaded model has no compiled forests")
+	}
+	if err := SaveModel(io.Discard, loaded); err == nil {
+		t.Error("SaveModel accepted a loaded model")
+	}
+	if _, _, err := loaded.FeatureImportance(DefaultTrainOptions(77)); err == nil {
+		t.Error("FeatureImportance accepted a loaded model")
+	}
+	if _, err := ExtendOnSamples(loaded, oracleSamples(t, 2, 1), OnlineForestConfig(1), 2, 1); err == nil {
+		t.Error("ExtendOnSamples accepted a loaded model")
+	}
+
+	// The trained model is untouched by the save and saves again.
+	var again bytes.Buffer
+	if err := SaveModel(&again, m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved) {
+		t.Fatal("trained model saves different bytes the second time")
+	}
+
+	// The loaded model predicts what the trained one and the tree-walk
+	// reference over the file's forests predict, bit for bit.
+	tf, pf, err := ReadForests(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk, err := NewTreeWalk(tf, pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := kernel.NewMemoryBound("mb", 1).Counters()
+	hw.DefaultSpace().ForEach(func(c hw.Config) {
+		got := loaded.PredictKernel(cs, c)
+		for _, want := range []Estimate{m.PredictKernel(cs, c), walk.PredictKernel(cs, c)} {
+			if math.Float64bits(got.TimeMS) != math.Float64bits(want.TimeMS) ||
+				math.Float64bits(got.GPUPowerW) != math.Float64bits(want.GPUPowerW) {
+				t.Fatalf("config %v: loaded %+v != %+v", c, got, want)
+			}
+		}
+	})
+}
+
+// TestNewTreeWalkRejectsBadForests pins the reference constructor's
+// validation: it takes only this package's forest pairs.
+func TestNewTreeWalkRejectsBadForests(t *testing.T) {
+	tf, pf := quickRF(t).Forests()
+	if _, err := NewTreeWalk(nil, pf); err == nil {
+		t.Error("NewTreeWalk accepted a nil forest")
+	}
+	X := [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
+	narrow, err := rf.Train(X, []float64{1, 2, 3, 4}, rf.Config{NumTrees: 2, MaxDepth: 2, MinLeaf: 1, NumThresh: 4, SampleFrac: 1, Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewTreeWalk(tf, narrow); err == nil {
+		t.Error("NewTreeWalk accepted a 2-feature forest")
 	}
 }
 

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -68,19 +69,23 @@ func featurize(cs counters.Set, c hw.Config) []float64 {
 // (VALUInsts × GlobalWorkSize), so normalizing it out of the target
 // leaves the forest the learnable part — configuration scaling and
 // kernel shape — and removes two orders of magnitude of target spread.
+//
+// Every prediction runs on the compiled forests, built from the tree
+// form at train or load time. Only a model trained in this process
+// (TrainRandomForest, TrainOnSamples, ExtendOnSamples) keeps the tree
+// form as well, for SaveModel, FeatureImportance and ExtendOnSamples; a
+// model from LoadModel holds the compiled forests alone.
 type RandomForest struct {
-	timeForest  *rf.Forest // log(ms per instruction)
-	powerForest *rf.Forest // GPU+NB watts
+	// The tree form: log(ms per instruction) and GPU+NB watts. Nil on
+	// a loaded model.
+	timeForest  *rf.Forest
+	powerForest *rf.Forest
 
-	// Compiled fast-path state, rebuilt from the forests at train/load
-	// time — derived, never persisted (SaveModel writes only the
-	// canonical tree form). Compiled inference is bit-identical to
-	// tree walking, so which path runs is unobservable in any output;
-	// treeWalk forces the reference path for A/B checks and the
-	// -no-compiled-rf escape hatch.
+	// The serving form, derived and never persisted (SaveModel writes
+	// only the canonical tree form), bit-identical to walking the trees
+	// (see NewTreeWalk for the reference).
 	timeCompiled  *rf.CompiledForest
 	powerCompiled *rf.CompiledForest
-	treeWalk      bool
 
 	// plan is the immutable set-descent plan behind PredictSpace, shared
 	// by concurrent sweeps and rebuilt (by planFor) whenever the swept
@@ -105,41 +110,61 @@ func instsOf(cs counters.Set) float64 {
 func (m *RandomForest) Name() string { return "random-forest" }
 
 // PredictKernel implements Model. The feature vector lives in a stack
-// buffer and the default path walks the compiled forests, so one
-// prediction allocates nothing in steady state (pinned by
+// buffer and the compiled forests descend on it, so one prediction
+// allocates nothing in steady state (pinned by
 // TestPredictKernelZeroAlloc).
 //
 //mpclint:hotpath pinned at 0 allocs/op by TestPredictKernelZeroAlloc
 func (m *RandomForest) PredictKernel(cs counters.Set, c hw.Config) Estimate {
 	var buf [numRFFeatures]float64
 	featurizeInto(buf[:], cs, c)
-	var t, p float64
-	if m.treeWalk || m.timeCompiled == nil {
-		t = m.timeForest.Predict(buf[:])
-		p = m.powerForest.Predict(buf[:])
-	} else {
-		t = m.timeCompiled.Predict(buf[:])
-		p = m.powerCompiled.Predict(buf[:])
-	}
+	return estimate(cs, m.timeCompiled.Predict(buf[:]), m.powerCompiled.Predict(buf[:]))
+}
+
+// estimate assembles a prediction from the two forests' outputs for a
+// kernel with counters cs: the time forest's log time per instruction
+// scaled back to milliseconds, and the power forest's watts.
+func estimate(cs counters.Set, logTimePerInst, powerW float64) Estimate {
 	return Estimate{
-		TimeMS:    math.Exp(t) * instsOf(cs),
-		GPUPowerW: p,
+		TimeMS:    math.Exp(logTimePerInst) * instsOf(cs),
+		GPUPowerW: powerW,
 	}
 }
 
-// SetCompiled selects between the compiled fast path (the default) and
-// the reference tree-walking path. Both produce bit-identical
-// predictions; the switch exists for paired benchmarking and as the
-// commands' -no-compiled-rf escape hatch. Call before handing the model
-// to a policy — the flag is not synchronized against in-flight
-// predictions.
-func (m *RandomForest) SetCompiled(on bool) { m.treeWalk = !on }
-
-// CompiledForests exposes the derived compiled forests (nil only if
-// compilation was impossible, which no trainable configuration
-// triggers).
+// CompiledForests exposes the compiled forests every prediction runs
+// on; every model has them.
 func (m *RandomForest) CompiledForests() (timeForest, powerForest *rf.CompiledForest) {
 	return m.timeCompiled, m.powerCompiled
+}
+
+// treeWalk is the reference predictor: the same features and the same
+// final operations as RandomForest.PredictKernel, with the tree-walking
+// forests in place of the compiled ones.
+type treeWalk struct {
+	timeForest, powerForest *rf.Forest
+}
+
+// NewTreeWalk returns the reference predictor over a forest pair's tree
+// form — a trained model's Forests(), or ReadForests of a model file.
+// It walks the trees, scalar only (no SpaceEvaluator), and must predict
+// bit-identically to the RandomForest compiled from the same pair: that
+// is what the compiled engine's tests and tree-walk benchmarks compare
+// against. It is not a serving path.
+func NewTreeWalk(timeForest, powerForest *rf.Forest) (Model, error) {
+	if err := checkForests(timeForest, powerForest); err != nil {
+		return nil, err
+	}
+	return treeWalk{timeForest: timeForest, powerForest: powerForest}, nil
+}
+
+// Name implements Model.
+func (m treeWalk) Name() string { return "random-forest-treewalk" }
+
+// PredictKernel implements Model.
+func (m treeWalk) PredictKernel(cs counters.Set, c hw.Config) Estimate {
+	var buf [numRFFeatures]float64
+	featurizeInto(buf[:], cs, c)
+	return estimate(cs, m.timeForest.Predict(buf[:]), m.powerForest.Predict(buf[:]))
 }
 
 // TrainOptions controls offline Random Forest training.
@@ -242,11 +267,16 @@ func TrainRandomForest(opt TrainOptions) (*RandomForest, error) {
 	return NewFromForests(tf, pf)
 }
 
-// Forests exposes the underlying forests (for serialization and
-// inspection).
+// Forests exposes the tree form of a model trained in this process
+// (for serialization and inspection). A loaded model keeps only its
+// compiled forests, and Forests returns nil, nil for it.
 func (m *RandomForest) Forests() (timeForest, powerForest *rf.Forest) {
 	return m.timeForest, m.powerForest
 }
+
+// errNoTrees is what the operations that need the tree form return on
+// a model that holds only the compiled forests.
+var errNoTrees = errors.New("predict: the model holds no tree form (a loaded model keeps only its compiled forests)")
 
 // FeatureNames returns the names of the model's input features in
 // vector order: the eight Table III counters followed by the
@@ -260,8 +290,11 @@ func FeatureNames() []string {
 // FeatureImportance regenerates the training data for opt (which must be
 // the options the model was trained with) and returns the normalized
 // mean-decrease-in-impurity importance of each feature for the time and
-// power forests.
+// power forests. It needs the tree form, so it fails on a loaded model.
 func (m *RandomForest) FeatureImportance(opt TrainOptions) (timeImp, powerImp []float64, err error) {
+	if m.timeForest == nil {
+		return nil, nil, errNoTrees
+	}
 	X, yTime, yPower, err := buildTrainingData(opt)
 	if err != nil {
 		return nil, nil, err
@@ -277,17 +310,24 @@ func (m *RandomForest) FeatureImportance(opt TrainOptions) (timeImp, powerImp []
 	return timeImp, powerImp, nil
 }
 
-// NewFromForests reassembles a RandomForest from previously trained or
-// deserialized forests, compiling both into the flat-node fast path
-// (TrainRandomForest and LoadModel both land here, so every model
-// carries its compiled form from birth).
+// NewFromForests builds a RandomForest from a forest pair and keeps the
+// tree form next to the compiled one, as a model trained in this
+// process does (TrainRandomForest, TrainOnSamples and ExtendOnSamples
+// land here). LoadModel compiles without keeping the trees.
 func NewFromForests(timeForest, powerForest *rf.Forest) (*RandomForest, error) {
-	if timeForest == nil || powerForest == nil {
-		return nil, fmt.Errorf("predict: nil forest")
+	m, err := compileForests(timeForest, powerForest)
+	if err != nil {
+		return nil, err
 	}
-	if timeForest.NumFeatures() != numRFFeatures || powerForest.NumFeatures() != numRFFeatures {
-		return nil, fmt.Errorf("predict: forests expect %d/%d features, want %d",
-			timeForest.NumFeatures(), powerForest.NumFeatures(), numRFFeatures)
+	m.timeForest, m.powerForest = timeForest, powerForest
+	return m, nil
+}
+
+// compileForests builds the serving form of a forest pair: both forests
+// compiled into the flat-node pools, the tree form not retained.
+func compileForests(timeForest, powerForest *rf.Forest) (*RandomForest, error) {
+	if err := checkForests(timeForest, powerForest); err != nil {
+		return nil, err
 	}
 	tc, err := timeForest.Compile()
 	if err != nil {
@@ -297,8 +337,18 @@ func NewFromForests(timeForest, powerForest *rf.Forest) (*RandomForest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("predict: compile power forest: %w", err)
 	}
-	return &RandomForest{
-		timeForest: timeForest, powerForest: powerForest,
-		timeCompiled: tc, powerCompiled: pc,
-	}, nil
+	return &RandomForest{timeCompiled: tc, powerCompiled: pc}, nil
+}
+
+// checkForests rejects a forest pair that is not this package's
+// predictor: a missing forest or the wrong feature dimensionality.
+func checkForests(timeForest, powerForest *rf.Forest) error {
+	if timeForest == nil || powerForest == nil {
+		return fmt.Errorf("predict: nil forest")
+	}
+	if timeForest.NumFeatures() != numRFFeatures || powerForest.NumFeatures() != numRFFeatures {
+		return fmt.Errorf("predict: forests expect %d/%d features, want %d",
+			timeForest.NumFeatures(), powerForest.NumFeatures(), numRFFeatures)
+	}
+	return nil
 }

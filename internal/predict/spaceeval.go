@@ -15,8 +15,7 @@ import (
 // that can evaluate one kernel at every configuration of a space in a
 // single call. PredictSpace fills dst (which must hold space.Size()
 // estimates) in hw.Space.At order and returns true, or returns false —
-// touching nothing — when the batched path is unavailable (compiled
-// inference disabled).
+// touching nothing — when the batched path cannot take the space.
 //
 // The contract is strict bit-exactness: dst[i] must equal
 // PredictKernel(cs, space.At(i)) bit for bit, so callers may use either
@@ -130,8 +129,7 @@ func (m *RandomForest) countArena(hit bool) {
 // every row, the space's configurations form the row set, and each
 // estimate is assembled with exactly the scalar path's final operations
 // (math.Exp(t)·insts, p). Returns false — leaving dst untouched — when
-// compiled inference is disabled (SetCompiled(false)) or the space has
-// more than rf.MaxSetRows configurations.
+// the space has more than rf.MaxSetRows configurations.
 //
 // PredictSpace is safe for concurrent use: sweeps share the model's
 // immutable plan and keep their accumulators on their own stacks.
@@ -155,9 +153,6 @@ func (m *RandomForest) PredictSpaceTraced(cs counters.Set, space hw.Space, dst [
 //
 //mpclint:hotpath warm sweep pinned at 0 allocs/op by TestPredictSpaceZeroAllocSteadyState; the plan build is a reasoned slow path
 func (m *RandomForest) predictSpace(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool {
-	if m.treeWalk || m.timeCompiled == nil {
-		return false
-	}
 	n := space.Size()
 	if len(dst) != n {
 		panic(fmt.Sprintf("predict: PredictSpace dst holds %d estimates, space has %d configurations", len(dst), n))

@@ -19,10 +19,13 @@ import (
 // short run of cache lines per stratum instead of pointer-chasing a
 // depth-first pool. Children are always emitted as an adjacent pair
 // (right = left+1), which is what makes arithmetic child selection
-// possible. Leaves self-loop (left = self) with an always-true
-// threshold key, so descent can run a fixed number of steps per tree —
-// padding steps on a leaf are harmless — and a separate leafVal array
-// carries the leaf payloads.
+// possible. Leaves self-loop (left = self), so descent can run a fixed
+// number of steps per tree — padding steps on a leaf are harmless — and
+// carry their own payload: a leaf's feature index is nFeat, the key slot
+// past the input row that the descents' key buffers always hold at 0,
+// and its key field holds the payload's float64 bits. A padding step
+// subtracts 0 from those bits, which never borrows, so the cursor stays
+// put; the payload is read from the node the descent already holds.
 //
 // Descent. Split comparisons are precomputed into totally-ordered
 // integer keys: keyOf maps a float64 input to a uint64 such that for
@@ -57,25 +60,25 @@ import (
 //
 //mpclint:immutable node pool is shared lock-free by concurrent predictors; any post-Compile write is a data race and breaks bit-exactness
 type CompiledForest struct {
-	nodes   []cnode   // level-order clustered node pool, all trees
-	leafVal []float64 // leaf payload per pool index (zero for internal nodes)
-	roots   []int32   // pool index of each tree's root
-	depths  []int32   // per-tree depth = descent trip count
-	nTrees  int
-	nFeat   int
+	nodes  []cnode // level-order clustered node pool, all trees
+	roots  []int32 // pool index of each tree's root
+	depths []int32 // per-tree depth = descent trip count
+	nTrees int
+	nFeat  int
 }
 
 // cnode is one compiled node: 16 bytes, four to a cache line.
 type cnode struct {
-	tkey uint64 // threshKey of the split threshold; ^0 for leaves (self-loop)
+	tkey uint64 // threshKey of the split threshold; the payload's float64 bits for leaves
 	left int32  // pool index of the left child; right is always left+1; self for leaves
-	feat int32  // split feature; 0 for leaves (kx[0] is always readable)
+	feat int32  // split feature; nFeat for leaves (the always-zero key slot)
 }
 
-// maxCompiledFeatures bounds the feature dimensionality the compiled
-// kernels can address: the scalar and set descents hold the
-// key-transformed input row in a fixed-size stack buffer of this width
-// (so they stay provably allocation-free).
+// maxCompiledFeatures bounds the key buffers of the scalar and set
+// descents, which hold the key-transformed input row in a fixed-size
+// stack array of this width (so they stay provably allocation-free).
+// Slot nFeat must stay in bounds and at 0 for the leaf self-loop, so a
+// compiled forest has fewer features than this.
 const maxCompiledFeatures = 64
 
 const (
@@ -126,51 +129,49 @@ func threshKey(t float64) uint64 {
 
 // Compile flattens the forest into its compiled form. It fails only on
 // forests that cannot be represented (no trees, or a feature
-// dimensionality beyond the fixed-width key buffers) — never on any
-// forest produced by Train or accepted by UnmarshalBinary with a sane
-// feature count.
+// dimensionality that leaves no zero key slot in the fixed-width key
+// buffers) — never on any forest produced by Train or accepted by
+// UnmarshalBinary with a sane feature count.
 func (f *Forest) Compile() (*CompiledForest, error) {
 	if len(f.trees) == 0 {
 		return nil, fmt.Errorf("rf: cannot compile a forest with no trees")
 	}
-	if f.nFeatures > maxCompiledFeatures {
+	if f.nFeatures >= maxCompiledFeatures {
 		return nil, fmt.Errorf("rf: %d features exceed the compiled key-buffer layout (max %d)",
-			f.nFeatures, maxCompiledFeatures)
+			f.nFeatures, maxCompiledFeatures-1)
 	}
 	total := 0
 	for i := range f.trees {
 		total += len(f.trees[i].Nodes)
 	}
 	c := &CompiledForest{
-		nodes:   make([]cnode, 0, total),
-		leafVal: make([]float64, total),
-		roots:   make([]int32, len(f.trees)),
-		depths:  make([]int32, len(f.trees)),
-		nTrees:  len(f.trees),
-		nFeat:   f.nFeatures,
+		nodes:  make([]cnode, 0, total),
+		roots:  make([]int32, len(f.trees)),
+		depths: make([]int32, len(f.trees)),
+		nTrees: len(f.trees),
+		nFeat:  f.nFeatures,
 	}
 	for t := range f.trees {
 		poolBase := int32(len(c.nodes))
-		nodes, leaves, depth, err := compileTree(&f.trees[t], t, poolBase)
+		nodes, depth, err := compileTree(&f.trees[t], t, poolBase, int32(f.nFeatures))
 		if err != nil {
 			return nil, err
 		}
 		c.roots[t] = poolBase
 		c.depths[t] = depth
 		c.nodes = append(c.nodes, nodes...)
-		copy(c.leafVal[poolBase:], leaves)
 	}
 	return c, nil
 }
 
 // compileTree emits one tree in the clustered level-order layout:
 // nodes in emission order (child indices already absolute against
-// poolBase), the parallel leaf payloads, and the tree's depth (its
-// descent trip count). The layout invariant it establishes — every
-// internal node's children occupy adjacent pool slots, left first — is
-// what the borrow-select descent relies on, so it is verified as the
-// nodes are emitted.
-func compileTree(tr *tree, t int, poolBase int32) (nodes []cnode, leaves []float64, depth int32, err error) {
+// poolBase, leaves pointing at key slot nFeat and carrying their
+// payload bits) and the tree's depth (its descent trip count). The
+// layout invariant it establishes — every internal node's children
+// occupy adjacent pool slots, left first — is what the borrow-select
+// descent relies on, so it is verified as the nodes are emitted.
+func compileTree(tr *tree, t int, poolBase, nFeat int32) (nodes []cnode, depth int32, err error) {
 	n := len(tr.Nodes)
 	order := make([]int32, 0, n) // old indices in emission order
 	newIdx := make([]int32, n)   // old index -> pool index
@@ -212,22 +213,20 @@ func compileTree(tr *tree, t int, poolBase int32) (nodes []cnode, leaves []float
 	}
 	layout([]int32{0})
 	if len(order) != n {
-		return nil, nil, 0, fmt.Errorf("rf: tree %d layout emitted %d of %d nodes", t, len(order), n)
+		return nil, 0, fmt.Errorf("rf: tree %d layout emitted %d of %d nodes", t, len(order), n)
 	}
 
 	nodes = make([]cnode, 0, n)
-	leaves = make([]float64, n)
 	for _, old := range order {
 		nd := &tr.Nodes[old]
 		self := poolBase + int32(len(nodes))
 		if nd.Feature < 0 {
-			leaves[len(nodes)] = nd.Thresh
-			nodes = append(nodes, cnode{tkey: ^uint64(0), left: self, feat: 0})
+			nodes = append(nodes, cnode{tkey: math.Float64bits(nd.Thresh), left: self, feat: nFeat})
 			continue
 		}
 		l, r := newIdx[nd.Left], newIdx[nd.Right]
 		if r != l+1 {
-			return nil, nil, 0, fmt.Errorf("rf: tree %d node %d children not adjacent (%d, %d)", t, old, l, r)
+			return nil, 0, fmt.Errorf("rf: tree %d node %d children not adjacent (%d, %d)", t, old, l, r)
 		}
 		nodes = append(nodes, cnode{tkey: threshKey(nd.Thresh), left: l, feat: int32(nd.Feature)})
 	}
@@ -246,7 +245,7 @@ func compileTree(tr *tree, t int, poolBase int32) (nodes []cnode, leaves []float
 			stack = append(stack, item{nd.Left, it.d + 1}, item{nd.Right, it.d + 1})
 		}
 	}
-	return nodes, leaves, depth, nil
+	return nodes, depth, nil
 }
 
 // NumTrees returns the ensemble size.
@@ -319,14 +318,14 @@ func (c *CompiledForest) Predict(x []float64) float64 {
 			_, b = bits.Sub64(n.tkey, kx[n.feat], 0)
 			i7 = n.left + int32(b)
 		}
-		s += c.leafVal[i0]
-		s += c.leafVal[i1]
-		s += c.leafVal[i2]
-		s += c.leafVal[i3]
-		s += c.leafVal[i4]
-		s += c.leafVal[i5]
-		s += c.leafVal[i6]
-		s += c.leafVal[i7]
+		s += math.Float64frombits(nodes[i0].tkey)
+		s += math.Float64frombits(nodes[i1].tkey)
+		s += math.Float64frombits(nodes[i2].tkey)
+		s += math.Float64frombits(nodes[i3].tkey)
+		s += math.Float64frombits(nodes[i4].tkey)
+		s += math.Float64frombits(nodes[i5].tkey)
+		s += math.Float64frombits(nodes[i6].tkey)
+		s += math.Float64frombits(nodes[i7].tkey)
 	}
 	for ; t0 < nt; t0++ {
 		i := c.roots[t0]
@@ -335,7 +334,7 @@ func (c *CompiledForest) Predict(x []float64) float64 {
 			_, b := bits.Sub64(n.tkey, kx[n.feat], 0)
 			i = n.left + int32(b)
 		}
-		s += c.leafVal[i]
+		s += math.Float64frombits(nodes[i].tkey)
 	}
 	return s / float64(nt)
 }
@@ -418,7 +417,7 @@ func (c *CompiledForest) PredictSetInto(dst, x []float64, splits []RowSplits) []
 			panic(fmt.Sprintf("rf: PredictSetInto feature %d splits %d rows, dst holds %d", f, splits[f].rows, n))
 		}
 	}
-	w := setWalk{nodes: c.nodes, leafVal: c.leafVal, splits: splits, acc: dst}
+	w := setWalk{nodes: c.nodes, splits: splits, acc: dst}
 	for i, v := range x {
 		w.kx[i] = keyOf(v)
 	}
@@ -443,11 +442,10 @@ func (c *CompiledForest) PredictSetInto(dst, x []float64, splits []RowSplits) []
 // setWalk is the read-only state of one set descent plus its
 // accumulator, one slot per row.
 type setWalk struct {
-	nodes   []cnode
-	leafVal []float64
-	splits  []RowSplits
-	acc     []float64
-	kx      [maxCompiledFeatures]uint64
+	nodes  []cnode
+	splits []RowSplits
+	acc    []float64
+	kx     [maxCompiledFeatures]uint64
 }
 
 // descend walks the subtree at node i with the row set s (never
@@ -460,7 +458,7 @@ func (w *setWalk) descend(i int32, s rowSet) {
 	for {
 		n := &w.nodes[i]
 		if n.left == i { // leaf
-			v := w.leafVal[i]
+			v := math.Float64frombits(n.tkey)
 			for j, word := range s {
 				for word != 0 {
 					w.acc[j<<6|bits.TrailingZeros64(word)] += v

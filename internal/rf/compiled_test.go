@@ -248,11 +248,12 @@ func TestSelfCheck(t *testing.T) {
 		t.Fatalf("faithful compilation failed self-check: %v", err)
 	}
 
-	// Corrupt one branchless leaf payload: the check must notice.
+	// Corrupt one leaf payload by flipping the lowest bit of the key
+	// field that carries it: the check must notice a one-ulp change.
 	c := compileOrFatal(t, f)
 	for i := range c.nodes {
 		if c.nodes[i].left == int32(i) {
-			c.leafVal[i] += 1e-9
+			c.nodes[i].tkey ^= 1
 			break
 		}
 	}
@@ -274,15 +275,25 @@ func TestSelfCheck(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsUnrepresentable covers the two compile errors.
+// TestCompileRejectsUnrepresentable covers the two compile errors. A
+// forest as wide as the key buffers is refused too: its leaves would
+// point at key slot maxCompiledFeatures, past the buffer.
 func TestCompileRejectsUnrepresentable(t *testing.T) {
 	if _, err := (&Forest{}).Compile(); err == nil {
 		t.Fatal("compiled a forest with no trees")
 	}
-	f := &Forest{trees: make([]tree, 1), nFeatures: maxCompiledFeatures + 1}
+	for _, nf := range []int{maxCompiledFeatures, maxCompiledFeatures + 1} {
+		f := &Forest{trees: make([]tree, 1), nFeatures: nf}
+		f.trees[0] = tree{Nodes: []node{{Feature: -1, Thresh: 1}}}
+		if _, err := f.Compile(); err == nil {
+			t.Fatalf("compiled a %d-feature forest beyond the fixed-width key-buffer layout", nf)
+		}
+	}
+	f := &Forest{trees: make([]tree, 1), nFeatures: maxCompiledFeatures - 1}
 	f.trees[0] = tree{Nodes: []node{{Feature: -1, Thresh: 1}}}
-	if _, err := f.Compile(); err == nil {
-		t.Fatal("compiled a forest beyond the fixed-width key-buffer layout")
+	c := compileOrFatal(t, f)
+	if got := c.Predict(make([]float64, maxCompiledFeatures-1)); got != 1 {
+		t.Fatalf("widest compilable forest predicts %v, want its leaf 1", got)
 	}
 }
 
@@ -290,11 +301,12 @@ func TestCompileRejectsUnrepresentable(t *testing.T) {
 // value grid, the transform the branchless descent rests on: for every
 // input x and threshold t — NaNs of both signs, ±0, ±Inf, denormals and
 // extreme magnitudes included — keyOf(x) <= threshKey(t) holds exactly
-// when x <= t under IEEE semantics. It also pins the two structural
-// facts the layout exploits: keyOf never yields 0 (so a NaN threshold's
-// key 0 accepts no input) and never yields ^0 except for NaN (so a
-// leaf's always-true ^0 sentinel is unreachable as a split... every key
-// comparison against ^0 is true, which is exactly the self-loop).
+// when x <= t under IEEE semantics. It also pins two structural facts
+// of the key space: keyOf never yields 0, so a NaN threshold's key 0
+// accepts no input, and it yields ^0 only for NaN, so NaN inputs sit
+// above every threshold key. Leaves take no part in this: they compare
+// their payload bits against the always-zero key slot, which never
+// borrows whatever the bits are.
 func TestKeyOrderEquivalence(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1),
 		math.NaN(), -math.NaN(), 1e308, -1e308, 5e-324, -5e-324,
@@ -417,8 +429,9 @@ func TestCompiledLayoutEdgeCases(t *testing.T) {
 
 // TestCompiledLayoutInvariants pins the structural properties the
 // borrow-select descent assumes: children occupy adjacent slots (left
-// first), leaves self-loop with the always-true key and feature 0, and
-// every tree's nodes were all emitted exactly once.
+// first), leaves self-loop on the always-zero key slot NumFeatures()
+// with their payload's bits as the key, and every tree's nodes were all
+// emitted exactly once.
 func TestCompiledLayoutInvariants(t *testing.T) {
 	X, y := makeDataset(400, 6, 0.05, 17, func(x []float64) float64 { return x[0]*x[3] - x[5] })
 	f, err := Train(X, y, Config{NumTrees: 9, MaxDepth: 10, MinLeaf: 1,
@@ -434,17 +447,26 @@ func TestCompiledLayoutInvariants(t *testing.T) {
 	if c.NumNodes() != total {
 		t.Fatalf("pool holds %d nodes, forest has %d", c.NumNodes(), total)
 	}
+	payloads := make(map[uint64]int)
+	for ti := range f.trees {
+		for _, nd := range f.trees[ti].Nodes {
+			if nd.Feature < 0 {
+				payloads[math.Float64bits(nd.Thresh)]++
+			}
+		}
+	}
 	leaves := 0
 	for i := range c.nodes {
 		n := c.nodes[i]
 		if n.left == int32(i) { // leaf
 			leaves++
-			if n.tkey != ^uint64(0) {
-				t.Fatalf("leaf %d key %#x, want ^0", i, n.tkey)
+			if int(n.feat) != c.NumFeatures() {
+				t.Fatalf("leaf %d feature %d, want the zero key slot %d", i, n.feat, c.NumFeatures())
 			}
-			if n.feat != 0 {
-				t.Fatalf("leaf %d feature %d, want 0", i, n.feat)
+			if payloads[n.tkey] == 0 {
+				t.Fatalf("leaf %d key %#x is no unclaimed leaf payload of the forest", i, n.tkey)
 			}
+			payloads[n.tkey]--
 			continue
 		}
 		if n.left < 0 || int(n.left)+1 >= len(c.nodes) {
@@ -456,6 +478,11 @@ func TestCompiledLayoutInvariants(t *testing.T) {
 	}
 	if leaves == 0 {
 		t.Fatal("no leaves found in the pool")
+	}
+	for pb, left := range payloads {
+		if left != 0 {
+			t.Fatalf("leaf payload %#x: %d forest leaves have no pool leaf", pb, left)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+
 	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/hw"
 	"mpcdvfs/internal/sim"
@@ -130,6 +132,21 @@ func toObservationWire(o sim.Observation) ObservationWire {
 		OverheadMS: o.OverheadMS,
 		TempC:      o.TempC,
 	}
+}
+
+// check reports why the observation cannot reach a policy, or nil when
+// it can: it must carry exactly the counters.NumCounters Table III
+// counters, and its configuration must lie inside the hw tables (the
+// policy's feedback evaluates the model at that configuration). It
+// allocates nothing on a valid observation.
+func (w ObservationWire) check() error {
+	if len(w.Counters) != counters.NumCounters {
+		return fmt.Errorf("observation carries %d counters, want %d", len(w.Counters), counters.NumCounters)
+	}
+	if !w.Config.config().Valid() {
+		return fmt.Errorf("observation config %+v lies outside the hardware tables", w.Config)
+	}
+	return nil
 }
 
 func (w ObservationWire) observation() sim.Observation {

@@ -1,0 +1,150 @@
+package serve_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"testing"
+
+	"mpcdvfs"
+	"mpcdvfs/internal/hw"
+	"mpcdvfs/internal/serve"
+)
+
+// openSession opens a profiling-run session for app over the real mux
+// and returns its id.
+func openSession(t testing.TB, base string, app *mpcdvfs.App, target mpcdvfs.Target) string {
+	t.Helper()
+	code, _, body := post(t, base, "/v1/session", serve.SessionRequest{
+		App: app.Name, NumKernels: app.Len(), FirstRun: true,
+		Target: serve.TargetWire{TotalInsts: target.TotalInsts, TotalTimeMS: target.TotalTimeMS},
+	})
+	if code != http.StatusOK {
+		t.Fatalf("open session: %d %s", code, body)
+	}
+	var resp serve.SessionResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.SessionID
+}
+
+// mustDecide asks the session for decision index and requires a 200.
+func mustDecide(t testing.TB, base, id string, index int) {
+	t.Helper()
+	if code, _, body := post(t, base, "/v1/decide", serve.DecideRequest{SessionID: id, Index: index}); code != http.StatusOK {
+		t.Fatalf("decide %d on session %s: %d %s", index, id, code, body)
+	}
+}
+
+// validObservation is a well-formed measurement of kernel 0 of app at
+// the fail-safe configuration.
+func validObservation(app *mpcdvfs.App) serve.ObservationWire {
+	cs := app.Kernels[0].Counters()
+	fs := hw.FailSafe()
+	return serve.ObservationWire{
+		Counters: cs[:], Insts: 1e6, TimeMS: 2.5, GPUPowerW: 30, CPUPowerW: 10,
+		Config: serve.ConfigWire{CPU: int8(fs.CPU), NB: int8(fs.NB), GPU: int8(fs.GPU), CUs: fs.CUs},
+	}
+}
+
+// TestObserveRejectsInvalid posts observations the policy cannot take
+// — configurations outside the hardware tables and counter vectors of
+// the wrong length — through the real mux over the committed forest.
+// Each gets a 400 and never reaches the session, which keeps serving.
+// Unchecked, a DPM state of 77 indexes past the hw tables on the
+// session goroutine, and that panic ends the process.
+func TestObserveRejectsInvalid(t *testing.T) {
+	sys, app, target, _ := testStack(t)
+	_, ts := newTestServer(t, sys, loadGoldenModel(t), serve.Config{})
+	id := openSession(t, ts.URL, app, target)
+	mustDecide(t, ts.URL, id, 0)
+
+	for _, tc := range []struct {
+		name string
+		edit func(*serve.ObservationWire)
+	}{
+		{"gpu 77", func(o *serve.ObservationWire) { o.Config.GPU = 77 }},
+		{"cpu -1", func(o *serve.ObservationWire) { o.Config.CPU = -1 }},
+		{"cus 3", func(o *serve.ObservationWire) { o.Config.CUs = 3 }},
+		{"0 counters", func(o *serve.ObservationWire) { o.Counters = nil }},
+		{"11 counters", func(o *serve.ObservationWire) { o.Counters = append(o.Counters, 1, 2, 3) }},
+	} {
+		o := validObservation(app)
+		tc.edit(&o)
+		code, _, body := post(t, ts.URL, "/v1/observe", serve.ObserveRequest{SessionID: id, Observation: o})
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: %d %s, want 400", tc.name, code, body)
+		}
+	}
+	if code, _, body := post(t, ts.URL, "/v1/observe", serve.ObserveRequest{SessionID: id, Observation: validObservation(app)}); code != http.StatusOK {
+		t.Fatalf("valid observation: %d %s", code, body)
+	}
+	mustDecide(t, ts.URL, id, 1)
+}
+
+// FuzzObserveHandler posts fuzzer-built observation bodies to a live
+// session over the committed forest. Whatever the body, the reply is a
+// 200 or a 4xx — never a 5xx or a dead process — and the session still
+// answers its next decide with a 200.
+func FuzzObserveHandler(f *testing.F) {
+	sys, app, target, _ := testStack(f)
+	_, ts := newTestServer(f, sys, loadGoldenModel(f), serve.Config{})
+
+	seed := func(edit func(*serve.ObservationWire)) {
+		o := validObservation(app)
+		edit(&o)
+		b, err := json.Marshal(o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	seed(func(*serve.ObservationWire) {})
+	seed(func(o *serve.ObservationWire) { o.Config.GPU = 77 })
+	seed(func(o *serve.ObservationWire) { o.Config.CPU = -1 })
+	seed(func(o *serve.ObservationWire) { o.Config.CUs = 3 })
+	seed(func(o *serve.ObservationWire) { o.Counters = nil })
+	seed(func(o *serve.ObservationWire) { o.Counters = append(o.Counters, 1, 2, 3) })
+	seed(func(o *serve.ObservationWire) {
+		for i := range o.Counters {
+			o.Counters[i] = 1e308
+		}
+	})
+	seed(func(o *serve.ObservationWire) {
+		for i := range o.Counters {
+			o.Counters[i] = -1e308
+		}
+		o.GPUPowerW, o.CPUPowerW = -1e308, -5
+	})
+	seed(func(o *serve.ObservationWire) { o.GPUPowerW, o.TimeMS, o.Index = -30, 0, -5 })
+	f.Add([]byte(`{"config":{"cpu":0,"nb":0,"gpu":77,"cus":8}}`))
+	f.Add([]byte(`{"counters":[1,2,3,4,5,6,7,8],"config":{"cpu":127,"nb":-128,"gpu":4,"cus":8}}`))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, observation []byte) {
+		id := openSession(t, ts.URL, app, target)
+		mustDecide(t, ts.URL, id, 0)
+		body := append([]byte(`{"session_id":"`+id+`","observation":`), observation...)
+		body = append(body, '}')
+		resp, err := http.Post(ts.URL+"/v1/observe", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK && (resp.StatusCode < 400 || resp.StatusCode >= 500) {
+			t.Fatalf("observe %q: %d %s, want 200 or 4xx", observation, resp.StatusCode, reply)
+		}
+		mustDecide(t, ts.URL, id, 1)
+		if code, _, reply := post(t, ts.URL, "/v1/session/close", serve.CloseRequest{SessionID: id}); code != http.StatusOK {
+			t.Fatalf("close: %d %s", code, reply)
+		}
+	})
+}

@@ -410,6 +410,10 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		s.count("observe", http.StatusBadRequest)
 		return
 	}
+	if err := req.Observation.check(); err != nil {
+		s.fail(w, "observe", http.StatusBadRequest, err.Error())
+		return
+	}
 	sess, ok := s.lookup(req.SessionID)
 	if !ok {
 		s.fail(w, "observe", http.StatusNotFound, "unknown session "+req.SessionID)

@@ -33,7 +33,7 @@ const testBench = "Spmv"
 // testStack returns a simulator, an app, its baseline target and a
 // shared oracle model — the cheapest deterministic model that still
 // drives the full MPC stack.
-func testStack(t *testing.T) (*mpcdvfs.System, *mpcdvfs.App, mpcdvfs.Target, mpcdvfs.Model) {
+func testStack(t testing.TB) (*mpcdvfs.System, *mpcdvfs.App, mpcdvfs.Target, mpcdvfs.Model) {
 	t.Helper()
 	sys := mpcdvfs.NewSystem()
 	app, err := mpcdvfs.BenchmarkByName(testBench)
@@ -64,7 +64,7 @@ func goldenReplay(t *testing.T, sys *mpcdvfs.System, app *mpcdvfs.App, target mp
 
 // newTestServer builds a decision server over model with the same
 // policy stack goldenReplay uses, mounted on an httptest server.
-func newTestServer(t *testing.T, sys *mpcdvfs.System, model mpcdvfs.Model, cfg serve.Config) (*serve.Server, *httptest.Server) {
+func newTestServer(t testing.TB, sys *mpcdvfs.System, model mpcdvfs.Model, cfg serve.Config) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	cfg.Model = model
 	if cfg.NewPolicy == nil {
@@ -84,7 +84,7 @@ func newTestServer(t *testing.T, sys *mpcdvfs.System, model mpcdvfs.Model, cfg s
 
 // post is a raw HTTP helper for protocol-level assertions the
 // serve.Client would hide (429s, error statuses, headers).
-func post(t *testing.T, base, path string, req any) (int, http.Header, []byte) {
+func post(t testing.TB, base, path string, req any) (int, http.Header, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -25,7 +25,7 @@ import (
 // loadGoldenModel loads the committed random-forest model — the only
 // test model with a batched (SpaceEvaluator) path, which the
 // featurize/forest-eval span assertions need.
-func loadGoldenModel(t *testing.T) mpcdvfs.Model {
+func loadGoldenModel(t testing.TB) mpcdvfs.Model {
 	t.Helper()
 	f, err := os.Open("../../testdata/golden/model.bin")
 	if err != nil {
