@@ -11,6 +11,9 @@ import (
 	"testing"
 
 	"mpcdvfs/internal/experiments"
+	"mpcdvfs/internal/hw"
+	"mpcdvfs/internal/metrics"
+	"mpcdvfs/internal/obs"
 	"mpcdvfs/internal/policy"
 	"mpcdvfs/internal/sim"
 	"mpcdvfs/internal/telemetry"
@@ -60,15 +63,24 @@ func BenchmarkTelemetryMPCDecisionSampled1In8(b *testing.B) {
 }
 
 // BenchmarkTelemetryScoreboardAndAccounting prices the non-span half of
-// the hub on its own: one scoreboard observation plus one ledger
-// decision+observation pair per iteration — what every served decision
-// with ground-truth feedback pays regardless of trace sampling.
+// the hub on its own: what every served decision with ground-truth
+// feedback pays regardless of trace sampling — its decision, kernel and
+// model-error events through an instrumented hub's session observer
+// (obs metrics families, ledger row, scoreboard cell) plus the
+// queue-wait record.
 func BenchmarkTelemetryScoreboardAndAccounting(b *testing.B) {
 	hub := telemetry.NewHub(telemetry.Options{})
+	hub.Instrument(metrics.New())
+	o := hub.SessionObserver("bench", 1)
+	cfg := hw.FailSafe()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hub.Scoreboard.Observe(1, "Spmv", 10, 10.4, 40, 41)
-		hub.Accounting.RecordDecision("bench", "", 4, 0.02)
-		hub.Accounting.RecordObservation("bench", "[P1,NB0,DPM2,6CU]", 120, 124)
+		o.OnDecision(obs.DecisionEvent{Policy: "mpc", App: "Spmv", Index: i, Config: cfg,
+			Evals: 16, SearchIters: 4, Horizon: 4, OverheadMS: 0.02, KnobChanges: 1})
+		o.OnKernelDone(obs.KernelEvent{Policy: "mpc", App: "Spmv", Index: i, Config: cfg,
+			TimeMS: 3, Insts: 1e6, GPUEnergyMJ: 120, CPUEnergyMJ: 30, TempC: 60})
+		o.OnModelError(obs.ModelErrorEvent{Policy: "mpc", App: "Spmv", Index: i, Config: cfg,
+			PredictedTimeMS: 10, MeasuredTimeMS: 10.4, PredictedPowerW: 40, MeasuredPowerW: 41})
+		hub.Accounting.RecordQueueWait("bench", 0.02)
 	}
 }

@@ -534,17 +534,18 @@ func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
 	}, nil
 }
 
-// injectDrift anchors the scoreboard baseline at the healthy first
-// level's error and installs an error-injected model generation, so the
+// injectDrift installs an error-injected model generation and anchors
+// its scoreboard baseline at the healthy first level's error, so the
 // remaining levels replay against a predictor the drift gate must flag.
 func injectDrift(h *hosted, appName string, seed int64, driftErr float64) {
-	for _, c := range h.hub.Scoreboard.Snapshot() {
+	healthy := h.hub.Scoreboard.Snapshot()
+	gen := h.decider.Install(predict.NewWithError(h.model, driftErr, driftErr, seed), "drift-injected")
+	for _, c := range healthy {
 		if c.App == appName {
-			h.hub.Scoreboard.SetDefaultBaseline(c.TimeMAPE+0.01, c.PowerMAPE+0.01)
+			h.hub.Scoreboard.SetBaseline(gen, c.TimeMAPE+0.01, c.PowerMAPE+0.01)
 			break
 		}
 	}
-	gen := h.decider.Install(predict.NewWithError(h.model, driftErr, driftErr, seed), "drift-injected")
 	fmt.Printf("drift injected: generation %d serves with ±%.0f%% model error\n", gen, driftErr*100)
 }
 

@@ -11,8 +11,9 @@
 //
 // Hot-path cost: Counter.Add / Gauge.Set / Histogram.Observe are
 // lock-free (atomic CAS on float bits, atomic bucket increments).
-// Vec.With takes a read lock for the child lookup; callers on very hot
-// paths should cache the returned child.
+// Vec.With takes a read lock for the child lookup and allocates nothing
+// once the child exists; callers on very hot paths may still cache the
+// returned child to skip the lookup.
 package metrics
 
 import (
@@ -180,23 +181,31 @@ func equalFloats(a, b []float64) bool {
 	return true
 }
 
-// childKey joins label values with an unprintable separator; label values
-// containing \xff are legal but vanishingly rare, and a collision only
-// merges two children of the same family.
-func childKey(lvs []string) string { return strings.Join(lvs, "\xff") }
-
-// lookup finds or creates a child for the given label values.
+// lookup finds or creates a child for the given label values. The child
+// key joins the values with an unprintable separator (values containing
+// \xff are legal but vanishingly rare, and a collision only merges two
+// children of the same family). It is built in a stack buffer, and the
+// map is indexed with string(kb) without a copy, so a hit allocates
+// nothing; only a miss stores the key as a string.
 func (f *family) lookup(lvs []string, mk func() child) child {
 	if len(lvs) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", f.name, len(f.labels), len(lvs)))
 	}
-	k := childKey(lvs)
+	var buf [128]byte
+	kb := buf[:0]
+	for i, v := range lvs {
+		if i > 0 {
+			kb = append(kb, '\xff')
+		}
+		kb = append(kb, v...)
+	}
 	f.mu.RLock()
-	c, ok := f.children[k]
+	c, ok := f.children[string(kb)]
 	f.mu.RUnlock()
 	if ok {
 		return c
 	}
+	k := string(kb)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.children[k]; ok {

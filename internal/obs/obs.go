@@ -9,7 +9,9 @@
 //
 //   - sim.Engine emits OnDecision after charging a decision's overhead,
 //     OnFallback when the decision records a degraded path, and
-//     OnKernelDone with the full measured accounting of the kernel;
+//     OnKernelDone with the full measured accounting of the kernel; a
+//     served session emits the same three (sim.Report) when its client
+//     reports the kernel's measurement;
 //   - policy.MPC emits OnHorizonChange when the adaptive horizon
 //     generator moves, and OnModelError with the predicted-vs-measured
 //     feedback of each kernel;
@@ -80,11 +82,16 @@ type HorizonEvent struct {
 }
 
 // ModelErrorEvent compares the predictor's estimate for the executed
-// configuration against the measurement fed back to the policy.
+// configuration against the measurement fed back to the policy. The
+// estimate is the calibrated one from before this measurement's
+// feedback (predict.Calibrated.Feedback returns it); every model-error
+// consumer — the prediction-error histogram, the model scoreboard and
+// the energy ledger — reads this one event.
 type ModelErrorEvent struct {
-	Policy string `json:"policy"`
-	App    string `json:"app"`
-	Index  int    `json:"index"`
+	Policy string    `json:"policy"`
+	App    string    `json:"app"`
+	Index  int       `json:"index"`
+	Config hw.Config `json:"config"` // the executed configuration
 
 	PredictedTimeMS float64 `json:"predicted_time_ms"`
 	MeasuredTimeMS  float64 `json:"measured_time_ms"`

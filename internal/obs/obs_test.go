@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"mpcdvfs/internal/hw"
@@ -262,5 +263,51 @@ func TestModelErrorValues(t *testing.T) {
 	zero := obs.ModelErrorEvent{PredictedTimeMS: 5}
 	if zero.TimeError() != 0 {
 		t.Error("zero measurement must yield zero error, not Inf")
+	}
+}
+
+// TestMetricsConcurrentSessions feeds one Metrics observer from 4
+// goroutines, the shape of 4 served sessions reporting into the hub's
+// shared sink, two of them under one app label. Under -race this is
+// the sink's concurrency contract; the totals must be exact.
+func TestMetricsConcurrentSessions(t *testing.T) {
+	reg := metrics.New()
+	m := obs.NewMetrics(reg)
+	const perG = 500
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(app string) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				m.OnDecision(obs.DecisionEvent{Policy: "mpc", App: app, Index: i, Evals: 2, KnobChanges: 1})
+				m.OnFallback(obs.FallbackEvent{Policy: "mpc", App: app, Index: i, Reason: obs.FallbackColdStart})
+				m.OnKernelDone(obs.KernelEvent{Policy: "mpc", App: app, Index: i, TimeMS: 1, GPUEnergyMJ: 1})
+				m.OnHorizonChange(obs.HorizonEvent{Policy: "mpc", App: app, Index: i, Horizon: i % 8})
+				m.OnModelError(obs.ModelErrorEvent{Policy: "mpc", App: app, Index: i,
+					PredictedTimeMS: 1, MeasuredTimeMS: 1, PredictedPowerW: 1, MeasuredPowerW: 1})
+			}
+		}("app" + strconv.Itoa(g%3))
+	}
+	wg.Wait()
+
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		`mpcdvfs_decisions_total{policy="mpc",app="app0"} 1000`,
+		`mpcdvfs_decisions_total{policy="mpc",app="app1"} 500`,
+		`mpcdvfs_predictor_evals_total{policy="mpc",app="app0"} 2000`,
+		`mpcdvfs_fallbacks_total{policy="mpc",app="app2",reason="cold-start"} 500`,
+		`mpcdvfs_kernels_total{policy="mpc",app="app0"} 1000`,
+		`mpcdvfs_energy_millijoules_total{policy="mpc",app="app0",domain="gpu"} 1000`,
+		`mpcdvfs_horizon_changes_total{policy="mpc",app="app1"} 500`,
+		`mpcdvfs_prediction_error_count{policy="mpc",app="app0",domain="time"} 1000`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }

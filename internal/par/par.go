@@ -1,9 +1,11 @@
-// Package par is the shared worker pool behind the runtime's parallel
-// hot paths: Random Forest tree growth and batched tree-walk inference
-// (internal/rf). It deliberately provides only order-free fan-out —
-// every parallel caller in this repository is required to produce
-// byte-identical results to its serial counterpart, so work is always
-// partitioned by index and each task writes only to its own
+// Package par is the shared worker pool behind the repository's
+// parallel paths: Random Forest tree growth and in-place forest
+// extension (internal/rf), and mpclint's per-package checks
+// (internal/analysis). Inference does not fan out: the exhaustive sweep
+// is one serial set descent. It deliberately provides only order-free
+// fan-out — every parallel caller in this repository is required to
+// produce byte-identical results to its serial counterpart, so work is
+// always partitioned by index and each task writes only to its own
 // index-addressed output slot; any reduction over those slots happens
 // serially, in index order, on the caller's goroutine.
 //

@@ -330,8 +330,7 @@ func (m *MPC) reservedBeyond(end int) float64 {
 func (m *MPC) Observe(o sim.Observation) {
 	m.tracker.Add(o.Insts, o.TimeMS)
 	m.ext.Observe(record(o))
-	emitModelError(m.obsv, m.calib, m.Name(), m.appName, o)
-	m.calib.Feedback(o.Counters, o.Config, o.TimeMS, o.GPUPowerW)
+	feedback(m.obsv, m.calib, m.Name(), m.appName, o)
 	m.elapsedMS += o.TimeMS + o.OverheadMS
 	if m.profiling {
 		m.profile.Insts = append(m.profile.Insts, o.Insts)

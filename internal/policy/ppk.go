@@ -88,26 +88,27 @@ func (p *PPK) Decide(i int) sim.Decision {
 // Observe implements sim.Policy.
 func (p *PPK) Observe(o sim.Observation) {
 	p.tracker.Add(o.Insts, o.TimeMS)
-	emitModelError(p.obsv, p.calib, p.Name(), p.appName, o)
-	p.calib.Feedback(o.Counters, o.Config, o.TimeMS, o.GPUPowerW)
+	feedback(p.obsv, p.calib, p.Name(), p.appName, o)
 	p.last = o
 	p.haveObs = true
 }
 
-// emitModelError reports the predicted-vs-measured outcome of an executed
-// kernel against the calibrated predictor's state before this
-// observation's feedback is applied — the error the Fig. 6 loop is about
-// to absorb. It costs one predictor evaluation, so it runs only when a
-// real observer is attached.
-func emitModelError(o obs.Observer, calib *predict.Calibrated, policy, app string, ob sim.Observation) {
+// feedback applies an executed kernel's measurement to the calibrated
+// predictor and, when a real observer is attached, reports the model
+// error Feedback returns: its estimate for the executed configuration
+// from before the update, against the measurement. The estimate is a
+// by-product of the feedback's own forest walk, so reporting costs no
+// predictor evaluation.
+func feedback(o obs.Observer, calib *predict.Calibrated, policy, app string, ob sim.Observation) {
+	est := calib.Feedback(ob.Counters, ob.Config, ob.TimeMS, ob.GPUPowerW)
 	if !obs.Enabled(o) {
 		return
 	}
-	est := calib.PredictKernel(ob.Counters, ob.Config)
 	o.OnModelError(obs.ModelErrorEvent{
 		Policy:          policy,
 		App:             app,
 		Index:           ob.Index,
+		Config:          ob.Config,
 		PredictedTimeMS: est.TimeMS,
 		MeasuredTimeMS:  ob.TimeMS,
 		PredictedPowerW: est.GPUPowerW,

@@ -87,23 +87,33 @@ func (c *Calibrated) applyRatio(cs counters.Set, dst []Estimate) {
 	}
 }
 
-// Feedback records the measured outcome of one executed kernel and
-// updates its correction ratio. Non-positive measurements or predictions
-// are ignored.
-func (c *Calibrated) Feedback(cs counters.Set, cfg hw.Config, measuredTimeMS, measuredGPUPowerW float64) {
+// Feedback records the measured outcome of one executed kernel, updates
+// its correction ratio (non-positive measurements or predictions leave
+// it untouched), and returns the calibrated estimate from before the
+// update — raw times old ratio, exactly what PredictKernel returned.
+// Against the measurement, that estimate is the model error the Fig. 6
+// loop absorbs; this is the one place it is computed.
+func (c *Calibrated) Feedback(cs counters.Set, cfg hw.Config, measuredTimeMS, measuredGPUPowerW float64) Estimate {
 	raw := c.inner.PredictKernel(cs, cfg)
-	if raw.TimeMS <= 0 || raw.GPUPowerW <= 0 || measuredTimeMS <= 0 || measuredGPUPowerW <= 0 {
-		return
-	}
 	sig := counters.SignatureOf(cs)
+	r, ok := c.ratios[sig]
+	est := raw
+	if ok {
+		est.TimeMS *= r.time
+		est.GPUPowerW *= r.power
+	}
+	if raw.TimeMS <= 0 || raw.GPUPowerW <= 0 || measuredTimeMS <= 0 || measuredGPUPowerW <= 0 {
+		return est
+	}
 	rt := measuredTimeMS / raw.TimeMS
 	rp := measuredGPUPowerW / raw.GPUPowerW
-	if r, ok := c.ratios[sig]; ok {
+	if ok {
 		r.time = (1-calibWeight)*r.time + calibWeight*rt
 		r.power = (1-calibWeight)*r.power + calibWeight*rp
 	} else {
 		c.ratios[sig] = &calibRatio{time: rt, power: rp}
 	}
+	return est
 }
 
 // KnownKernels returns the number of signatures with feedback state.

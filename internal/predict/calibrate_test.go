@@ -97,3 +97,27 @@ func TestCalibratedIgnoresDegenerateFeedback(t *testing.T) {
 		t.Errorf("name = %q", c.Name())
 	}
 }
+
+// TestFeedbackReturnsPreUpdateEstimate pins Feedback's return value to
+// the bits PredictKernel gives for the executed configuration just
+// before the update, on the first feedback (no ratio yet), on later
+// ones (ratio applied) and on a degenerate one (ratio untouched).
+func TestFeedbackReturnsPreUpdateEstimate(t *testing.T) {
+	k := kernel.NewBalanced("b", 1)
+	o := NewOracle()
+	o.Register(k)
+	c := NewCalibrated(&scaledModel{inner: o, t: 1.4, p: 1.2})
+	cs := k.Counters()
+	for i, cfg := range []hw.Config{hw.FailSafe(), hw.DefaultSpace().At(7), hw.DefaultSpace().At(99), hw.FailSafe()} {
+		truth := k.Evaluate(cfg)
+		meas := truth.TimeMS
+		if i == 3 {
+			meas = 0
+		}
+		want := c.PredictKernel(cs, cfg)
+		got := c.Feedback(cs, cfg, meas, truth.GPUW+truth.NBW)
+		if got != want {
+			t.Fatalf("feedback %d returned %+v, PredictKernel before it gave %+v", i, got, want)
+		}
+	}
+}

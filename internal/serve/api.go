@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/hw"
@@ -136,18 +137,37 @@ func toObservationWire(o sim.Observation) ObservationWire {
 
 // check reports why the observation cannot reach a policy, or nil when
 // it can: it must carry exactly the counters.NumCounters Table III
-// counters, and its configuration must lie inside the hw tables (the
-// policy's feedback evaluates the model at that configuration). It
-// allocates nothing on a valid observation.
+// counters; every counter and the instruction count, time, powers and
+// overhead must be finite and non-negative; and its configuration must
+// lie inside the hw tables (the policy's feedback evaluates the model
+// at that configuration). The index is checked against the session by
+// the handler. It allocates nothing on a valid observation.
 func (w ObservationWire) check() error {
 	if len(w.Counters) != counters.NumCounters {
 		return fmt.Errorf("observation carries %d counters, want %d", len(w.Counters), counters.NumCounters)
+	}
+	for i, v := range w.Counters {
+		if !measurement(v) {
+			return fmt.Errorf("counter %s is %v, want a finite non-negative value", counters.Names[i], v)
+		}
+	}
+	for i, v := range [...]float64{w.Insts, w.TimeMS, w.GPUPowerW, w.CPUPowerW, w.OverheadMS} {
+		if !measurement(v) {
+			return fmt.Errorf("%s is %v, want a finite non-negative value", measuredFields[i], v)
+		}
 	}
 	if !w.Config.config().Valid() {
 		return fmt.Errorf("observation config %+v lies outside the hardware tables", w.Config)
 	}
 	return nil
 }
+
+// measuredFields names check's measurements in its order.
+var measuredFields = [...]string{"insts", "time_ms", "gpu_power_w", "cpu_power_w", "overhead_ms"}
+
+// measurement reports whether v can be a measured quantity: finite and
+// non-negative (NaN fails the comparison).
+func measurement(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 func (w ObservationWire) observation() sim.Observation {
 	var cs counters.Set

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 
 	"mpcdvfs/internal/counters"
@@ -18,5 +19,27 @@ func TestObservationCheckZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("check allocates %v times on a valid observation, want 0", allocs)
+	}
+}
+
+// TestObservationCheckRejectsNonFinite covers the values JSON cannot
+// carry but a Go caller of check can: NaN and ±Inf in a counter or a
+// measurement are rejected like negative ones.
+func TestObservationCheckRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, edit := range []func(*ObservationWire){
+			func(o *ObservationWire) { o.Counters[0] = v },
+			func(o *ObservationWire) { o.Insts = v },
+			func(o *ObservationWire) { o.TimeMS = v },
+			func(o *ObservationWire) { o.GPUPowerW = v },
+			func(o *ObservationWire) { o.CPUPowerW = v },
+			func(o *ObservationWire) { o.OverheadMS = v },
+		} {
+			o := ObservationWire{Counters: make([]float64, counters.NumCounters), Config: toConfigWire(hw.FailSafe())}
+			edit(&o)
+			if o.check() == nil {
+				t.Fatalf("check accepted %+v", o)
+			}
+		}
 	}
 }

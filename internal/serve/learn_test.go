@@ -222,7 +222,8 @@ func TestLearnRecoveryEndToEnd(t *testing.T) {
 		return predict.TrainOnSamples(train, fcfg, workers)
 	})
 
-	hub := telemetry.NewHub(telemetry.Options{Sample: 0, DriftFactor: 3})
+	hub := telemetry.NewHub(telemetry.Options{Sample: 0})
+	hub.Scoreboard = telemetry.NewScoreboard(telemetry.DefaultWindow, 3)
 	srv, ts := newTestServer(t, sys, model, serve.Config{
 		Telemetry: hub,
 		Learn:     tr,
@@ -281,7 +282,9 @@ func TestLearnRecoveryEndToEnd(t *testing.T) {
 	if gen1 == nil {
 		t.Fatal("no generation-1 scoreboard cell after the healthy replay")
 	}
-	hub.Scoreboard.SetDefaultBaseline(gen1.TimeMAPE+0.01, gen1.PowerMAPE+0.01)
+	// Generation 2, which /reload installs next, drifts against the
+	// healthy generation's level.
+	hub.Scoreboard.SetBaseline(2, gen1.TimeMAPE+0.01, gen1.PowerMAPE+0.01)
 	if got := tr.Status().DriftSignals; got != 0 {
 		t.Fatalf("healthy traffic produced %d drift signals", got)
 	}

@@ -9,7 +9,9 @@ import (
 
 	"mpcdvfs"
 	"mpcdvfs/internal/hw"
+	"mpcdvfs/internal/metrics"
 	"mpcdvfs/internal/serve"
+	"mpcdvfs/internal/telemetry"
 )
 
 // openSession opens a profiling-run session for app over the real mux
@@ -50,16 +52,36 @@ func validObservation(app *mpcdvfs.App) serve.ObservationWire {
 }
 
 // TestObserveRejectsInvalid posts observations the policy cannot take
-// — configurations outside the hardware tables and counter vectors of
-// the wrong length — through the real mux over the committed forest.
-// Each gets a 400 and never reaches the session, which keeps serving.
-// Unchecked, a DPM state of 77 indexes past the hw tables on the
-// session goroutine, and that panic ends the process.
+// — configurations outside the hardware tables, counter vectors of the
+// wrong length, negative measurements and indices outside the run —
+// through the real mux over the committed forest, on a server whose
+// hub feeds the metrics registry. Each gets a 400 and never reaches the
+// session, which keeps serving. Unchecked, a DPM state of 77 indexes
+// past the hw tables on the session goroutine, and a negative power
+// reaches a counter's Add; either panic ends the process.
 func TestObserveRejectsInvalid(t *testing.T) {
 	sys, app, target, _ := testStack(t)
-	_, ts := newTestServer(t, sys, loadGoldenModel(t), serve.Config{})
+	hub := telemetry.NewHub(telemetry.Options{})
+	hub.Instrument(metrics.New())
+	_, ts := newTestServer(t, sys, loadGoldenModel(t), serve.Config{Telemetry: hub})
 	id := openSession(t, ts.URL, app, target)
+	observe := func(o serve.ObservationWire) (int, []byte) {
+		code, _, body := post(t, ts.URL, "/v1/observe", serve.ObserveRequest{SessionID: id, Observation: o})
+		return code, body
+	}
+
+	// A predicted decision, then its observation at -1000 W.
 	mustDecide(t, ts.URL, id, 0)
+	if code, body := observe(validObservation(app)); code != http.StatusOK {
+		t.Fatalf("observe 0: %d %s", code, body)
+	}
+	mustDecide(t, ts.URL, id, 1)
+	o := validObservation(app)
+	o.Index, o.GPUPowerW = 1, -1000
+	if code, body := observe(o); code != http.StatusBadRequest {
+		t.Fatalf("observe 1 at -1000 W: %d %s, want 400", code, body)
+	}
+	mustDecide(t, ts.URL, id, 2)
 
 	for _, tc := range []struct {
 		name string
@@ -70,27 +92,40 @@ func TestObserveRejectsInvalid(t *testing.T) {
 		{"cus 3", func(o *serve.ObservationWire) { o.Config.CUs = 3 }},
 		{"0 counters", func(o *serve.ObservationWire) { o.Counters = nil }},
 		{"11 counters", func(o *serve.ObservationWire) { o.Counters = append(o.Counters, 1, 2, 3) }},
+		{"negative counter", func(o *serve.ObservationWire) { o.Counters[3] = -1 }},
+		{"negative insts", func(o *serve.ObservationWire) { o.Insts = -1 }},
+		{"negative time", func(o *serve.ObservationWire) { o.TimeMS = -2.5 }},
+		{"negative cpu power", func(o *serve.ObservationWire) { o.CPUPowerW = -1e308 }},
+		{"negative overhead", func(o *serve.ObservationWire) { o.OverheadMS = -0.1 }},
+		{"index -5", func(o *serve.ObservationWire) { o.Index = -5 }},
+		{"index num_kernels", func(o *serve.ObservationWire) { o.Index = app.Len() }},
 	} {
 		o := validObservation(app)
+		o.Index = 2
 		tc.edit(&o)
-		code, _, body := post(t, ts.URL, "/v1/observe", serve.ObserveRequest{SessionID: id, Observation: o})
-		if code != http.StatusBadRequest {
+		if code, body := observe(o); code != http.StatusBadRequest {
 			t.Fatalf("%s: %d %s, want 400", tc.name, code, body)
 		}
 	}
-	if code, _, body := post(t, ts.URL, "/v1/observe", serve.ObserveRequest{SessionID: id, Observation: validObservation(app)}); code != http.StatusOK {
+	o = validObservation(app)
+	o.Index = 2
+	if code, body := observe(o); code != http.StatusOK {
 		t.Fatalf("valid observation: %d %s", code, body)
 	}
-	mustDecide(t, ts.URL, id, 1)
+	mustDecide(t, ts.URL, id, 3)
 }
 
 // FuzzObserveHandler posts fuzzer-built observation bodies to a live
-// session over the committed forest. Whatever the body, the reply is a
-// 200 or a 4xx — never a 5xx or a dead process — and the session still
-// answers its next decide with a 200.
+// session over the committed forest, on a server whose hub feeds the
+// metrics registry. Whatever the body, the reply is a 200 or a 4xx —
+// never a 5xx or a dead process — a body carrying a negative
+// measurement gets a 400, and the session still answers its next
+// decide with a 200.
 func FuzzObserveHandler(f *testing.F) {
 	sys, app, target, _ := testStack(f)
-	_, ts := newTestServer(f, sys, loadGoldenModel(f), serve.Config{})
+	hub := telemetry.NewHub(telemetry.Options{})
+	hub.Instrument(metrics.New())
+	_, ts := newTestServer(f, sys, loadGoldenModel(f), serve.Config{Telemetry: hub})
 
 	seed := func(edit func(*serve.ObservationWire)) {
 		o := validObservation(app)
@@ -142,9 +177,24 @@ func FuzzObserveHandler(f *testing.F) {
 		if resp.StatusCode != http.StatusOK && (resp.StatusCode < 400 || resp.StatusCode >= 500) {
 			t.Fatalf("observe %q: %d %s, want 200 or 4xx", observation, resp.StatusCode, reply)
 		}
+		var o serve.ObservationWire
+		if json.Unmarshal(observation, &o) == nil && negativeMeasurement(o) && resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("observe %q with a negative measurement: %d %s, want 400", observation, resp.StatusCode, reply)
+		}
 		mustDecide(t, ts.URL, id, 1)
 		if code, _, reply := post(t, ts.URL, "/v1/session/close", serve.CloseRequest{SessionID: id}); code != http.StatusOK {
 			t.Fatalf("close: %d %s", code, reply)
 		}
 	})
+}
+
+// negativeMeasurement reports whether o carries a negative counter,
+// instruction count, time, power or overhead.
+func negativeMeasurement(o serve.ObservationWire) bool {
+	for _, v := range o.Counters {
+		if v < 0 {
+			return true
+		}
+	}
+	return o.Insts < 0 || o.TimeMS < 0 || o.GPUPowerW < 0 || o.CPUPowerW < 0 || o.OverheadMS < 0
 }

@@ -46,6 +46,7 @@ import (
 
 	"mpcdvfs/internal/learn"
 	"mpcdvfs/internal/metrics"
+	"mpcdvfs/internal/obs"
 	"mpcdvfs/internal/predict"
 	"mpcdvfs/internal/sim"
 	"mpcdvfs/internal/telemetry"
@@ -82,11 +83,12 @@ type Config struct {
 	// DefaultQueueDepth).
 	QueueDepth int
 	// Telemetry, when set, deep-instruments the server: every decision
-	// runs under a trace root (sampled per the hub's tracer), Observe
-	// ground truth feeds the per-generation model scoreboard, the
-	// energy/decision ledger fills, and Handler additionally mounts the
-	// /debug/mpc, /debug/models and /debug/trace endpoints. Nil keeps
-	// the serving path telemetry-free.
+	// runs under a trace root (sampled per the hub's tracer); each
+	// session and its policy report through the hub's session observer,
+	// whose sinks are the obs metrics families, the energy/decision
+	// ledger and the per-generation model scoreboard; and Handler
+	// additionally mounts the /debug/mpc, /debug/models and /debug/trace
+	// endpoints. Nil keeps the serving path telemetry-free.
 	Telemetry *telemetry.Hub
 	// Learn, when set, closes the learning loop: every /v1/observe
 	// ground-truth tuple is offered to the trainer's reservoir, gated
@@ -109,6 +111,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session
+	apps     map[string]bool // app labels handed out, at most maxAppLabels
 	nextID   uint64
 	draining bool
 	wg       sync.WaitGroup
@@ -122,7 +125,7 @@ type serveMetrics struct {
 	active    *metrics.Gauge
 	backpress *metrics.Counter
 	snapGen   *metrics.Gauge
-	depth     *metrics.GaugeVec
+	queued    *metrics.Gauge
 }
 
 // New validates cfg and returns a Server serving cfg.Model as
@@ -140,7 +143,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Load == nil {
 		cfg.Load = loadGobModel
 	}
-	s := &Server{cfg: cfg, sessions: make(map[string]*session)}
+	s := &Server{cfg: cfg, sessions: make(map[string]*session), apps: make(map[string]bool)}
 	s.gen.Store(1)
 	s.snap.Store(&Snapshot{Gen: 1, Model: cfg.Model, Tag: cfg.Tag})
 	if tr := cfg.Learn; tr != nil {
@@ -174,8 +177,8 @@ func loadGobModel(path string) (predict.Model, error) {
 
 // Instrument mirrors the server's counters into reg:
 // decision latency, request outcomes, live session count, backpressure
-// rejections, the installed snapshot generation, and per-session queue
-// depth. Call before serving traffic.
+// rejections, the installed snapshot generation, and the operations
+// queued across all sessions. Call before serving traffic.
 func (s *Server) Instrument(reg *metrics.Registry) {
 	m := &serveMetrics{
 		latency: reg.Histogram("mpcdvfs_serve_decision_latency_ms",
@@ -189,8 +192,8 @@ func (s *Server) Instrument(reg *metrics.Registry) {
 			"Requests rejected with 429 because a session queue was full.").With(),
 		snapGen: reg.Gauge("mpcdvfs_serve_snapshot_generation",
 			"Generation of the model snapshot new sessions receive.").With(),
-		depth: reg.Gauge("mpcdvfs_serve_queue_depth",
-			"Queued operations per session.", "session"),
+		queued: reg.Gauge("mpcdvfs_serve_queue_depth",
+			"Operations queued across all sessions, waiting for their session's goroutine.").With(),
 	}
 	m.snapGen.Set(float64(s.gen.Load()))
 	s.m.Store(m)
@@ -290,6 +293,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// indexError explains a kernel index outside the session's run.
+func indexError(index, numKernels int) string {
+	return fmt.Sprintf("index %d lies outside the session's %d kernels", index, numKernels)
+}
+
 func (s *Server) lookup(id string) (*session, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -318,16 +326,18 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	}
 	s.nextID++
 	id := "s" + strconv.FormatUint(s.nextID, 10)
-	var depth *metrics.Gauge
+	queued := &metrics.Gauge{} // counts for nobody until Instrument
 	m := s.m.Load()
 	if m != nil {
-		depth = m.depth.With(id)
+		queued = m.queued
 	}
-	sess := newSession(id, pol, snap, s.cfg.QueueDepth, depth)
-	sess.app = req.App
+	sess := newSession(id, pol, snap, s.cfg.QueueDepth, queued)
+	sess.app = s.appLabelLocked(req.App)
+	sess.numKernels = req.NumKernels
 	if hub := s.cfg.Telemetry; hub != nil {
-		sess.hub = hub
+		sess.acct = hub.Accounting
 		sess.tc = hub.Tracer.NewContext(id)
+		sess.obsv = hub.SessionObserver(id, snap.Gen)
 	}
 	s.sessions[id] = sess
 	s.wg.Add(1)
@@ -338,17 +348,21 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		sess.run()
 	}()
 	info := sim.RunInfo{
-		AppName:    req.App,
+		AppName:    sess.app,
 		NumKernels: req.NumKernels,
 		Target:     sim.Target{TotalInsts: req.Target.TotalInsts, TotalTimeMS: req.Target.TotalTimeMS},
 		FirstRun:   req.FirstRun,
 	}
 	// The queue is empty and private at this point; Begin always fits.
-	// The trace context is threaded on the owner goroutine, like all
-	// policy mutation.
+	// The trace context and the observer are threaded on the owner
+	// goroutine, like all policy mutation, exactly as sim.Engine.Run
+	// threads them before Begin.
 	_ = sess.enqueue(func() {
 		if tr, ok := pol.(telemetry.Traceable); ok {
 			tr.SetTraceContext(sess.tc)
+		}
+		if in, ok := pol.(obs.Instrumentable); ok {
+			in.SetObserver(sess.obsv)
 		}
 		pol.Begin(info)
 	})
@@ -358,6 +372,23 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	}
 	s.count("session", http.StatusOK)
 	writeJSON(w, http.StatusOK, SessionResponse{SessionID: id, Policy: sess.name, SnapshotGen: snap.Gen})
+}
+
+// maxAppLabels bounds the distinct app labels served events carry — the
+// ledger's session bound — because the client names the app and every
+// label is a metrics series and a scoreboard cell per generation.
+const maxAppLabels = 256
+
+// appLabelLocked returns the label a session of app reports under: the
+// app itself while fewer than maxAppLabels distinct apps have been
+// served, "other" after that. It is applied once, at session open, and
+// the policy's own events carry it too. Caller holds s.mu.
+func (s *Server) appLabelLocked(app string) string {
+	if !s.apps[app] && len(s.apps) >= maxAppLabels {
+		return "other"
+	}
+	s.apps[app] = true
+	return app
 }
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
@@ -371,6 +402,10 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "decide", http.StatusNotFound, "unknown session "+req.SessionID)
 		return
 	}
+	if req.Index < 0 || req.Index >= sess.numKernels {
+		s.fail(w, "decide", http.StatusBadRequest, indexError(req.Index, sess.numKernels))
+		return
+	}
 	start := time.Now()
 	reply := make(chan sim.Decision, 1)
 	err := sess.enqueue(func() {
@@ -380,7 +415,8 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		sess.tc.RecordSince(telemetry.SpanQueue, start)
 		d := sess.policy.Decide(req.Index)
 		root.End()
-		sess.noteDecision(req.Index, d, float64(wait)/float64(time.Millisecond))
+		sess.lastIdx, sess.lastD = req.Index, d // for its observation to report
+		sess.acct.RecordQueueWait(sess.id, float64(wait)/float64(time.Millisecond))
 		reply <- d
 	})
 	switch err {
@@ -419,18 +455,22 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "observe", http.StatusNotFound, "unknown session "+req.SessionID)
 		return
 	}
-	obs := req.Observation.observation()
+	if i := req.Observation.Index; i < 0 || i >= sess.numKernels {
+		s.fail(w, "observe", http.StatusBadRequest, indexError(i, sess.numKernels))
+		return
+	}
+	ob := req.Observation.observation()
 	done := make(chan struct{})
 	err := sess.enqueue(func() {
-		sess.policy.Observe(obs)
-		sess.noteObservation(obs)
+		sess.report(ob)
+		sess.policy.Observe(ob)
 		if tr := s.cfg.Learn; tr != nil {
 			// The reservoir tap: every served ground-truth tuple is
 			// training signal, whether or not it scored a prediction.
 			// Trainer.Add is internally synchronized and allocation-free
 			// at steady state, so the owner goroutine barely notices.
-			tr.Add(predict.Sample{Counters: obs.Counters, Config: obs.Config,
-				TimeMS: obs.TimeMS, GPUPowerW: obs.GPUPowerW})
+			tr.Add(predict.Sample{Counters: ob.Counters, Config: ob.Config,
+				TimeMS: ob.TimeMS, GPUPowerW: ob.GPUPowerW})
 		}
 		close(done)
 	})

@@ -290,8 +290,7 @@ func TestBackpressure429AndDrain(t *testing.T) {
 	srv.Instrument(reg)
 	backpress := reg.Counter("mpcdvfs_serve_backpressure_total",
 		"Requests rejected with 429 because a session queue was full.").With()
-	depthOf := reg.Gauge("mpcdvfs_serve_queue_depth",
-		"Queued operations per session.", "session")
+	queued := reg.Gauge("mpcdvfs_serve_queue_depth", "").With()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		srv.Shutdown()
@@ -306,12 +305,12 @@ func TestBackpressure429AndDrain(t *testing.T) {
 	if err := json.Unmarshal(body, &sresp); err != nil {
 		t.Fatal(err)
 	}
-	depth := depthOf.With(sresp.SessionID)
 
 	// Session open enqueues Begin without waiting for it, and with a
 	// depth-1 queue a decide offered while Begin still sits there
-	// bounces with 429. Wait for the owner goroutine to drain it.
-	waitGauge(t, depth, 0, "Begin never drained from the session queue")
+	// bounces with 429. Wait for the owner goroutine to take it: this
+	// is the only session, so the server-wide queued gauge is its queue.
+	waitGauge(t, queued, 0, "Begin never drained from the session queue")
 
 	// Hold the owner goroutine inside Decide #0...
 	results := make(chan int, 2)
@@ -325,14 +324,14 @@ func TestBackpressure429AndDrain(t *testing.T) {
 		t.Fatal("decide #0 never reached the policy")
 	}
 
-	// ...queue decide #1 behind it (fills the depth-1 queue). The depth
-	// gauge flips to 1 the instant the enqueue lands, which makes the
-	// rejection below deterministic rather than a race with the probe.
+	// ...queue decide #1 behind it (fills the depth-1 queue). The queued
+	// gauge reads 1 once the enqueue lands, which makes the rejection
+	// below deterministic rather than a race with the probe.
 	go func() {
 		code, _, _ := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 1})
 		results <- code
 	}()
-	waitGauge(t, depth, 1, "queued decide never showed up in the depth gauge")
+	waitGauge(t, queued, 1, "queued decide never showed up in the queued gauge")
 
 	// ...and offer decide #2: the queue is provably full, so this must
 	// bounce with 429.
@@ -460,7 +459,8 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
-// TestSessionValidation pins the cheap protocol guards.
+// TestSessionValidation pins the cheap protocol guards, among them the
+// decide index: outside [0, num_kernels) it is a 400.
 func TestSessionValidation(t *testing.T) {
 	srv, err := serve.New(serve.Config{
 		Model:     fakeModel{},
@@ -477,6 +477,19 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if code, _, _ := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: "nope"}); code != http.StatusNotFound {
 		t.Fatalf("unknown session: %d, want 404", code)
+	}
+	code, _, body := post(t, ts.URL, "/v1/session", serve.SessionRequest{App: "x", NumKernels: 4})
+	var sresp serve.SessionResponse
+	if code != http.StatusOK || json.Unmarshal(body, &sresp) != nil {
+		t.Fatalf("session open: %d %s", code, body)
+	}
+	for _, index := range []int{-5, 4, 99_999_999} {
+		if code, _, body := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: index}); code != http.StatusBadRequest {
+			t.Fatalf("decide index %d of 4 kernels: %d %s, want 400", index, code, body)
+		}
+	}
+	if code, _, body := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 3}); code != http.StatusOK {
+		t.Fatalf("decide index 3 of 4 kernels: %d %s", code, body)
 	}
 	resp, err := http.Get(ts.URL + "/v1/decide")
 	if err != nil {

@@ -4,8 +4,9 @@ import (
 	"errors"
 	"sync"
 
+	"mpcdvfs/internal/hw"
 	"mpcdvfs/internal/metrics"
-	"mpcdvfs/internal/predict"
+	"mpcdvfs/internal/obs"
 	"mpcdvfs/internal/sim"
 	"mpcdvfs/internal/telemetry"
 )
@@ -28,31 +29,36 @@ var (
 // one; across sessions nothing is shared except immutable model
 // snapshots and internally synchronized caches/pools.
 type session struct {
-	id     string
-	name   string // policy name, fixed at creation
-	app    string // client application name, for scoreboard attribution
-	policy sim.Policy
-	snap   *Snapshot // model snapshot pinned at creation
-	ch     chan func()
-	done   chan struct{} // closed when the owner goroutine exits
+	id         string
+	name       string // policy name, fixed at creation
+	app        string // bounded app label the session's events carry
+	numKernels int    // decide and observe indices lie in [0, numKernels)
+	policy     sim.Policy
+	snap       *Snapshot // model snapshot pinned at creation
+	ch         chan func()
+	done       chan struct{} // closed when the owner goroutine exits
 
 	mu     sync.Mutex // guards closed and the closed/send race
 	closed bool
 
-	depth *metrics.Gauge // optional queue-depth mirror
+	queued *metrics.Gauge // operations queued across all sessions
 
 	// Telemetry state, nil/zero when the server has no hub. tc is the
-	// session's trace context; hub feeds the scoreboard and accounting.
-	// lastIdx/lastD latch the most recent decision so the matching
-	// observation can be scored against its prediction — both are
-	// touched only by the owner goroutine, like all policy state.
+	// session's trace context; obsv is the observer the session and its
+	// policy report through; acct books the queue waits no event
+	// carries. lastIdx/lastD latch the most recent decision until its
+	// observation reports it, and prevCfg is the previous observed
+	// configuration (zero before the first) — all touched only by the
+	// owner goroutine, like all policy state.
 	tc      *telemetry.Context
-	hub     *telemetry.Hub
+	acct    *telemetry.Accounting
+	obsv    obs.Observer
 	lastIdx int
 	lastD   sim.Decision
+	prevCfg hw.Config
 }
 
-func newSession(id string, pol sim.Policy, snap *Snapshot, queueDepth int, depth *metrics.Gauge) *session {
+func newSession(id string, pol sim.Policy, snap *Snapshot, queueDepth int, queued *metrics.Gauge) *session {
 	return &session{
 		id:      id,
 		name:    pol.Name(),
@@ -60,37 +66,33 @@ func newSession(id string, pol sim.Policy, snap *Snapshot, queueDepth int, depth
 		snap:    snap,
 		ch:      make(chan func(), queueDepth),
 		done:    make(chan struct{}),
-		depth:   depth,
+		queued:  queued,
+		obsv:    obs.Nop{},
 		lastIdx: -1,
 	}
 }
 
-// noteDecision runs on the owner goroutine after each Decide: it
-// latches the decision for observation-side scoring and feeds the
-// accounting ledger. No-op without a hub.
-func (s *session) noteDecision(index int, d sim.Decision, queueWaitMS float64) {
-	s.lastIdx, s.lastD = index, d
-	if s.hub != nil {
-		s.hub.Accounting.RecordDecision(s.id, d.Fallback, d.Horizon, queueWaitMS)
-	}
-}
-
-// noteObservation runs on the owner goroutine after each Observe: when
-// the observation answers the latched decision and that decision
-// carried a prediction (fallbacks do not), the predicted-vs-measured
-// outcome is scored on the model scoreboard and both energies land in
-// the accounting ledger. No-op without a hub.
-func (s *session) noteObservation(ob sim.Observation) {
-	if s.hub == nil || ob.Index != s.lastIdx || s.lastD.PredTimeMS <= 0 {
+// report runs on the owner goroutine before the policy's Observe. When
+// the observation answers the latched decision, it reports the kernel
+// through sim.Report, as the engine does, from what the client
+// measured. Knob changes count against the previous observed
+// configuration, as the engine counts them against the previous
+// record; what the client does not measure (kernel name, CPU phase,
+// overhead and CPU-phase energy, throttle) stays zero.
+func (s *session) report(ob sim.Observation) {
+	if ob.Index != s.lastIdx || !obs.Enabled(s.obsv) {
 		return
 	}
-	s.hub.Scoreboard.Observe(s.snap.Gen, s.app,
-		s.lastD.PredTimeMS, ob.TimeMS, s.lastD.PredGPUPowerW, ob.GPUPowerW)
-	predMJ := predict.EnergyMJ(
-		predict.Estimate{TimeMS: s.lastD.PredTimeMS, GPUPowerW: s.lastD.PredGPUPowerW},
-		s.lastD.Config)
-	measMJ := (ob.GPUPowerW + ob.CPUPowerW) * ob.TimeMS
-	s.hub.Accounting.RecordObservation(s.id, ob.Config.String(), predMJ, measMJ)
+	knobs := 0
+	if s.prevCfg.Valid() {
+		knobs = sim.KnobDiff(s.prevCfg, ob.Config)
+	}
+	s.prevCfg, s.lastIdx = ob.Config, -1
+	sim.Report(s.obsv, s.name, s.app, s.lastD, sim.KernelRecord{
+		Index: ob.Index, Config: ob.Config, TimeMS: ob.TimeMS, OverheadMS: ob.OverheadMS,
+		Insts: ob.Insts, GPUEnergyMJ: ob.GPUPowerW * ob.TimeMS, CPUEnergyMJ: ob.CPUPowerW * ob.TimeMS,
+		Evals: s.lastD.Evals, KnobChanges: knobs, TempC: ob.TempC,
+	})
 }
 
 // run is the session's owner goroutine: it executes queued operations
@@ -100,10 +102,8 @@ func (s *session) noteObservation(ob sim.Observation) {
 func (s *session) run() {
 	defer close(s.done)
 	for op := range s.ch {
+		s.queued.Add(-1)
 		op()
-		if s.depth != nil {
-			s.depth.Set(float64(len(s.ch)))
-		}
 	}
 }
 
@@ -117,13 +117,14 @@ func (s *session) enqueue(op func()) error {
 	if s.closed {
 		return errSessionClosed
 	}
+	// Counted before the send, so the owner's decrement never runs first
+	// and the gauge never reads below zero.
+	s.queued.Add(1)
 	select {
 	case s.ch <- op:
-		if s.depth != nil {
-			s.depth.Set(float64(len(s.ch)))
-		}
 		return nil
 	default:
+		s.queued.Add(-1)
 		return errSessionFull
 	}
 }

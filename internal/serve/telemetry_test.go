@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"mpcdvfs"
+	"mpcdvfs/internal/metrics"
 	"mpcdvfs/internal/predict"
 	"mpcdvfs/internal/serve"
 	"mpcdvfs/internal/telemetry"
@@ -58,15 +59,17 @@ func get(t *testing.T, url string) (int, http.Header, []byte) {
 
 // TestTracedReplayMatchesGoldenConcurrent is the tracing determinism
 // contract: four sessions replaying concurrently under 100% trace
-// sampling — scoreboard, accounting and span ring all active — must
-// each stay byte-identical to the untraced local golden. Under -race
-// this also exercises concurrent scoreboard/accounting updates from
-// four session goroutines.
+// sampling — each reporting through its observer into the obs metrics
+// sink, the scoreboard and the ledger, with the span ring active — must
+// each stay byte-identical to the untraced, unobserved local golden.
+// Under -race this also exercises the shared sinks from four session
+// goroutines.
 func TestTracedReplayMatchesGoldenConcurrent(t *testing.T) {
 	sys, app, target, model := testStack(t)
 	golden := goldenReplay(t, sys, app, target, model)
 
 	hub := telemetry.NewHub(telemetry.Options{Sample: 1})
+	hub.Instrument(metrics.New())
 	_, ts := newTestServer(t, sys, model, serve.Config{Telemetry: hub})
 
 	const sessions = 4
@@ -222,7 +225,8 @@ func TestDecideSpanTreeAndDebugEndpoints(t *testing.T) {
 func TestScoreboardDegradesAcrossReload(t *testing.T) {
 	sys, app, target, model := testStack(t)
 
-	hub := telemetry.NewHub(telemetry.Options{Sample: 0, DriftFactor: 3})
+	hub := telemetry.NewHub(telemetry.Options{Sample: 0})
+	hub.Scoreboard = telemetry.NewScoreboard(telemetry.DefaultWindow, 3)
 	srv, ts := newTestServer(t, sys, model, serve.Config{
 		Telemetry: hub,
 		Train: func() (predict.Model, error) {
@@ -279,10 +283,12 @@ func TestScoreboardDegradesAcrossReload(t *testing.T) {
 			gen1.TimeMAPE, gen2.TimeMAPE)
 	}
 
-	// With generation 1's observed level as the baseline, generation 2
-	// crosses the drift gate (factor 3 — gen-1 errors are near zero
-	// against the oracle, gen-2 errors are ~40%).
-	hub.Scoreboard.SetDefaultBaseline(gen1.TimeMAPE+0.01, gen1.PowerMAPE+0.01)
+	// With generation 1's observed level as both generations' baseline,
+	// generation 2 crosses the drift gate (factor 3 — gen-1 errors are
+	// near zero against the oracle, gen-2 errors are ~40%).
+	for gen := uint64(1); gen <= 2; gen++ {
+		hub.Scoreboard.SetBaseline(gen, gen1.TimeMAPE+0.01, gen1.PowerMAPE+0.01)
+	}
 	cells := hub.Scoreboard.Snapshot()
 	for _, cell := range cells {
 		if cell.Gen == 2 && !cell.Drifted {

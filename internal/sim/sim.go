@@ -420,7 +420,7 @@ func (e *Engine) Run(app *workload.App, p Policy, target Target, firstRun bool) 
 		// waits for the rail to settle.
 		knobChanges := 0
 		if i > 0 {
-			knobChanges = configKnobDiff(res.Records[i-1].Config, d.Config)
+			knobChanges = KnobDiff(res.Records[i-1].Config, d.Config)
 		}
 		transMS := float64(knobChanges) * e.Cost.TransitionMS
 		ovMS += transMS
@@ -448,40 +448,7 @@ func (e *Engine) Run(app *workload.App, p Policy, target Target, firstRun bool) 
 		}
 		res.Records = append(res.Records, rec)
 		if observed {
-			o.OnDecision(obs.DecisionEvent{
-				Policy:      res.Policy,
-				App:         app.Name,
-				Index:       i,
-				Config:      d.Config,
-				Evals:       d.Evals,
-				SearchIters: d.SearchIters,
-				Horizon:     d.Horizon,
-				OverheadMS:  ovMS,
-				KnobChanges: knobChanges,
-			})
-			if d.Fallback != "" {
-				o.OnFallback(obs.FallbackEvent{
-					Policy: res.Policy, App: app.Name, Index: i, Reason: d.Fallback,
-				})
-			}
-			o.OnKernelDone(obs.KernelEvent{
-				Policy:           res.Policy,
-				App:              app.Name,
-				Index:            i,
-				Kernel:           rec.Kernel,
-				Config:           rec.Config,
-				TimeMS:           rec.TimeMS,
-				OverheadMS:       rec.OverheadMS,
-				CPUPhaseMS:       rec.CPUPhaseMS,
-				Insts:            rec.Insts,
-				GPUEnergyMJ:      rec.GPUEnergyMJ,
-				CPUEnergyMJ:      rec.CPUEnergyMJ,
-				OverheadEnergyMJ: rec.OverheadEnergyMJ,
-				CPUPhaseEnergyMJ: rec.CPUPhaseEnergyMJ,
-				Evals:            rec.Evals,
-				TempC:            rec.TempC,
-				ThrottleFactor:   rec.ThrottleFactor,
-			})
+			Report(o, res.Policy, app.Name, d, rec)
 		}
 		p.Observe(Observation{
 			Index:      i,
@@ -498,9 +465,52 @@ func (e *Engine) Run(app *workload.App, p Policy, target Target, firstRun bool) 
 	return res, nil
 }
 
-// configKnobDiff counts the knobs whose state differs between two
-// configurations.
-func configKnobDiff(a, b hw.Config) int {
+// Report emits the events of one executed kernel, in order: the
+// decision d that chose it (with rec's config, evals, charged overhead
+// and knob changes), its fallback when d took one, and the kernel's
+// measured accounting rec. The engine reports every kernel it runs; a
+// served session reports each kernel its client measured.
+func Report(o obs.Observer, policy, app string, d Decision, rec KernelRecord) {
+	o.OnDecision(obs.DecisionEvent{
+		Policy:      policy,
+		App:         app,
+		Index:       rec.Index,
+		Config:      rec.Config,
+		Evals:       rec.Evals,
+		SearchIters: d.SearchIters,
+		Horizon:     d.Horizon,
+		OverheadMS:  rec.OverheadMS,
+		KnobChanges: rec.KnobChanges,
+	})
+	if d.Fallback != "" {
+		o.OnFallback(obs.FallbackEvent{
+			Policy: policy, App: app, Index: rec.Index, Reason: d.Fallback,
+		})
+	}
+	o.OnKernelDone(obs.KernelEvent{
+		Policy:           policy,
+		App:              app,
+		Index:            rec.Index,
+		Kernel:           rec.Kernel,
+		Config:           rec.Config,
+		TimeMS:           rec.TimeMS,
+		OverheadMS:       rec.OverheadMS,
+		CPUPhaseMS:       rec.CPUPhaseMS,
+		Insts:            rec.Insts,
+		GPUEnergyMJ:      rec.GPUEnergyMJ,
+		CPUEnergyMJ:      rec.CPUEnergyMJ,
+		OverheadEnergyMJ: rec.OverheadEnergyMJ,
+		CPUPhaseEnergyMJ: rec.CPUPhaseEnergyMJ,
+		Evals:            rec.Evals,
+		TempC:            rec.TempC,
+		ThrottleFactor:   rec.ThrottleFactor,
+	})
+}
+
+// KnobDiff counts the knobs whose state differs between two
+// configurations: the knob changes a decision costs after the previous
+// kernel ran at a.
+func KnobDiff(a, b hw.Config) int {
 	n := 0
 	if a.CPU != b.CPU {
 		n++

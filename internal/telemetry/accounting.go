@@ -5,14 +5,16 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mpcdvfs/internal/hw"
 	"mpcdvfs/internal/metrics"
+	"mpcdvfs/internal/obs"
 )
 
 // maxSessionAccounts bounds the per-session accounting map: a
 // long-lived server churns through many short sessions (one per client
 // replay), and accounting is a debug surface, not a billing system.
 // When the bound is hit, the oldest session's row is evicted; its
-// energy totals stay in the per-config buckets and the global tallies.
+// energy totals stay in the per-config buckets.
 const maxSessionAccounts = 256
 
 // queueWindow bounds the per-session queue-wait window backing the p99
@@ -67,53 +69,26 @@ type energyAcct struct {
 }
 
 // Accounting is the cumulative energy and decision ledger of a serving
-// process. Safe for concurrent use from many session goroutines.
+// process: a sink of the served event stream (Sink), plus the queue
+// waits no event carries (RecordQueueWait). Safe for concurrent use
+// from many session goroutines.
 type Accounting struct {
-	mu        sync.Mutex
-	sessions  map[string]*sessionAcct
-	order     []string // session insertion order, for eviction
-	configs   map[string]*energyAcct
-	fallbacks map[string]uint64
-	horizons  map[int]uint64
+	mu       sync.Mutex
+	sessions map[string]*sessionAcct
+	order    []string // session insertion order, for eviction
+	configs  map[hw.Config]*energyAcct
+	horizons map[int]uint64
 
-	instr atomic.Pointer[acctInstr]
-}
-
-type acctInstr struct {
-	energyMJ  *metrics.CounterVec // {kind}
-	fallbacks *metrics.CounterVec // {reason}
-	horizon   *metrics.Histogram
-	queueWait *metrics.Histogram
+	queueWait atomic.Pointer[metrics.Histogram] // set by Hub.Instrument
 }
 
 // NewAccounting returns an empty ledger.
 func NewAccounting() *Accounting {
 	return &Accounting{
-		sessions:  map[string]*sessionAcct{},
-		configs:   map[string]*energyAcct{},
-		fallbacks: map[string]uint64{},
-		horizons:  map[int]uint64{},
+		sessions: map[string]*sessionAcct{},
+		configs:  map[hw.Config]*energyAcct{},
+		horizons: map[int]uint64{},
 	}
-}
-
-// Instrument mirrors the ledger into reg.
-func (a *Accounting) Instrument(reg *metrics.Registry) {
-	if a == nil {
-		return
-	}
-	a.instr.Store(&acctInstr{
-		energyMJ: reg.Counter("mpcdvfs_acct_energy_mj_total",
-			"Cumulative kernel energy attributed by the telemetry ledger, predicted vs measured (millijoules).",
-			"kind"),
-		fallbacks: reg.Counter("mpcdvfs_acct_fallbacks_total",
-			"Served decisions that took a degraded path, by reason.", "reason"),
-		horizon: reg.Histogram("mpcdvfs_acct_horizon",
-			"Prediction-horizon length of served decisions (kernels).",
-			metrics.LinearBuckets(0, 4, 16)).With(),
-		queueWait: reg.Histogram("mpcdvfs_acct_queue_wait_ms",
-			"Session queue wait of served decide operations, in milliseconds.",
-			metrics.ExponentialBuckets(0.01, 2, 16)).With(),
-	})
 }
 
 // session returns (creating if needed) the row for id. Caller holds mu.
@@ -132,59 +107,68 @@ func (a *Accounting) session(id string) *sessionAcct {
 	return s
 }
 
-// RecordDecision accounts one served decision: its queue wait, horizon
-// length, and fallback reason ("" for a steady-state decision).
-func (a *Accounting) RecordDecision(sessionID, fallback string, horizon int, queueWaitMS float64) {
+// RecordQueueWait books one served decision's session queue wait into
+// the session's p99 window and the queue-wait histogram.
+func (a *Accounting) RecordQueueWait(sessionID string, ms float64) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	s := a.session(sessionID)
-	s.decisions++
-	s.waits.push(queueWaitMS)
-	if fallback != "" {
-		s.fallbacks++
-		a.fallbacks[fallback]++
-	}
-	a.horizons[horizon]++
+	a.session(sessionID).waits.push(ms)
 	a.mu.Unlock()
-
-	if in := a.instr.Load(); in != nil {
-		if fallback != "" {
-			in.fallbacks.With(fallback).Inc()
-		}
-		in.horizon.Observe(float64(horizon))
-		in.queueWait.Observe(queueWaitMS)
+	if h := a.queueWait.Load(); h != nil {
+		h.Observe(ms)
 	}
 }
 
-// RecordObservation accounts one kernel's energy outcome: the energy
-// the predictor promised for the chosen configuration against the
-// energy the measurement implies, attributed to the session and to the
-// configuration bucket (hw.Config.String of the executed config).
-func (a *Accounting) RecordObservation(sessionID, config string, predictedMJ, measuredMJ float64) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	s := a.session(sessionID)
+// Sink returns the observer that books session sessionID's events into
+// the ledger: each decision with its horizon, each fallback, and each
+// model-error event as one observation whose predicted and measured
+// GPU+NB energy (power × time, the domain the predictor models) land in
+// the session's row and in the executed configuration's bucket.
+func (a *Accounting) Sink(sessionID string) obs.Observer {
+	return ledgerSink{a: a, id: sessionID}
+}
+
+type ledgerSink struct {
+	obs.Nop
+	a  *Accounting
+	id string
+}
+
+// OnDecision implements obs.Observer.
+func (l ledgerSink) OnDecision(e obs.DecisionEvent) {
+	l.a.mu.Lock()
+	l.a.session(l.id).decisions++
+	l.a.horizons[e.Horizon]++
+	l.a.mu.Unlock()
+}
+
+// OnFallback implements obs.Observer.
+func (l ledgerSink) OnFallback(obs.FallbackEvent) {
+	l.a.mu.Lock()
+	l.a.session(l.id).fallbacks++
+	l.a.mu.Unlock()
+}
+
+// OnModelError implements obs.Observer.
+func (l ledgerSink) OnModelError(e obs.ModelErrorEvent) {
+	predMJ := e.PredictedPowerW * e.PredictedTimeMS
+	measMJ := e.MeasuredPowerW * e.MeasuredTimeMS
+	l.a.mu.Lock()
+	s := l.a.session(l.id)
 	s.observations++
-	s.predictedMJ += predictedMJ
-	s.measuredMJ += measuredMJ
-	c, ok := a.configs[config]
+	s.predictedMJ += predMJ
+	s.measuredMJ += measMJ
+	c, ok := l.a.configs[e.Config]
 	if !ok {
 		c = &energyAcct{}
-		a.configs[config] = c
+		l.a.configs[e.Config] = c
 	}
 	c.observations++
-	c.predictedMJ += predictedMJ
-	c.measuredMJ += measuredMJ
-	a.mu.Unlock()
-
-	if in := a.instr.Load(); in != nil {
-		in.energyMJ.With("predicted").Add(predictedMJ)
-		in.energyMJ.With("measured").Add(measuredMJ)
-	}
+	c.predictedMJ += predMJ
+	c.measuredMJ += measMJ
+	l.a.mu.Unlock()
 }
 
 // SessionSummary is one session's ledger row.
@@ -208,9 +192,8 @@ type ConfigEnergy struct {
 
 // Snapshot is the ledger at one instant.
 type Snapshot struct {
-	Sessions  []SessionSummary  `json:"sessions"`
-	Configs   []ConfigEnergy    `json:"configs"`
-	Fallbacks map[string]uint64 `json:"fallbacks"`
+	Sessions []SessionSummary `json:"sessions"`
+	Configs  []ConfigEnergy   `json:"configs"`
 	// Horizons histograms served horizon lengths (key = length).
 	Horizons map[int]uint64 `json:"horizons"`
 }
@@ -224,10 +207,9 @@ func (a *Accounting) Snapshot() Snapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	snap := Snapshot{
-		Sessions:  make([]SessionSummary, 0, len(a.sessions)),
-		Configs:   make([]ConfigEnergy, 0, len(a.configs)),
-		Fallbacks: make(map[string]uint64, len(a.fallbacks)),
-		Horizons:  make(map[int]uint64, len(a.horizons)),
+		Sessions: make([]SessionSummary, 0, len(a.sessions)),
+		Configs:  make([]ConfigEnergy, 0, len(a.configs)),
+		Horizons: make(map[int]uint64, len(a.horizons)),
 	}
 	for _, id := range a.order {
 		s := a.sessions[id]
@@ -244,22 +226,19 @@ func (a *Accounting) Snapshot() Snapshot {
 	sort.Slice(snap.Sessions, func(i, j int) bool {
 		return snap.Sessions[i].SessionID < snap.Sessions[j].SessionID
 	})
-	keys := make([]string, 0, len(a.configs))
-	for k := range a.configs {
-		keys = append(keys, k)
+	keys := make([]hw.Config, 0, len(a.configs))
+	for cfg := range a.configs {
+		keys = append(keys, cfg)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		c := a.configs[k]
+	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	for _, cfg := range keys {
+		c := a.configs[cfg]
 		snap.Configs = append(snap.Configs, ConfigEnergy{
-			Config:            k,
+			Config:            cfg.String(),
 			Observations:      c.observations,
 			PredictedEnergyMJ: c.predictedMJ,
 			MeasuredEnergyMJ:  c.measuredMJ,
 		})
-	}
-	for k, v := range a.fallbacks {
-		snap.Fallbacks[k] = v
 	}
 	for k, v := range a.horizons {
 		snap.Horizons[k] = v

@@ -4,33 +4,53 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"mpcdvfs/internal/hw"
+	"mpcdvfs/internal/obs"
 )
+
+// served feeds one served kernel into a ledger sink the way a session
+// reports it: the decision, its fallback if any, then the model error.
+func served(o obs.Observer, horizon int, fallback string, cfg hw.Config, predMJ, measMJ float64) {
+	o.OnDecision(obs.DecisionEvent{Horizon: horizon, Config: cfg})
+	if fallback != "" {
+		o.OnFallback(obs.FallbackEvent{Reason: fallback})
+	}
+	o.OnKernelDone(obs.KernelEvent{Config: cfg})
+	o.OnModelError(obs.ModelErrorEvent{Config: cfg,
+		PredictedTimeMS: 1, PredictedPowerW: predMJ, MeasuredTimeMS: 1, MeasuredPowerW: measMJ})
+}
 
 func TestAccountingLedger(t *testing.T) {
 	a := NewAccounting()
-	a.RecordDecision("s1", "", 4, 0.5)
-	a.RecordDecision("s1", "cold_start", 1, 2.0)
-	a.RecordDecision("s2", "", 8, 0.1)
-	a.RecordObservation("s1", "g3/m1/c2", 10, 12)
-	a.RecordObservation("s1", "g3/m1/c2", 5, 4)
-	a.RecordObservation("s2", "g0/m0/c0", 7, 7)
+	s1, s2 := a.Sink("s1"), a.Sink("s2")
+	hot, safe := hw.DefaultSpace().At(0), hw.FailSafe()
+	served(s1, 4, "", safe, 10, 12)
+	served(s1, 1, obs.FallbackColdStart, safe, 5, 4)
+	served(s2, 8, "", hot, 7, 7)
+	a.RecordQueueWait("s1", 0.5)
 
 	snap := a.Snapshot()
 	if len(snap.Sessions) != 2 {
 		t.Fatalf("got %d sessions, want 2", len(snap.Sessions))
 	}
-	s1 := snap.Sessions[0]
-	if s1.SessionID != "s1" || s1.Decisions != 2 || s1.Observations != 2 || s1.Fallbacks != 1 {
-		t.Fatalf("s1 row wrong: %+v", s1)
+	r1 := snap.Sessions[0]
+	if r1.SessionID != "s1" || r1.Decisions != 2 || r1.Observations != 2 || r1.Fallbacks != 1 {
+		t.Fatalf("s1 row wrong: %+v", r1)
 	}
-	if s1.PredictedEnergyMJ != 15 || s1.MeasuredEnergyMJ != 16 {
-		t.Fatalf("s1 energy = %v/%v, want 15/16", s1.PredictedEnergyMJ, s1.MeasuredEnergyMJ)
+	if r1.PredictedEnergyMJ != 15 || r1.MeasuredEnergyMJ != 16 || r1.QueueWaitP99MS != 0.5 {
+		t.Fatalf("s1 energy/wait = %v/%v/%v, want 15/16/0.5", r1.PredictedEnergyMJ, r1.MeasuredEnergyMJ, r1.QueueWaitP99MS)
 	}
-	if len(snap.Configs) != 2 || snap.Configs[1].Config != "g3/m1/c2" || snap.Configs[1].PredictedEnergyMJ != 15 {
+	if len(snap.Configs) != 2 {
 		t.Fatalf("config buckets wrong: %+v", snap.Configs)
 	}
-	if snap.Fallbacks["cold_start"] != 1 {
-		t.Fatalf("fallback tally wrong: %+v", snap.Fallbacks)
+	for _, c := range snap.Configs {
+		if c.Config == safe.String() && (c.Observations != 2 || c.PredictedEnergyMJ != 15) {
+			t.Fatalf("fail-safe bucket wrong: %+v", c)
+		}
+	}
+	if snap.Configs[0].Config > snap.Configs[1].Config {
+		t.Fatalf("config buckets not sorted: %+v", snap.Configs)
 	}
 	if snap.Horizons[4] != 1 || snap.Horizons[1] != 1 || snap.Horizons[8] != 1 {
 		t.Fatalf("horizon tally wrong: %+v", snap.Horizons)
@@ -40,7 +60,7 @@ func TestAccountingLedger(t *testing.T) {
 func TestAccountingQueueWaitP99(t *testing.T) {
 	a := NewAccounting()
 	for i := 1; i <= 100; i++ {
-		a.RecordDecision("s", "", 1, float64(i))
+		a.RecordQueueWait("s", float64(i))
 	}
 	snap := a.Snapshot()
 	p99 := snap.Sessions[0].QueueWaitP99MS
@@ -54,8 +74,7 @@ func TestAccountingQueueWaitP99(t *testing.T) {
 func TestAccountingSessionEviction(t *testing.T) {
 	a := NewAccounting()
 	for i := 0; i < maxSessionAccounts+10; i++ {
-		id := fmt.Sprintf("s%04d", i)
-		a.RecordObservation(id, "cfg", 1, 1)
+		served(a.Sink(fmt.Sprintf("s%04d", i)), 1, "", hw.FailSafe(), 1, 1)
 	}
 	snap := a.Snapshot()
 	if len(snap.Sessions) != maxSessionAccounts {
@@ -71,8 +90,7 @@ func TestAccountingSessionEviction(t *testing.T) {
 
 func TestAccountingNilSafe(t *testing.T) {
 	var a *Accounting
-	a.RecordDecision("s", "x", 1, 1)
-	a.RecordObservation("s", "c", 1, 1)
+	a.RecordQueueWait("s", 1)
 	if snap := a.Snapshot(); snap.Sessions != nil {
 		t.Fatal("nil ledger returned sessions")
 	}
@@ -89,9 +107,10 @@ func TestAccountingConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			id := fmt.Sprintf("sess-%d", g)
+			sink := a.Sink(id)
 			for i := 0; i < perG; i++ {
-				a.RecordDecision(id, "", 4, 0.2)
-				a.RecordObservation(id, "cfg", 1, 1)
+				a.RecordQueueWait(id, 0.2)
+				served(sink, 4, "", hw.FailSafe(), 1, 1)
 				if i%100 == 0 {
 					a.Snapshot()
 				}

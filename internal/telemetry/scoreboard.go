@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"mpcdvfs/internal/metrics"
+	"mpcdvfs/internal/obs"
 )
 
 // minDriftSamples is the fewest window samples before a cell may be
@@ -92,13 +93,11 @@ type Scoreboard struct {
 	window int
 	factor float64
 
-	mu       sync.Mutex
-	cells    map[cellKey]*cell
-	order    []cellKey
-	base     map[uint64]Baseline
-	defBase  Baseline
-	haveBase bool
-	onDrift  func(gen uint64, app string)
+	mu      sync.Mutex
+	cells   map[cellKey]*cell
+	order   []cellKey
+	base    map[uint64]Baseline
+	onDrift func(gen uint64, app string)
 
 	instr atomic.Pointer[scoreInstr]
 }
@@ -111,16 +110,10 @@ type scoreInstr struct {
 	drift        *metrics.GaugeVec
 }
 
-// NewScoreboard returns a scoreboard with the given rolling window per
-// cell and drift factor (rolling MAPE > factor × baseline MAPE flags
-// drift).
+// NewScoreboard returns a scoreboard with the given positive rolling
+// window per cell and drift factor (rolling MAPE > factor × baseline
+// MAPE flags drift).
 func NewScoreboard(window int, driftFactor float64) *Scoreboard {
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	if driftFactor <= 0 {
-		driftFactor = DefaultDriftFactor
-	}
 	return &Scoreboard{
 		window: window,
 		factor: driftFactor,
@@ -138,18 +131,6 @@ func (b *Scoreboard) SetBaseline(gen uint64, timeMAPE, powerMAPE float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.base[gen] = Baseline{TimeMAPE: timeMAPE, PowerMAPE: powerMAPE}
-}
-
-// SetDefaultBaseline sets the baseline used for generations without an
-// explicit SetBaseline call.
-func (b *Scoreboard) SetDefaultBaseline(timeMAPE, powerMAPE float64) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.defBase = Baseline{TimeMAPE: timeMAPE, PowerMAPE: powerMAPE}
-	b.haveBase = true
 }
 
 // SetDriftHook registers fn to be called on a cell's drift rising edge:
@@ -237,15 +218,29 @@ func (b *Scoreboard) Observe(gen uint64, app string, predTimeMS, measTimeMS, pre
 	}
 }
 
-// driftedLocked evaluates the drift rule for one cell. Caller holds mu.
+// Sink returns the observer that scores model-error events against
+// generation gen, each in the cell of its event's app: the scoreboard
+// reads the same estimate and measurement the prediction-error
+// histogram does.
+func (b *Scoreboard) Sink(gen uint64) obs.Observer {
+	return scoreSink{b: b, gen: gen}
+}
+
+type scoreSink struct {
+	obs.Nop
+	b   *Scoreboard
+	gen uint64
+}
+
+// OnModelError implements obs.Observer.
+func (s scoreSink) OnModelError(e obs.ModelErrorEvent) {
+	s.b.Observe(s.gen, e.App, e.PredictedTimeMS, e.MeasuredTimeMS, e.PredictedPowerW, e.MeasuredPowerW)
+}
+
+// driftedLocked evaluates the drift rule for one cell; a generation
+// without a baseline never drifts. Caller holds mu.
 func (b *Scoreboard) driftedLocked(gen uint64, c *cell) bool {
-	base, ok := b.base[gen]
-	if !ok {
-		if !b.haveBase {
-			return false
-		}
-		base = b.defBase
-	}
+	base := b.base[gen]
 	if c.time.n < minDriftSamples {
 		return false
 	}
@@ -284,10 +279,6 @@ func (b *Scoreboard) Snapshot() []CellSnapshot {
 	out := make([]CellSnapshot, 0, len(b.order))
 	for _, key := range b.order {
 		c := b.cells[key]
-		base, ok := b.base[key.gen]
-		if !ok && b.haveBase {
-			base = b.defBase
-		}
 		out = append(out, CellSnapshot{
 			Gen:          key.gen,
 			App:          key.app,
@@ -298,7 +289,7 @@ func (b *Scoreboard) Snapshot() []CellSnapshot {
 			TimeBias:     c.time.bias(),
 			PowerBias:    c.power.bias(),
 			Drifted:      b.driftedLocked(key.gen, c),
-			Baseline:     base,
+			Baseline:     b.base[key.gen],
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {

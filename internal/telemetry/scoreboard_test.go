@@ -96,11 +96,12 @@ func TestScoreboardDrift(t *testing.T) {
 		}
 	}
 
-	// A default baseline turns drift detection on for generation 2.
-	b.SetDefaultBaseline(0.10, 0.10)
+	// A baseline registered later turns drift detection on for
+	// generation 2's existing window.
+	b.SetBaseline(2, 0.10, 0.10)
 	for _, c := range b.Snapshot() {
 		if c.Gen == 2 && c.App == "bad" && !c.Drifted {
-			t.Error("gen-2 cell not drifted under the default baseline")
+			t.Error("gen-2 cell not drifted under its late baseline")
 		}
 	}
 }

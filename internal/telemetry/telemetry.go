@@ -24,14 +24,24 @@
 //     of signed relative prediction error and MAPE for time and power,
 //     with drift detection against a training-time MAPE baseline.
 //   - Accounting (accounting.go): cumulative predicted-vs-measured
-//     energy per session and per configuration bucket, fallback and
-//     horizon tallies, queue-wait windows with per-session p99.
+//     energy per session and per configuration bucket, decision,
+//     fallback and horizon tallies, queue-wait windows with per-session
+//     p99.
 //
 // A Hub bundles the three so the serve layer and the commands thread
-// one pointer instead of three.
+// one pointer instead of three. The scoreboard and the ledger are sinks
+// of the obs event stream: each served session reports through the
+// observer Hub.SessionObserver builds, which also feeds the obs.Metrics
+// families. Model error reaches the scoreboard, the ledger and the
+// prediction-error histogram as one obs.ModelErrorEvent.
 package telemetry
 
-import "mpcdvfs/internal/metrics"
+import (
+	"sync/atomic"
+
+	"mpcdvfs/internal/metrics"
+	"mpcdvfs/internal/obs"
+)
 
 // Traceable is implemented by policies that carry a trace context into
 // their decision internals (search spans, predictor phase timing). The
@@ -59,18 +69,6 @@ type Options struct {
 	// trace is ever sampled and the per-decision cost is one atomic
 	// load plus a branch.
 	Sample int
-	// Window is the scoreboard's rolling error window per
-	// (generation, app) cell (<= 0 uses DefaultWindow).
-	Window int
-	// DriftFactor flags a cell as drifted when its rolling MAPE
-	// exceeds DriftFactor × the generation's baseline MAPE
-	// (<= 0 uses DefaultDriftFactor).
-	DriftFactor float64
-	// BaselineTimeMAPE/BaselinePowerMAPE, when positive, are the
-	// fallback training-time MAPE fractions used for drift detection
-	// on generations with no explicit Scoreboard.SetBaseline call.
-	BaselineTimeMAPE  float64
-	BaselinePowerMAPE float64
 }
 
 // Hub bundles the telemetry surfaces one serving process uses.
@@ -78,31 +76,28 @@ type Hub struct {
 	Tracer     *Tracer
 	Scoreboard *Scoreboard
 	Accounting *Accounting
+
+	// metrics is the event stream's metrics sink, registered by
+	// Instrument; nil until then.
+	metrics atomic.Pointer[obs.Metrics]
 }
 
-// NewHub builds a Hub from o, applying defaults.
+// NewHub builds a Hub from o, applying defaults. Its scoreboard keeps
+// DefaultWindow errors per cell and flags drift at DefaultDriftFactor.
 func NewHub(o Options) *Hub {
 	if o.RingSize <= 0 {
 		o.RingSize = DefaultRingSize
 	}
-	if o.Window <= 0 {
-		o.Window = DefaultWindow
-	}
-	if o.DriftFactor <= 0 {
-		o.DriftFactor = DefaultDriftFactor
-	}
-	sb := NewScoreboard(o.Window, o.DriftFactor)
-	if o.BaselineTimeMAPE > 0 || o.BaselinePowerMAPE > 0 {
-		sb.SetDefaultBaseline(o.BaselineTimeMAPE, o.BaselinePowerMAPE)
-	}
 	return &Hub{
 		Tracer:     NewTracer(o.RingSize, o.Sample),
-		Scoreboard: sb,
+		Scoreboard: NewScoreboard(DefaultWindow, DefaultDriftFactor),
 		Accounting: NewAccounting(),
 	}
 }
 
-// Instrument mirrors all three surfaces into reg. Call once, before
+// Instrument registers the hub's families on reg: the tracer's, the
+// scoreboard's, the ledger's queue-wait histogram, and the obs.Metrics
+// families that served sessions' events land in. Call once, before
 // traffic.
 func (h *Hub) Instrument(reg *metrics.Registry) {
 	if h == nil {
@@ -110,5 +105,20 @@ func (h *Hub) Instrument(reg *metrics.Registry) {
 	}
 	h.Tracer.Instrument(reg)
 	h.Scoreboard.Instrument(reg)
-	h.Accounting.Instrument(reg)
+	h.Accounting.queueWait.Store(reg.Histogram("mpcdvfs_acct_queue_wait_ms",
+		"Session queue wait of served decide operations, in milliseconds.",
+		metrics.ExponentialBuckets(0.01, 2, 16)).With())
+	h.metrics.Store(obs.NewMetrics(reg))
+}
+
+// SessionObserver returns the observer one served session reports
+// through. It fans every event out to the obs.Metrics sink Instrument
+// registered (none before Instrument), to the session's ledger row, and
+// to the scoreboard cells of the generation the session is pinned to.
+func (h *Hub) SessionObserver(sessionID string, gen uint64) obs.Observer {
+	var m obs.Observer
+	if mo := h.metrics.Load(); mo != nil {
+		m = mo
+	}
+	return obs.Multi(m, h.Accounting.Sink(sessionID), h.Scoreboard.Sink(gen))
 }
