@@ -27,9 +27,10 @@ func init() {
 // the witness chain), calls to other hotpath-annotated functions are
 // trusted (each is proven under its own annotation), external calls
 // must be on a small allowlist of known allocation-free stdlib
-// operations, and interface or function-value calls are unprovable and
-// flagged at the site. panic(...) argument subtrees are exempt — the
-// failure path is allowed to allocate its message.
+// operations (a function an allowlisted external is handed counts as
+// a call at the argument), and interface or function-value calls are
+// unprovable and flagged at the site. panic(...) argument subtrees are
+// exempt — the failure path is allowed to allocate its message.
 func runHotpathAlloc(p *ModulePass) {
 	g := p.Graph
 	h := &hotState{
@@ -321,6 +322,51 @@ func (h *hotState) classifyCall(f *hotFacts, info *types.Info, call *ast.CallExp
 	if !hotAllowedExternal(callee) {
 		f.calls = append(f.calls, hotCall{pos: call.Pos(),
 			desc: fmt.Sprintf("call to %s is outside the module and not on the allocation-free allowlist", callee.FullName())})
+		return
+	}
+	// An allowlisted external calls the functions it is handed (the
+	// comparator of slices.SortStableFunc) where the analyzer cannot
+	// see: each function-typed argument counts as a call made here.
+	for _, arg := range call.Args {
+		h.classifyFuncArg(f, info, arg)
+	}
+}
+
+// classifyFuncArg classifies a function value passed to an allowlisted
+// external. A literal is walked in place (and flagged there if it
+// captures), a named function is a static call like any other, and any
+// other function value — a parameter, a variable, a method value — is a
+// dynamic call.
+func (h *hotState) classifyFuncArg(f *hotFacts, info *types.Info, arg ast.Expr) {
+	arg = ast.Unparen(arg)
+	if t := info.TypeOf(arg); t == nil {
+		return
+	} else if _, isFunc := t.Underlying().(*types.Signature); !isFunc {
+		return
+	}
+	var fn *types.Func
+	switch a := arg.(type) {
+	case *ast.FuncLit:
+		return
+	case *ast.Ident:
+		fn, _ = info.Uses[a].(*types.Func)
+	case *ast.SelectorExpr:
+		if _, isSel := info.Selections[a]; !isSel { // pkg.F, not a method value
+			fn, _ = info.Uses[a.Sel].(*types.Func)
+		}
+	}
+	if fn == nil {
+		f.calls = append(f.calls, hotCall{pos: arg.Pos(), desc: "function value passed to an allowlisted call cannot be proven allocation-free"})
+		return
+	}
+	fn = normFunc(fn)
+	if h.pass.Graph.Decl(fn) != nil {
+		f.calls = append(f.calls, hotCall{pos: arg.Pos(), callee: fn})
+		return
+	}
+	if !hotAllowedExternal(fn) {
+		f.calls = append(f.calls, hotCall{pos: arg.Pos(),
+			desc: fmt.Sprintf("call to %s is outside the module and not on the allocation-free allowlist", fn.FullName())})
 	}
 }
 
@@ -414,6 +460,11 @@ func hotAllowedExternal(fn *types.Func) bool {
 		return fn.Name() == "Background" || fn.Name() == "TODO"
 	}
 	switch fn.FullName() {
+	case "slices.SortStableFunc":
+		// Insertion sort plus in-place symmetric merges: no buffer and,
+		// unlike sort.SliceStable, no reflect swapper. classifyCall
+		// proves the comparator as a call at its argument.
+		return true
 	case "(*sync.Pool).Get", "(*sync.Pool).Put",
 		"(*sync.Mutex).Lock", "(*sync.Mutex).Unlock",
 		"(*sync.RWMutex).RLock", "(*sync.RWMutex).RUnlock",

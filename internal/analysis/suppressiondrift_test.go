@@ -23,8 +23,17 @@ func TestNoSuppressionDrift(t *testing.T) {
 		// float-eq suppressions are the byte-identical-forest guarantee.
 		filepath.Join("internal", "rf", "rf.go"): 3,
 		// hotpath-alloc: the eval cache's miss-path insert and the
-		// deployed-model PredictKernel call, both off the pinned warm path.
-		filepath.Join("internal", "core", "climb.go"): 2,
+		// deployed-model PredictKernel call, both off the pinned warm path;
+		// OptimizeWindow's empty-window model call and exhaustive-ablation
+		// sweep, both off the steady-state path; and the window and slot
+		// scratch appends, capacity-bounded by the longest window.
+		// TestMPCSteadyStateRunZeroAlloc pins the window path.
+		filepath.Join("internal", "core", "climb.go"): 6,
+		// hotpath-alloc: decideMPC's once-per-run deficit pricing (model
+		// interface), its horizon-change observer call, its window append
+		// within the capacity Begin reserves, and the pattern-divergence
+		// PPK fallback. TestMPCSteadyStateRunZeroAlloc pins the run.
+		filepath.Join("internal", "policy", "mpc.go"): 4,
 		// hotpath-alloc: the batched sweep's once-per-space plan build.
 		filepath.Join("internal", "predict", "spaceeval.go"): 1,
 		// determinism-taint: CHA may-target through serve.Client.Decide

@@ -7,6 +7,7 @@ package p
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -61,4 +62,35 @@ func Pooled(s *state) float64 {
 	x := v[0]
 	s.pool.Put(v)
 	return x
+}
+
+// Sorted stable-sorts a caller's array in place: slices.SortStableFunc
+// is on the allowlist, and its comparator is proven as a call at the
+// argument — a literal that captures nothing is walked in place, and a
+// named module function is followed like a static call.
+//
+//mpclint:hotpath proven by the fixture's AllocsPerRun pin
+func Sorted(buf *[8]float64) float64 {
+	slices.SortStableFunc(buf[:], func(a, b float64) int {
+		switch {
+		case a < b:
+			return -1
+		case b < a:
+			return 1
+		}
+		return 0
+	})
+	slices.SortStableFunc(buf[:], descending)
+	return buf[0]
+}
+
+// descending is a clean module comparator.
+func descending(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case b > a:
+		return 1
+	}
+	return 0
 }

@@ -3,7 +3,11 @@
 // unprovable callees, and transitive chains through module helpers.
 package p
 
-import "strings"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
 type pair struct{ a, b int }
 
@@ -73,4 +77,29 @@ func Boxes(n int, w writer, b []byte, s string) int {
 //mpclint:hotpath exercised under a findings-fixture pin
 func Transitive(n int) int {
 	return len(mid(n)) // want `call may allocate in //mpclint:hotpath function p\.Transitive: p\.Transitive → p\.mid → p\.leaf \(make allocates at p\.go:\d+\); the zero-alloc pin extends to everything the hot path calls`
+}
+
+// Sorts shows the ways a stable sort allocates or goes unproven:
+// sort.SliceStable boxes its slice and builds a reflect swapper (it is
+// off the allowlist), and slices.SortStableFunc, though allowlisted,
+// calls its comparator — a capturing literal is a closure, a named
+// module function is followed to its allocation, and a function
+// parameter cannot be proven at all.
+//
+//mpclint:hotpath exercised under a findings-fixture pin
+func Sorts(xs []int, desc bool, by func(a, b int) int) {
+	sort.SliceStable(xs, func(a, b int) bool { return xs[a] < xs[b] }) // want `call to sort\.SliceStable is outside the module and not on the allocation-free allowlist` `argument boxed into interface parameter` `closure captures variables and allocates`
+	slices.SortStableFunc(xs, func(a, b int) int {                     // want `closure captures variables and allocates`
+		if desc {
+			return b - a
+		}
+		return a - b
+	})
+	slices.SortStableFunc(xs, byLen) // want `call may allocate in //mpclint:hotpath function p\.Sorts: p\.Sorts → p\.byLen → p\.leaf \(make allocates at p\.go:\d+\)`
+	slices.SortStableFunc(xs, by)    // want `function value passed to an allowlisted call cannot be proven allocation-free`
+}
+
+// byLen compares through an allocating helper.
+func byLen(a, b int) int {
+	return len(leaf(a)) - len(leaf(b))
 }

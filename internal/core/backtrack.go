@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"mpcdvfs/internal/hw"
 )
@@ -30,7 +31,9 @@ func (o *Optimizer) BruteForceWindow(win []WindowKernel, tr *Tracker) BruteForce
 	if len(win) == 0 {
 		return BruteForceResult{Config: o.failSafe}
 	}
-	ordered := o.orderWindow(win, func(a, b WindowKernel) bool { return a.ExecIndex < b.ExecIndex })
+	o.winScratch = append(o.winScratch[:0], win...)
+	ordered := o.winScratch
+	slices.SortStableFunc(ordered, byExecIndex)
 
 	// Window budget: total expected time so that cumulative throughput
 	// through the window still meets the target (Eq. 3).

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"mpcdvfs/internal/counters"
@@ -44,9 +44,15 @@ type Optimizer struct {
 	// steps so the receding-horizon hot loop stops re-allocating the
 	// sorted window copy and its per-kernel bookkeeping every decision.
 	// Consistent with the not-concurrent-use contract above.
-	winScratch     []WindowKernel
-	cacheScratch   []*evalCache
-	deficitScratch []float64
+	winScratch  []WindowKernel
+	slotScratch []windowSlot
+}
+
+// windowSlot is one ordered window kernel's decision cache and
+// fail-safe time deficit.
+type windowSlot struct {
+	cache   *evalCache
+	deficit float64
 }
 
 // NewOptimizer returns an optimizer over the given model and space.
@@ -187,7 +193,8 @@ func (o *Optimizer) hillClimb(cache *evalCache, headroomMS float64, recover bool
 		dir  int
 		sens float64
 	}
-	var order []knobSens
+	var order [hw.NumKnobs]knobSens
+	n := 0
 	for _, k := range hw.Knobs() {
 		best := knobSens{knob: k}
 		for _, dir := range [2]int{+1, -1} {
@@ -202,12 +209,13 @@ func (o *Optimizer) hillClimb(cache *evalCache, headroomMS float64, recover bool
 			}
 		}
 		if best.dir != 0 {
-			order = append(order, best)
+			order[n] = best
+			n++
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool { return order[a].sens > order[b].sens })
+	slices.SortStableFunc(order[:n], func(a, b knobSens) int { return ascending(b.sens, a.sens) }) // descending
 
-	for _, ks := range order {
+	for _, ks := range order[:n] {
 		for {
 			nb, ok := o.Space.Step(cur, ks.knob, ks.dir)
 			if !ok {
@@ -323,27 +331,12 @@ func (o *Optimizer) fastestNeighbor(cache *evalCache, cur hw.Config, curTime, fl
 	return best, bestEst, bestE, found
 }
 
-// search dispatches to the configured per-kernel search strategy.
-func (o *Optimizer) search(cache *evalCache, headroomMS float64, recover bool, refTimeMS float64) climbResult {
-	if o.UseExhaustive {
-		return o.exhaustive(cache, headroomMS)
-	}
-	return o.hillClimb(cache, headroomMS, recover, refTimeMS)
-}
-
-// orderWindow copies win into the optimizer's reused scratch buffer and
-// stable-sorts it by less. Both window optimizers used to allocate this
-// copy every receding-horizon step; the scratch makes the copy free in
-// steady state while the stable sort keeps the exact tie-break order the
-// allocating version produced (argmin/eval-count parity is pinned by the
-// window invariant tests). The returned slice is valid until the next
-// orderWindow call.
-func (o *Optimizer) orderWindow(win []WindowKernel, less func(a, b WindowKernel) bool) []WindowKernel {
-	o.winScratch = append(o.winScratch[:0], win...)
-	ordered := o.winScratch
-	sort.SliceStable(ordered, func(a, b int) bool { return less(ordered[a], ordered[b]) })
-	return ordered
-}
+// byRank and byExecIndex order window kernels for the two window
+// optimizers, which stable-sort a scratch copy of the window so ties
+// keep their window order (argmin/eval-count parity is pinned by the
+// window invariant tests).
+func byRank(a, b WindowKernel) int      { return ascending(a.Rank, b.Rank) }
+func byExecIndex(a, b WindowKernel) int { return ascending(a.ExecIndex, b.ExecIndex) }
 
 // WindowKernel is one kernel of an MPC optimization window.
 type WindowKernel struct {
@@ -369,15 +362,21 @@ type WindowKernel struct {
 //
 // If the window is empty, the fail-safe configuration is returned with
 // zero evaluations.
+//
+//mpclint:hotpath steady-state MPC run pinned at 0 allocs by TestMPCSteadyStateRunZeroAlloc
 func (o *Optimizer) OptimizeWindow(win []WindowKernel, tr *Tracker) (hw.Config, predict.Estimate, int) {
 	if len(win) == 0 {
+		//mpclint:ignore hotpath-alloc model interface call on the empty-window guard; the steady-state MPC falls back before it optimizes an empty window, so TestMPCSteadyStateRunZeroAlloc never reaches it
 		est := o.Model.PredictKernel(counters.Set{}, o.failSafe)
 		return o.failSafe, est, 0
 	}
-	// Order the window by search-order rank, into the reused scratch
-	// copy (stable sort of identical data: identical order every step,
+	// Order the window by search-order rank, in the reused scratch copy
+	// (stable sort of identical data: identical order every step,
 	// whatever buffer holds it).
-	ordered := o.orderWindow(win, func(a, b WindowKernel) bool { return a.Rank < b.Rank })
+	//mpclint:ignore hotpath-alloc scratch grows only past the longest window so far, at most the run's kernel count; TestMPCSteadyStateRunZeroAlloc pins a warm run at 0 allocs
+	o.winScratch = append(o.winScratch[:0], win...)
+	ordered := o.winScratch
+	slices.SortStableFunc(ordered, byRank)
 
 	cur := win[0]
 	for _, w := range win[1:] {
@@ -389,8 +388,7 @@ func (o *Optimizer) OptimizeWindow(win []WindowKernel, tr *Tracker) (hw.Config, 
 	// Per-kernel evaluation caches and fail-safe deficits, in reused
 	// scratch; the caches are pooled and returned before this step ends.
 	tp := tr.TargetThroughput()
-	caches := o.cacheScratch[:0]
-	deficit := o.deficitScratch[:0]
+	slots := o.slotScratch[:0]
 	remaining := 0.0
 	for _, w := range ordered {
 		cache := acquireEvalCache(o, w.Rec.Counters)
@@ -401,26 +399,27 @@ func (o *Optimizer) OptimizeWindow(win []WindowKernel, tr *Tracker) (hw.Config, 
 				d = fd
 			}
 		}
-		caches = append(caches, cache)
-		deficit = append(deficit, d)
+		//mpclint:ignore hotpath-alloc scratch grows only past the longest window so far, at most the run's kernel count; TestMPCSteadyStateRunZeroAlloc pins a warm run at 0 allocs
+		slots = append(slots, windowSlot{cache, d})
 		remaining += d
 	}
-	o.cacheScratch, o.deficitScratch = caches, deficit
-	defer func() {
-		for i, c := range caches {
-			releaseEvalCache(c)
-			caches[i] = nil // no stale cache pointers in the scratch
-		}
-	}()
+	o.slotScratch = slots
+	defer releaseWindowCaches(slots)
 
-	spec := tr.Clone()
+	spec := *tr // speculative copy: the real tracker advances only on measurements
 	evals := 0
 	var curChoice climbResult
 	haveCur := false
 	for i, w := range ordered {
-		remaining -= deficit[i]
+		remaining -= slots[i].deficit
 		head := spec.HeadroomMS(w.ExpInsts) - remaining
-		res := o.search(caches[i], head, w.ExecIndex == cur.ExecIndex, w.Rec.TimeMS)
+		var res climbResult
+		if o.UseExhaustive {
+			//mpclint:ignore hotpath-alloc exhaustive-ablation sweep (WithExhaustiveSearch), off the deployed steady-state path TestMPCSteadyStateRunZeroAlloc pins
+			res = o.exhaustive(slots[i].cache, head)
+		} else {
+			res = o.hillClimb(slots[i].cache, head, w.ExecIndex == cur.ExecIndex, w.Rec.TimeMS)
+		}
 		evals += res.Evals
 		spec.Add(w.ExpInsts, res.Est.TimeMS)
 		if w.ExecIndex == cur.ExecIndex && !haveCur {
@@ -429,4 +428,14 @@ func (o *Optimizer) OptimizeWindow(win []WindowKernel, tr *Tracker) (hw.Config, 
 		}
 	}
 	return curChoice.Config, curChoice.Est, evals
+}
+
+// releaseWindowCaches returns a window step's caches to the pool and
+// clears their scratch slots, so no stale cache pointer outlives the
+// step.
+func releaseWindowCaches(slots []windowSlot) {
+	for i := range slots {
+		releaseEvalCache(slots[i].cache)
+		slots[i].cache = nil
+	}
 }

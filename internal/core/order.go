@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Profile is the per-kernel information gathered during the first
@@ -69,9 +70,24 @@ func BuildSearchOrder(p Profile, targetTP float64) ([]int, error) {
 			below = append(below, i)
 		}
 	}
-	sort.SliceStable(above, func(a, b int) bool { return tp[above[a]] < tp[above[b]] })
-	sort.SliceStable(below, func(a, b int) bool { return tp[below[a]] > tp[below[b]] })
+	slices.SortStableFunc(above, func(a, b int) int { return ascending(tp[a], tp[b]) })
+	slices.SortStableFunc(below, func(a, b int) int { return ascending(tp[b], tp[a]) })
 	return append(above, below...), nil
+}
+
+// ascending compares x and y for slices.SortStableFunc. It is negative
+// exactly when x < y, and the stable sort tests only for a negative
+// result, so a NaN stays where a < comparison leaves it (cmp.Compare
+// would move it to the front). Being module code, it is also a
+// comparator mpclint's hotpath-alloc proof can follow.
+func ascending[T cmp.Ordered](x, y T) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
+	}
+	return 0
 }
 
 // RankOf inverts a search order: rank[k] is the position of kernel k in

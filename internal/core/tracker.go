@@ -18,6 +18,10 @@ type Tracker struct {
 // energy unconditionally.
 func NewTracker(targetTP float64) *Tracker { return &Tracker{targetTP: targetTP} }
 
+// Reset empties the tracker in place and sets a new target, so a policy
+// can keep one tracker across runs instead of allocating one per run.
+func (t *Tracker) Reset(targetTP float64) { *t = Tracker{targetTP: targetTP} }
+
 // Add records a completed (or virtually scheduled) kernel.
 func (t *Tracker) Add(insts, timeMS float64) {
 	t.sumInsts += insts
@@ -46,8 +50,8 @@ func (t *Tracker) HeadroomMS(expInsts float64) float64 {
 	return (t.sumInsts+expInsts)/t.targetTP - t.sumTimeMS
 }
 
-// Clone returns an independent copy — the window optimizer speculates on
-// a copy while the real tracker only advances on measured results.
+// Clone returns an independent copy, to speculate on while the real
+// tracker only advances on measured results.
 func (t *Tracker) Clone() *Tracker {
 	c := *t
 	return &c

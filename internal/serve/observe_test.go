@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"mpcdvfs"
@@ -56,7 +57,8 @@ func validObservation(app *mpcdvfs.App) serve.ObservationWire {
 // wrong length, negative measurements and indices outside the run —
 // through the real mux over the committed forest, on a server whose
 // hub feeds the metrics registry. Each gets a 400 and never reaches the
-// session, which keeps serving. Unchecked, a DPM state of 77 indexes
+// session, which keeps serving; so does a body past the size bound,
+// which gets a 413. Unchecked, a DPM state of 77 indexes
 // past the hw tables on the session goroutine, and a negative power
 // reaches a counter's Add; either panic ends the process.
 func TestObserveRejectsInvalid(t *testing.T) {
@@ -111,6 +113,25 @@ func TestObserveRejectsInvalid(t *testing.T) {
 	o.Index = 2
 	if code, body := observe(o); code != http.StatusOK {
 		t.Fatalf("valid observation: %d %s", code, body)
+	}
+	// A body past the size bound, declared (Content-Length) and chunked:
+	// its 2 MB session id is read no further than the bound allows.
+	huge := `{"session_id":"` + strings.Repeat("x", 2<<20) + `"}`
+	for _, body := range []io.Reader{strings.NewReader(huge), io.MultiReader(strings.NewReader(huge))} {
+		resp, err := http.Post(ts.URL+"/v1/observe", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized observe body: %d %.200s, want 413", resp.StatusCode, reply)
+		}
 	}
 	mustDecide(t, ts.URL, id, 3)
 }

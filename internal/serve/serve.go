@@ -36,6 +36,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -281,16 +282,34 @@ func (s *Server) fail(w http.ResponseWriter, endpoint string, status int, msg st
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// maxBodyBytes bounds every request body. The largest valid request,
+// an observation, is well under a kilobyte; a body past the bound gets
+// a 413 before the server buffers any more of it.
+const maxBodyBytes = 1 << 20
+
+// maxNumKernels bounds the kernel count a session may declare. Real
+// applications run thousands of kernels at most; a larger count gets a
+// 400 at session open.
+const maxNumKernels = 1 << 20
+
+// decodeBody decodes a POST body into v. When it cannot, it writes the
+// error reply and returns its status; 0 means v holds the request.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) int {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required"})
-		return false
+		return http.StatusMethodNotAllowed
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
-		return false
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, ErrorResponse{Error: "bad request body: " + err.Error()})
+		return status
 	}
-	return true
+	return 0
 }
 
 // indexError explains a kernel index outside the session's run.
@@ -307,12 +326,12 @@ func (s *Server) lookup(id string) (*session, bool) {
 
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	if !decodeBody(w, r, &req) {
-		s.count("session", http.StatusBadRequest)
+	if status := decodeBody(w, r, &req); status != 0 {
+		s.count("session", status)
 		return
 	}
-	if req.NumKernels <= 0 {
-		s.fail(w, "session", http.StatusBadRequest, "num_kernels must be positive")
+	if req.NumKernels <= 0 || req.NumKernels > maxNumKernels {
+		s.fail(w, "session", http.StatusBadRequest, fmt.Sprintf("num_kernels must lie in [1, %d]", maxNumKernels))
 		return
 	}
 	snap := s.snap.Load()
@@ -393,8 +412,8 @@ func (s *Server) appLabelLocked(app string) string {
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	var req DecideRequest
-	if !decodeBody(w, r, &req) {
-		s.count("decide", http.StatusBadRequest)
+	if status := decodeBody(w, r, &req); status != 0 {
+		s.count("decide", status)
 		return
 	}
 	sess, ok := s.lookup(req.SessionID)
@@ -442,8 +461,8 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
-	if !decodeBody(w, r, &req) {
-		s.count("observe", http.StatusBadRequest)
+	if status := decodeBody(w, r, &req); status != 0 {
+		s.count("observe", status)
 		return
 	}
 	if err := req.Observation.check(); err != nil {
@@ -494,8 +513,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	var req CloseRequest
-	if !decodeBody(w, r, &req) {
-		s.count("close", http.StatusBadRequest)
+	if status := decodeBody(w, r, &req); status != 0 {
+		s.count("close", status)
 		return
 	}
 	s.mu.Lock()
@@ -519,8 +538,8 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req ReloadRequest
-	if !decodeBody(w, r, &req) {
-		s.count("reload", http.StatusBadRequest)
+	if status := decodeBody(w, r, &req); status != 0 {
+		s.count("reload", status)
 		return
 	}
 	var (

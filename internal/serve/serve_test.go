@@ -460,6 +460,7 @@ func TestReloadEndpoint(t *testing.T) {
 }
 
 // TestSessionValidation pins the cheap protocol guards, among them the
+// kernel count (a session may declare at most 2^20 kernels) and the
 // decide index: outside [0, num_kernels) it is a 400.
 func TestSessionValidation(t *testing.T) {
 	srv, err := serve.New(serve.Config{
@@ -472,8 +473,10 @@ func TestSessionValidation(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { srv.Shutdown(); ts.Close() })
 
-	if code, _, _ := post(t, ts.URL, "/v1/session", serve.SessionRequest{App: "x", NumKernels: 0}); code != http.StatusBadRequest {
-		t.Fatalf("num_kernels=0: %d, want 400", code)
+	for _, n := range []int{0, 2_000_000_000} {
+		if code, _, _ := post(t, ts.URL, "/v1/session", serve.SessionRequest{App: "x", NumKernels: n}); code != http.StatusBadRequest {
+			t.Fatalf("num_kernels=%d: %d, want 400", n, code)
+		}
 	}
 	if code, _, _ := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: "nope"}); code != http.StatusNotFound {
 		t.Fatalf("unknown session: %d, want 404", code)
