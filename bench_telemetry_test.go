@@ -66,8 +66,7 @@ func BenchmarkTelemetryMPCDecisionSampled1In8(b *testing.B) {
 // the hub on its own: what every served decision with ground-truth
 // feedback pays regardless of trace sampling — its decision, kernel and
 // model-error events through an instrumented hub's session observer
-// (obs metrics families, ledger row, scoreboard cell) plus the
-// queue-wait record.
+// (obs metrics families, ledger row, scoreboard cell).
 func BenchmarkTelemetryScoreboardAndAccounting(b *testing.B) {
 	hub := telemetry.NewHub(telemetry.Options{})
 	hub.Instrument(metrics.New())
@@ -81,6 +80,5 @@ func BenchmarkTelemetryScoreboardAndAccounting(b *testing.B) {
 			TimeMS: 3, Insts: 1e6, GPUEnergyMJ: 120, CPUEnergyMJ: 30, TempC: 60})
 		o.OnModelError(obs.ModelErrorEvent{Policy: "mpc", App: "Spmv", Index: i, Config: cfg,
 			PredictedTimeMS: 10, MeasuredTimeMS: 10.4, PredictedPowerW: 40, MeasuredPowerW: 41})
-		hub.Accounting.RecordQueueWait("bench", 0.02)
 	}
 }

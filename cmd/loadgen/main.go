@@ -108,7 +108,6 @@ type options struct {
 	replays     int
 	polName     string
 	seed        int64
-	queueDepth  int
 	traceSample int
 	drift       bool
 	driftErr    float64
@@ -124,7 +123,6 @@ func main() {
 	flag.IntVar(&o.replays, "replays", 2, "replays per session at each level (each replay is one full session)")
 	flag.StringVar(&o.polName, "policy", "mpc", "self-host policy: ppk | mpc")
 	flag.Int64Var(&o.seed, "seed", 1, "self-host Random Forest training seed (also seeds the -zipf app draw)")
-	flag.IntVar(&o.queueDepth, "queue-depth", serve.DefaultQueueDepth, "self-host per-session queue depth")
 	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace 1 in N decisions as spans and report per-phase latency breakdowns from /debug/trace (0 = off; tracing never changes decisions)")
 	flag.BoolVar(&o.drift, "drift", false, "self-host only: swap in an error-injected model after the first level, run the continuous trainer, and report the learning loop's recovery")
 	flag.Float64Var(&o.driftErr, "drift-error", 0.8, "mean absolute relative error injected into the degraded model under -drift")
@@ -503,9 +501,8 @@ func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
 			}
 			return sys.NewMPC(m)
 		},
-		QueueDepth: o.queueDepth,
-		Telemetry:  hub,
-		Learn:      trainer,
+		Telemetry: hub,
+		Learn:     trainer,
 	})
 	if err != nil {
 		return nil, err
@@ -551,7 +548,7 @@ func injectDrift(h *hosted, appName string, seed int64, driftErr float64) {
 
 // phaseBreakdown fetches the server's span ring and aggregates spans
 // newer than afterID by name — the per-phase decomposition of decision
-// latency (queue wait, config search, featurization, forest inference).
+// latency (config search, featurization, forest inference).
 // Span IDs are monotonic per tracer, so the afterID watermark isolates
 // each concurrency level's spans. Ring wrap can drop a level's oldest
 // spans; counts then undercount rather than mix levels.

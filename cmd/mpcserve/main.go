@@ -70,7 +70,6 @@ type options struct {
 	interval    time.Duration
 	traceOut    string
 	replay      bool
-	queueDepth  int
 	traceSample int
 	traceRing   int
 
@@ -94,7 +93,6 @@ func main() {
 	flag.StringVar(&o.traceOut, "trace-out", "", "stream runtime events as JSONL to this file (tailable)")
 	workers := flag.Int("workers", 0, "worker goroutines for RF training (0 = all CPUs, 1 = serial; decisions are identical either way)")
 	flag.BoolVar(&o.replay, "replay", true, "run the continuous benchmark replay loop (false: serve the decision API only)")
-	flag.IntVar(&o.queueDepth, "queue-depth", serve.DefaultQueueDepth, "per-session decision queue depth (full queues answer 429)")
 	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace 1 in N decisions as spans on /debug/trace (0 = off, 1 = every decision; tracing never changes decisions)")
 	flag.IntVar(&o.traceRing, "trace-ring", 0, "span ring capacity (0 = default)")
 	flag.BoolVar(&o.learn, "learn", false, "continuously retrain from /v1/observe traffic and promote candidates that pass the holdout gate (needs the decision API)")
@@ -220,8 +218,7 @@ func run(o options) error {
 				"holdout", o.learnHoldout, "promote_max_mape", o.learnMaxMAPE,
 				"reservoir", o.learnReservoir)
 		}
-		slog.Info("decision API enabled", "policy", o.policy,
-			"queue_depth", o.queueDepth, "trace_sample", o.traceSample)
+		slog.Info("decision API enabled", "policy", o.policy, "trace_sample", o.traceSample)
 	} else {
 		if o.learn {
 			slog.Warn("-learn ignored: continuous training needs the decision API's observe stream")
@@ -301,9 +298,8 @@ func newDecider(o options, sys *mpcdvfs.System, sharedModel mpcdvfs.Model, reg *
 		Train: func() (predict.Model, error) {
 			return mpcdvfs.TrainRandomForest(mpcdvfs.DefaultTrainOptions(o.seed))
 		},
-		QueueDepth: o.queueDepth,
-		Telemetry:  hub,
-		Learn:      trainer,
+		Telemetry: hub,
+		Learn:     trainer,
 	})
 	if err != nil {
 		return nil, err

@@ -5,21 +5,17 @@ import (
 	"regexp"
 )
 
-// pooledExemptRE matches the three packages allowed to start goroutines
-// directly: internal/par owns the worker pool every fan-out must go
-// through; internal/obs owns the asynchronous observer plumbing whose
-// delivery is outside any determinism contract; and internal/serve owns
-// the per-session owner goroutines of the decision service — long-lived
-// singletons tied to session lifecycle (created on open, drained on
-// close), not data-parallel fan-out, so par.ForEach's bounded-batch
-// model does not fit them. Determinism within a session is preserved by
-// single ownership, which the serve race/golden tests pin.
-var pooledExemptRE = regexp.MustCompile(`(^|/)internal/(par|obs|serve)(/|$)`)
+// pooledExemptRE matches the one package allowed to start goroutines
+// directly: internal/par, which owns the worker pool every fan-out must
+// go through. The decision service starts none: a session is policy
+// state under a lock, run on the goroutine of the request that carries
+// each operation.
+var pooledExemptRE = regexp.MustCompile(`(^|/)internal/par(/|$)`)
 
 func init() {
 	Register(&Check{
 		Name: "pooled-concurrency",
-		Doc:  "no raw go statements outside internal/par, internal/obs and internal/serve",
+		Doc:  "no raw go statements outside internal/par",
 		Run:  runPooledConcurrency,
 	})
 }

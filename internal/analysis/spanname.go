@@ -9,10 +9,9 @@ import (
 // spanMethods are the telemetry.Context methods that mint a span (or
 // aggregate phase) from a name argument, keyed by the argument's index.
 var spanMethods = map[string]int{
-	"StartRoot":   0,
-	"Start":       0,
-	"RecordSince": 0,
-	"EndPhase":    0,
+	"StartRoot": 0,
+	"Start":     0,
+	"EndPhase":  0,
 }
 
 func init() {

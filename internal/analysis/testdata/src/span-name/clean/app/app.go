@@ -1,17 +1,14 @@
 package app
 
-import (
-	"time"
-
-	"fix/internal/telemetry"
-)
+import "fix/internal/telemetry"
 
 // trace uses the exported Span* constants (or conforming literals); a
 // same-named method on an unrelated type is not a span mint.
 func trace(tc *telemetry.Context, log *logger) {
 	root := tc.StartRoot(telemetry.SpanDecide, 0)
 	sp := tc.Start(telemetry.SpanSearch)
-	tc.RecordSince("mpcdvfs_queue", time.Now())
+	feat := tc.Start("mpcdvfs_featurize")
+	feat.End()
 	t0 := tc.StartPhase()
 	tc.EndPhase("mpcdvfs_forest_eval", t0)
 	sp.End()

@@ -13,9 +13,8 @@ const (
 type Context struct{}
 type Span struct{}
 
-func (c *Context) StartRoot(name string, index int) Span    { return Span{} }
-func (c *Context) Start(name string) Span                   { return Span{} }
-func (c *Context) RecordSince(name string, start time.Time) {}
-func (c *Context) StartPhase() time.Time                    { return time.Time{} }
-func (c *Context) EndPhase(name string, t0 time.Time)       {}
-func (s Span) End()                                         {}
+func (c *Context) StartRoot(name string, index int) Span { return Span{} }
+func (c *Context) Start(name string) Span                { return Span{} }
+func (c *Context) StartPhase() time.Time                 { return time.Time{} }
+func (c *Context) EndPhase(name string, t0 time.Time)    {}
+func (s Span) End()                                      {}

@@ -210,7 +210,7 @@ func (t *Trainer) Instrument(reg *metrics.Registry) {
 // Add offers one served observation to the reservoir. Invalid samples
 // (non-positive or non-finite measurements) are counted and dropped —
 // they would poison the log-time target. Safe for concurrent use; the
-// serve layer calls it from every session's owner goroutine.
+// serve layer calls it from every session's observe operation.
 func (t *Trainer) Add(s predict.Sample) {
 	m := t.m.Load()
 	if !s.Valid() {

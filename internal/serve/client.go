@@ -32,11 +32,8 @@ type Client struct {
 	// successful /v1/decide round trip (including 429 retry waits —
 	// what a real client experiences).
 	OnDecideLatency func(time.Duration)
-	// MaxRetries bounds consecutive 429 retries per request (<= 0 means
-	// DefaultMaxRetries).
-	MaxRetries int
 	// Retries429 counts 429 responses absorbed by retrying — how often
-	// this session hit a full queue.
+	// this session found itself busy.
 	Retries429 int
 
 	base string
@@ -48,8 +45,8 @@ type Client struct {
 	err  error
 }
 
-// DefaultMaxRetries is the per-request cap on 429 retries.
-const DefaultMaxRetries = 100
+// maxRetries is the per-request cap on 429 retries.
+const maxRetries = 100
 
 // NewClient returns a client for a server with the given base URL
 // (e.g. "http://localhost:9090").
@@ -151,10 +148,6 @@ func (c *Client) post(path string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
-	}
-	maxRetries := c.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = DefaultMaxRetries
 	}
 	for attempt := 0; ; attempt++ {
 		r, err := c.hc.Post(c.base+path, "application/json", bytes.NewReader(body))

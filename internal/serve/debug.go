@@ -20,7 +20,6 @@ type DebugSession struct {
 	Policy      string `json:"policy"`
 	App         string `json:"app"`
 	SnapshotGen uint64 `json:"snapshot_gen"`
-	QueueLen    int    `json:"queue_len"`
 }
 
 // DebugState is the /debug/mpc body: one self-contained view of the
@@ -68,7 +67,6 @@ func (s *Server) debugState() DebugState {
 			Policy:      sess.name,
 			App:         sess.app,
 			SnapshotGen: sess.snap.Gen,
-			QueueLen:    len(sess.ch),
 		})
 	}
 	s.mu.Unlock()
@@ -91,16 +89,16 @@ var debugMPCTmpl = template.Must(template.New("mpc").Funcs(template.FuncMap{
 <p>model <b>{{.Model}}</b> gen <b>{{.SnapshotGen}}</b> ({{.SnapshotTag}})
 &mdash; trace 1/{{.TraceSampleN}}: {{.TraceSampled}}/{{.TraceRoots}} decisions sampled</p>
 <h2>sessions ({{len .Sessions}})</h2>
-<table><tr><th>id</th><th>policy</th><th>app</th><th>gen</th><th>queue</th></tr>
-{{range .Sessions}}<tr><td>{{.SessionID}}</td><td>{{.Policy}}</td><td>{{.App}}</td><td>{{.SnapshotGen}}</td><td>{{.QueueLen}}</td></tr>
+<table><tr><th>id</th><th>policy</th><th>app</th><th>gen</th></tr>
+{{range .Sessions}}<tr><td>{{.SessionID}}</td><td>{{.Policy}}</td><td>{{.App}}</td><td>{{.SnapshotGen}}</td></tr>
 {{end}}</table>
 <h2>model scoreboard</h2>
 <table><tr><th>gen</th><th>app</th><th>obs</th><th>time MAPE</th><th>power MAPE</th><th>time bias</th><th>drifted</th></tr>
 {{range .Models}}<tr><td>{{.Gen}}</td><td>{{.App}}</td><td>{{.Observations}}</td><td>{{printf "%.4f" .TimeMAPE}}</td><td>{{printf "%.4f" .PowerMAPE}}</td><td>{{printf "%+.4f" .TimeBias}}</td><td>{{.Drifted}}</td></tr>
 {{end}}</table>
 <h2>energy ledger</h2>
-<table><tr><th>session</th><th>decisions</th><th>fallbacks</th><th>predicted mJ</th><th>measured mJ</th><th>queue p99 ms</th></tr>
-{{range .Accounting.Sessions}}<tr><td>{{.SessionID}}</td><td>{{.Decisions}}</td><td>{{.Fallbacks}}</td><td>{{printf "%.1f" .PredictedEnergyMJ}}</td><td>{{printf "%.1f" .MeasuredEnergyMJ}}</td><td>{{printf "%.3f" .QueueWaitP99MS}}</td></tr>
+<table><tr><th>session</th><th>decisions</th><th>fallbacks</th><th>predicted mJ</th><th>measured mJ</th></tr>
+{{range .Accounting.Sessions}}<tr><td>{{.SessionID}}</td><td>{{.Decisions}}</td><td>{{.Fallbacks}}</td><td>{{printf "%.1f" .PredictedEnergyMJ}}</td><td>{{printf "%.1f" .MeasuredEnergyMJ}}</td></tr>
 {{end}}</table>
 <h2>recent spans ({{len .RecentSpans}})</h2>
 <table><tr><th>trace</th><th>span</th><th>parent</th><th>name</th><th>session</th><th>index</th><th>&micro;s</th></tr>

@@ -59,8 +59,8 @@ func validObservation(app *mpcdvfs.App) serve.ObservationWire {
 // hub feeds the metrics registry. Each gets a 400 and never reaches the
 // session, which keeps serving; so does a body past the size bound,
 // which gets a 413. Unchecked, a DPM state of 77 indexes
-// past the hw tables on the session goroutine, and a negative power
-// reaches a counter's Add; either panic ends the process.
+// past the hw tables inside the session's operation, and a negative
+// power reaches a counter's Add; either panic closes the session.
 func TestObserveRejectsInvalid(t *testing.T) {
 	sys, app, target, _ := testStack(t)
 	hub := telemetry.NewHub(telemetry.Options{})

@@ -7,15 +7,16 @@
 // # Session ownership model
 //
 // Each session owns one policy instance (with its tracker, pattern
-// extractor and calibration state), and that state is touched by
-// exactly one goroutine, which consumes a bounded FIFO queue of
-// operations. The determinism contract of the simulator therefore
-// extends across sessions, not within one: a session's decision stream
-// is byte-identical to a single-threaded replay of the same workload
-// (golden-tested), no matter how many sibling sessions run
-// concurrently; concurrency only exists between sessions, which share
-// nothing mutable but internally synchronized structures (the model's
-// sweep plan is shared too, but it is immutable once installed).
+// extractor and calibration state), and that state is touched by one
+// operation at a time, under the session's lock, on the goroutine of
+// the request that carries the operation. The determinism contract of
+// the simulator therefore extends across sessions, not within one: a
+// session's decision stream is byte-identical to a single-threaded
+// replay of the same workload (golden-tested), no matter how many
+// sibling sessions run concurrently; concurrency only exists between
+// sessions, which share nothing mutable but internally synchronized
+// structures (the model's sweep plan is shared too, but it is immutable
+// once installed).
 //
 // # Snapshot lifecycle
 //
@@ -28,10 +29,13 @@
 //
 // # Backpressure and drain
 //
-// Session queues are bounded. A full queue rejects with HTTP 429 and a
-// Retry-After hint instead of blocking the handler; closing a session
-// (or shutting the server down) drains queued operations to completion
-// before the owner goroutine exits, so accepted work is never dropped.
+// Every client is closed-loop, with at most one operation in flight per
+// session, so a session never waits for itself: a request that finds
+// its session busy is rejected with HTTP 429 and a Retry-After hint
+// instead of blocking the handler. A policy panic closes its session
+// alone (500, then 410). Closing a session (or shutting the server
+// down) waits for a running operation to finish, so accepted work is
+// never dropped.
 package serve
 
 import (
@@ -53,11 +57,6 @@ import (
 	"mpcdvfs/internal/telemetry"
 )
 
-// DefaultQueueDepth bounds each session's operation queue. A
-// closed-loop client has at most one operation in flight, so depth is
-// burst absorption, not throughput; small keeps backpressure prompt.
-const DefaultQueueDepth = 16
-
 // Snapshot is one immutable generation of the serving model.
 type Snapshot struct {
 	Gen   uint64
@@ -76,13 +75,8 @@ type Config struct {
 	// would use — that identity is what the golden parity test pins.
 	NewPolicy func(m predict.Model) sim.Policy
 	// Train, when set, lets /reload without a path retrain in-process.
+	// /reload with a path loads a model written by cmd/train.
 	Train func() (predict.Model, error)
-	// Load reads a model for /reload with a path; nil uses gob models
-	// written by cmd/train.
-	Load func(path string) (predict.Model, error)
-	// QueueDepth bounds each session's operation queue (<= 0 uses
-	// DefaultQueueDepth).
-	QueueDepth int
 	// Telemetry, when set, deep-instruments the server: every decision
 	// runs under a trace root (sampled per the hub's tracer); each
 	// session and its policy report through the hub's session observer,
@@ -115,7 +109,6 @@ type Server struct {
 	apps     map[string]bool // app labels handed out, at most maxAppLabels
 	nextID   uint64
 	draining bool
-	wg       sync.WaitGroup
 
 	m atomic.Pointer[serveMetrics]
 }
@@ -126,7 +119,6 @@ type serveMetrics struct {
 	active    *metrics.Gauge
 	backpress *metrics.Counter
 	snapGen   *metrics.Gauge
-	queued    *metrics.Gauge
 }
 
 // New validates cfg and returns a Server serving cfg.Model as
@@ -137,12 +129,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.NewPolicy == nil {
 		return nil, fmt.Errorf("serve: Config.NewPolicy is required")
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
-	if cfg.Load == nil {
-		cfg.Load = loadGobModel
 	}
 	s := &Server{cfg: cfg, sessions: make(map[string]*session), apps: make(map[string]bool)}
 	s.gen.Store(1)
@@ -178,23 +164,21 @@ func loadGobModel(path string) (predict.Model, error) {
 
 // Instrument mirrors the server's counters into reg:
 // decision latency, request outcomes, live session count, backpressure
-// rejections, the installed snapshot generation, and the operations
-// queued across all sessions. Call before serving traffic.
+// rejections and the installed snapshot generation. Call before serving
+// traffic.
 func (s *Server) Instrument(reg *metrics.Registry) {
 	m := &serveMetrics{
 		latency: reg.Histogram("mpcdvfs_serve_decision_latency_ms",
-			"Wall time of /v1/decide requests (queue wait + optimization), in milliseconds.",
+			"Wall time of /v1/decide requests (optimization), in milliseconds.",
 			metrics.ExponentialBuckets(0.05, 2, 16)).With(),
 		requests: reg.Counter("mpcdvfs_serve_requests_total",
 			"Decision-service requests by endpoint and outcome.", "endpoint", "code"),
 		active: reg.Gauge("mpcdvfs_serve_sessions_active",
 			"Sessions currently open.").With(),
 		backpress: reg.Counter("mpcdvfs_serve_backpressure_total",
-			"Requests rejected with 429 because a session queue was full.").With(),
+			"Requests rejected with 429 because their session was busy.").With(),
 		snapGen: reg.Gauge("mpcdvfs_serve_snapshot_generation",
 			"Generation of the model snapshot new sessions receive.").With(),
-		queued: reg.Gauge("mpcdvfs_serve_queue_depth",
-			"Operations queued across all sessions, waiting for their session's goroutine.").With(),
 	}
 	m.snapGen.Set(float64(s.gen.Load()))
 	s.m.Store(m)
@@ -224,21 +208,20 @@ func (s *Server) SessionCount() int {
 	return len(s.sessions)
 }
 
-// Shutdown drains every session and waits for their owner goroutines:
-// queued operations complete, then the queues close. New sessions and
-// new operations are rejected from the moment it is called.
+// Shutdown closes every session, waiting for each one's running
+// operation to finish. New sessions and new operations are rejected
+// from the moment it is called.
 func (s *Server) Shutdown() {
 	s.mu.Lock()
 	s.draining = true
-	n := len(s.sessions)
-	for id, sess := range s.sessions {
-		sess.close() // order-independent: every session gets the same signal
-		delete(s.sessions, id)
-	}
+	open := s.sessions
+	s.sessions = nil // draining: handleSession publishes nothing more
 	s.mu.Unlock()
-	s.wg.Wait()
-	if m := s.m.Load(); m != nil && n > 0 {
-		m.active.Add(-float64(n))
+	for _, sess := range open {
+		sess.close() // order-independent: every session gets the same signal
+	}
+	if m := s.m.Load(); m != nil && len(open) > 0 {
+		m.active.Add(-float64(len(open)))
 	}
 }
 
@@ -280,6 +263,24 @@ func (s *Server) count(endpoint string, status int) {
 func (s *Server) fail(w http.ResponseWriter, endpoint string, status int, msg string) {
 	s.count(endpoint, status)
 	writeJSON(w, status, ErrorResponse{Error: msg})
+}
+
+// refuse answers an operation session.do did not run to completion:
+// busy is backpressure (429 with a Retry-After hint, counted), closed
+// is 410, and a panicking operation is 500.
+func (s *Server) refuse(w http.ResponseWriter, endpoint string, err error) {
+	switch err {
+	case errSessionBusy:
+		if m := s.m.Load(); m != nil {
+			m.backpress.Inc()
+		}
+		w.Header().Set("Retry-After", "1")
+		s.fail(w, endpoint, http.StatusTooManyRequests, "session busy")
+	case errSessionClosed:
+		s.fail(w, endpoint, http.StatusGone, "session closed")
+	default:
+		s.fail(w, endpoint, http.StatusInternalServerError, err.Error())
+	}
 }
 
 // maxBodyBytes bounds every request body. The largest valid request,
@@ -335,7 +336,39 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.snap.Load()
-	pol := s.cfg.NewPolicy(snap.Model)
+	s.mu.Lock()
+	s.nextID++
+	id := "s" + strconv.FormatUint(s.nextID, 10)
+	app := s.appLabelLocked(req.App)
+	s.mu.Unlock()
+
+	sess := newSession(s.cfg.NewPolicy(snap.Model), snap)
+	sess.app, sess.numKernels = app, req.NumKernels
+	if hub := s.cfg.Telemetry; hub != nil {
+		sess.tc = hub.Tracer.NewContext(id)
+		sess.obsv = hub.SessionObserver(id, snap.Gen)
+	}
+	info := sim.RunInfo{
+		AppName:    app,
+		NumKernels: req.NumKernels,
+		Target:     sim.Target{TotalInsts: req.Target.TotalInsts, TotalTimeMS: req.Target.TotalTimeMS},
+		FirstRun:   req.FirstRun,
+	}
+	// The session is still private, so do never finds it busy; it runs
+	// Begin for its recover. The trace context and the observer are
+	// threaded before Begin, exactly as sim.Engine.Run threads them.
+	if err := sess.do(func() {
+		if tr, ok := sess.policy.(telemetry.Traceable); ok {
+			tr.SetTraceContext(sess.tc)
+		}
+		if in, ok := sess.policy.(obs.Instrumentable); ok {
+			in.SetObserver(sess.obsv)
+		}
+		sess.policy.Begin(info)
+	}); err != nil {
+		s.refuse(w, "session", err)
+		return
+	}
 
 	s.mu.Lock()
 	if s.draining {
@@ -343,50 +376,10 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "session", http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	s.nextID++
-	id := "s" + strconv.FormatUint(s.nextID, 10)
-	queued := &metrics.Gauge{} // counts for nobody until Instrument
-	m := s.m.Load()
-	if m != nil {
-		queued = m.queued
-	}
-	sess := newSession(id, pol, snap, s.cfg.QueueDepth, queued)
-	sess.app = s.appLabelLocked(req.App)
-	sess.numKernels = req.NumKernels
-	if hub := s.cfg.Telemetry; hub != nil {
-		sess.acct = hub.Accounting
-		sess.tc = hub.Tracer.NewContext(id)
-		sess.obsv = hub.SessionObserver(id, snap.Gen)
-	}
 	s.sessions[id] = sess
-	s.wg.Add(1)
 	s.mu.Unlock()
 
-	go func() {
-		defer s.wg.Done()
-		sess.run()
-	}()
-	info := sim.RunInfo{
-		AppName:    sess.app,
-		NumKernels: req.NumKernels,
-		Target:     sim.Target{TotalInsts: req.Target.TotalInsts, TotalTimeMS: req.Target.TotalTimeMS},
-		FirstRun:   req.FirstRun,
-	}
-	// The queue is empty and private at this point; Begin always fits.
-	// The trace context and the observer are threaded on the owner
-	// goroutine, like all policy mutation, exactly as sim.Engine.Run
-	// threads them before Begin.
-	_ = sess.enqueue(func() {
-		if tr, ok := pol.(telemetry.Traceable); ok {
-			tr.SetTraceContext(sess.tc)
-		}
-		if in, ok := pol.(obs.Instrumentable); ok {
-			in.SetObserver(sess.obsv)
-		}
-		pol.Begin(info)
-	})
-
-	if m != nil {
+	if m := s.m.Load(); m != nil {
 		m.active.Add(1)
 	}
 	s.count("session", http.StatusOK)
@@ -426,32 +419,16 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	reply := make(chan sim.Decision, 1)
-	err := sess.enqueue(func() {
-		// Queue wait = handler-side enqueue to owner-goroutine pickup.
-		wait := time.Since(start)
+	var d sim.Decision
+	if err := sess.do(func() {
 		root := sess.tc.StartRoot(telemetry.SpanDecide, req.Index)
-		sess.tc.RecordSince(telemetry.SpanQueue, start)
-		d := sess.policy.Decide(req.Index)
+		d = sess.policy.Decide(req.Index)
 		root.End()
 		sess.lastIdx, sess.lastD = req.Index, d // for its observation to report
-		sess.acct.RecordQueueWait(sess.id, float64(wait)/float64(time.Millisecond))
-		reply <- d
-	})
-	switch err {
-	case nil:
-	case errSessionFull:
-		if m := s.m.Load(); m != nil {
-			m.backpress.Inc()
-		}
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, "decide", http.StatusTooManyRequests, "session queue full")
-		return
-	default:
-		s.fail(w, "decide", http.StatusGone, "session closed")
+	}); err != nil {
+		s.refuse(w, "decide", err)
 		return
 	}
-	d := <-reply
 	if m := s.m.Load(); m != nil {
 		m.latency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	}
@@ -479,34 +456,21 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ob := req.Observation.observation()
-	done := make(chan struct{})
-	err := sess.enqueue(func() {
+	if err := sess.do(func() {
 		sess.report(ob)
 		sess.policy.Observe(ob)
 		if tr := s.cfg.Learn; tr != nil {
 			// The reservoir tap: every served ground-truth tuple is
 			// training signal, whether or not it scored a prediction.
 			// Trainer.Add is internally synchronized and allocation-free
-			// at steady state, so the owner goroutine barely notices.
+			// at steady state, so the session's lock is barely held longer.
 			tr.Add(predict.Sample{Counters: ob.Counters, Config: ob.Config,
 				TimeMS: ob.TimeMS, GPUPowerW: ob.GPUPowerW})
 		}
-		close(done)
-	})
-	switch err {
-	case nil:
-	case errSessionFull:
-		if m := s.m.Load(); m != nil {
-			m.backpress.Inc()
-		}
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, "observe", http.StatusTooManyRequests, "session queue full")
-		return
-	default:
-		s.fail(w, "observe", http.StatusGone, "session closed")
+	}); err != nil {
+		s.refuse(w, "observe", err)
 		return
 	}
-	<-done
 	s.count("observe", http.StatusOK)
 	writeJSON(w, http.StatusOK, OKResponse{OK: true})
 }
@@ -527,8 +491,7 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "close", http.StatusNotFound, "unknown session "+req.SessionID)
 		return
 	}
-	sess.close()
-	<-sess.done // drained
+	sess.close() // waits for a running operation
 	if m := s.m.Load(); m != nil {
 		m.active.Add(-1)
 	}
@@ -548,7 +511,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		err   error
 	)
 	if req.Path != "" {
-		model, err = s.cfg.Load(req.Path)
+		model, err = loadGobModel(req.Path)
 		tag = req.Path
 	} else if s.cfg.Train != nil {
 		model, err = s.cfg.Train()

@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -256,8 +258,8 @@ func (fakeModel) PredictKernel(counters.Set, hw.Config) predict.Estimate {
 	return predict.Estimate{TimeMS: 1, GPUPowerW: 10}
 }
 
-// blockingPolicy parks Decide on a gate so a test can hold a session's
-// owner goroutine busy and fill its queue deterministically.
+// blockingPolicy parks Decide on a gate so a test can hold a session
+// busy deterministically.
 type blockingPolicy struct {
 	gate    chan struct{}
 	started chan struct{}
@@ -272,31 +274,32 @@ func (p *blockingPolicy) Decide(int) sim.Decision {
 }
 func (p *blockingPolicy) Observe(sim.Observation) {}
 
-// TestBackpressure429AndDrain pins the bounded-queue contract: with the
-// owner goroutine held busy and the queue full, further decides are
-// rejected with 429 + Retry-After (and counted); once the gate opens,
-// every accepted operation completes — nothing queued is dropped.
+// TestBackpressure429AndDrain pins the one-operation-at-a-time
+// contract: while decide #0 holds the session, decide #1 is rejected
+// with 429 + Retry-After (and counted) instead of waiting, and a close
+// waits for decide #0; once the gate opens, decide #0 completes with
+// 200 — accepted work is never dropped — and after close the session
+// is gone (404).
 func TestBackpressure429AndDrain(t *testing.T) {
-	pol := &blockingPolicy{gate: make(chan struct{}), started: make(chan struct{}, 64)}
+	pol := &blockingPolicy{gate: make(chan struct{}), started: make(chan struct{}, 1)}
 	srv, err := serve.New(serve.Config{
-		Model:      fakeModel{},
-		NewPolicy:  func(predict.Model) sim.Policy { return pol },
-		QueueDepth: 1,
+		Model:     fakeModel{},
+		NewPolicy: func(predict.Model) sim.Policy { return pol },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.New()
 	srv.Instrument(reg)
-	backpress := reg.Counter("mpcdvfs_serve_backpressure_total",
-		"Requests rejected with 429 because a session queue was full.").With()
-	queued := reg.Gauge("mpcdvfs_serve_queue_depth", "").With()
+	backpress := reg.Counter("mpcdvfs_serve_backpressure_total", "").With()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		srv.Shutdown()
 		ts.Close()
 	})
 
+	// Session open runs Begin before it replies, so the session is idle
+	// once the reply arrives.
 	var sresp serve.SessionResponse
 	code, _, body := post(t, ts.URL, "/v1/session", serve.SessionRequest{App: "x", NumKernels: 8, FirstRun: true})
 	if code != http.StatusOK {
@@ -306,84 +309,234 @@ func TestBackpressure429AndDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Session open enqueues Begin without waiting for it, and with a
-	// depth-1 queue a decide offered while Begin still sits there
-	// bounces with 429. Wait for the owner goroutine to take it: this
-	// is the only session, so the server-wide queued gauge is its queue.
-	waitGauge(t, queued, 0, "Begin never drained from the session queue")
-
-	// Hold the owner goroutine inside Decide #0...
-	results := make(chan int, 2)
-	go func() {
-		code, _, _ := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 0})
-		results <- code
-	}()
+	// Hold the session inside decide #0...
+	decided := goPost(ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 0})
 	select {
 	case <-pol.started:
 	case <-time.After(5 * time.Second):
 		t.Fatal("decide #0 never reached the policy")
 	}
 
-	// ...queue decide #1 behind it (fills the depth-1 queue). The queued
-	// gauge reads 1 once the enqueue lands, which makes the rejection
-	// below deterministic rather than a race with the probe.
-	go func() {
-		code, _, _ := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 1})
-		results <- code
-	}()
-	waitGauge(t, queued, 1, "queued decide never showed up in the queued gauge")
-
-	// ...and offer decide #2: the queue is provably full, so this must
-	// bounce with 429.
-	code, hdr, _ := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 2})
+	// ...so decide #1 finds it busy and bounces with 429.
+	code, hdr, _ := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 1})
 	if code != http.StatusTooManyRequests {
-		t.Fatalf("decide against a full queue: %d, want 429", code)
+		t.Fatalf("decide against a busy session: %d, want 429", code)
 	}
 	if got := hdr.Get("Retry-After"); got == "" {
 		t.Fatal("429 response missing Retry-After header")
 	}
-	if backpress.Value() == 0 {
-		t.Fatal("backpressure counter did not increment on 429")
+	if got := backpress.Value(); got != 1 {
+		t.Fatalf("backpressure counter = %v after one 429, want 1", got)
 	}
 
-	// Open the gate: the held decide and the queued one must both
-	// complete with 200 — graceful drain of accepted work.
+	// Close while decide #0 still runs, then open the gate: the held
+	// decide completes with 200 and the close with it.
+	closed := goPost(ts.URL, "/v1/session/close", serve.CloseRequest{SessionID: sresp.SessionID})
 	close(pol.gate)
-	for i := 0; i < 2; i++ {
+	for _, op := range []struct {
+		name   string
+		status <-chan int
+	}{{"held decide", decided}, {"close", closed}} {
 		select {
-		case code := <-results:
+		case code := <-op.status:
 			if code != http.StatusOK {
-				t.Fatalf("accepted decide finished with %d, want 200", code)
+				t.Fatalf("%s finished with %d, want 200", op.name, code)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("accepted decide never completed after gate opened")
+			t.Fatalf("%s never completed after the gate opened", op.name)
 		}
 	}
 
-	// Close drains and removes the session; later decides are 404.
-	if code, _, _ := post(t, ts.URL, "/v1/session/close", serve.CloseRequest{SessionID: sresp.SessionID}); code != http.StatusOK {
-		t.Fatalf("close: %d", code)
-	}
-	if code, _, _ := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 3}); code != http.StatusNotFound {
+	// The session is gone; later decides are 404.
+	if code, _, _ := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 2}); code != http.StatusNotFound {
 		t.Fatalf("decide after close: %d, want 404", code)
 	}
 }
 
-// waitGauge polls g until it reads want, failing after 5 s.
-func waitGauge(t *testing.T, g *metrics.Gauge, want float64, msg string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for g.Value() != want {
-		if time.Now().After(deadline) {
-			t.Fatal(msg)
+// goPost sends req from a new goroutine and returns a channel that
+// delivers the response status, or 0 when the request failed; unlike
+// post it never calls t.Fatal off the test's goroutine.
+func goPost(base, path string, req any) <-chan int {
+	status := make(chan int, 1)
+	go func() {
+		code := 0
+		defer func() { status <- code }()
+		body, err := json.Marshal(req)
+		if err != nil {
+			return
 		}
-		time.Sleep(time.Millisecond)
+		resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		if cerr := resp.Body.Close(); err == nil && cerr == nil {
+			code = resp.StatusCode
+		}
+	}()
+	return status
+}
+
+// boomPolicy wraps a real policy and, for sessions of app "boom" only,
+// panics in Decide — or in Begin when inBegin is set.
+type boomPolicy struct {
+	sim.Policy
+	inBegin bool
+	boom    bool
+}
+
+func (p *boomPolicy) Begin(info sim.RunInfo) {
+	p.boom = info.AppName == "boom"
+	if p.boom && p.inBegin {
+		panic("injected Begin panic")
+	}
+	p.Policy.Begin(info)
+}
+
+func (p *boomPolicy) Decide(i int) sim.Decision {
+	if p.boom {
+		panic("injected Decide panic")
+	}
+	return p.Policy.Decide(i)
+}
+
+// TestPolicyPanicConfinedToSession pins panic containment through the
+// real mux: a policy panic answers 500 (counted) and closes its session
+// alone — later calls get 410, and a panic in Begin publishes no
+// session — while a sibling session on the same server gets a 200 on
+// every call of its replay, which stays byte-identical to the local
+// golden.
+func TestPolicyPanicConfinedToSession(t *testing.T) {
+	sys, app, target, model := testStack(t)
+	okApp := *app
+	okApp.Name = "ok"
+	golden := goldenReplay(t, sys, &okApp, target, model)
+
+	for _, inBegin := range []bool{false, true} {
+		name := "Decide"
+		if inBegin {
+			name = "Begin"
+		}
+		t.Run(name, func(t *testing.T) {
+			srv, ts := newTestServer(t, sys, model, serve.Config{
+				NewPolicy: func(m predict.Model) sim.Policy {
+					return &boomPolicy{Policy: sys.NewMPC(m), inBegin: inBegin}
+				},
+			})
+			reg := metrics.New()
+			srv.Instrument(reg)
+			requests := reg.Counter("mpcdvfs_serve_requests_total", "", "endpoint", "code")
+
+			code, _, body := post(t, ts.URL, "/v1/session", serve.SessionRequest{App: "boom", NumKernels: app.Len(), FirstRun: true})
+			if inBegin {
+				if code != http.StatusInternalServerError {
+					t.Fatalf("session open with a panicking Begin: %d %s, want 500", code, body)
+				}
+				if got := srv.SessionCount(); got != 0 {
+					t.Fatalf("a session whose Begin panicked was published: %d open", got)
+				}
+				if got := requests.With("session", "500").Value(); got != 1 {
+					t.Fatalf("session 500s counted %v, want 1", got)
+				}
+			} else {
+				var sresp serve.SessionResponse
+				if code != http.StatusOK || json.Unmarshal(body, &sresp) != nil {
+					t.Fatalf("boom session open: %d %s", code, body)
+				}
+				if code, _, body := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 0}); code != http.StatusInternalServerError {
+					t.Fatalf("decide with a panicking policy: %d %s, want 500", code, body)
+				}
+				if got := requests.With("decide", "500").Value(); got != 1 {
+					t.Fatalf("decide 500s counted %v, want 1", got)
+				}
+				if code, _, body := post(t, ts.URL, "/v1/decide", serve.DecideRequest{SessionID: sresp.SessionID, Index: 1}); code != http.StatusGone {
+					t.Fatalf("decide after the panic: %d %s, want 410", code, body)
+				}
+				defer func() {
+					if code, _, _ := post(t, ts.URL, "/v1/session/close", serve.CloseRequest{SessionID: sresp.SessionID}); code != http.StatusOK {
+						t.Errorf("closing the panicked session: %d, want 200", code)
+					}
+				}()
+			}
+
+			// The sibling replays while the panicked session stays open.
+			c := serve.NewClient(ts.URL)
+			res, err := sys.Run(&okApp, c, target, true)
+			if err == nil {
+				err = c.Close()
+			}
+			if err != nil {
+				t.Fatalf("sibling session: %v", err)
+			}
+			if c.Retries429 != 0 {
+				t.Fatalf("sibling session absorbed %d 429s, want every call answered 200", c.Retries429)
+			}
+			var buf bytes.Buffer
+			if err := trace.WriteJSONL(&buf, res); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), golden) {
+				t.Fatalf("sibling replay diverges from local golden: %s", firstDiffLine(buf.Bytes(), golden))
+			}
+		})
+	}
+}
+
+// TestNoGoroutinePerSession pins that a session is policy state under a
+// lock, not a goroutine: 16 sessions opened through one client add
+// fewer than 16 goroutines (the listener and one keep-alive connection
+// account for a few). After Shutdown, closing the test server and the
+// client's idle connections, the count returns to its value before the
+// server existed: nothing leaks.
+func TestNoGoroutinePerSession(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, err := serve.New(serve.Config{
+		Model:     fakeModel{},
+		NewPolicy: func(predict.Model) sim.Policy { return &nopPolicy{} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	tr := &http.Transport{}
+	hc := &http.Client{Transport: tr}
+
+	const sessions = 16
+	for i := 0; i < sessions; i++ {
+		resp, err := hc.Post(ts.URL+"/v1/session", "application/json", strings.NewReader(`{"app":"x","num_kernels":4}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("session open %d: %d", i, resp.StatusCode)
+		}
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= sessions {
+		t.Fatalf("%d open sessions added %d goroutines, want fewer than %d", sessions, grew, sessions)
+	}
+
+	srv.Shutdown()
+	ts.Close()
+	tr.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, want at most %d as before the server existed", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 // TestShutdownDrainsAndRejects pins the drain contract: Shutdown waits
-// for every owner goroutine, empties the session table, and the server
-// refuses new sessions afterwards.
+// for every session's running operation, empties the session table,
+// and the server refuses new sessions afterwards.
 func TestShutdownDrainsAndRejects(t *testing.T) {
 	srv, err := serve.New(serve.Config{
 		Model:     fakeModel{},

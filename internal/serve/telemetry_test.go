@@ -2,8 +2,8 @@
 // observe the serving stack without perturbing it. The load-bearing
 // assertions are (1) a fully-sampled traced session replays
 // byte-identical to the untraced local golden, (2) one /v1/decide
-// decomposes into the queue/search/featurize/forest-eval span tree,
-// and (3) the per-generation scoreboard visibly degrades when a worse
+// decomposes into the search/featurize/forest-eval span tree, and
+// (3) the per-generation scoreboard visibly degrades when a worse
 // model generation is installed via /reload.
 package serve_test
 
@@ -62,8 +62,8 @@ func get(t *testing.T, url string) (int, http.Header, []byte) {
 // sampling — each reporting through its observer into the obs metrics
 // sink, the scoreboard and the ledger, with the span ring active — must
 // each stay byte-identical to the untraced, unobserved local golden.
-// Under -race this also exercises the shared sinks from four session
-// goroutines.
+// Under -race this also exercises the shared sinks from four
+// concurrent sessions.
 func TestTracedReplayMatchesGoldenConcurrent(t *testing.T) {
 	sys, app, target, model := testStack(t)
 	golden := goldenReplay(t, sys, app, target, model)
@@ -101,9 +101,8 @@ func TestTracedReplayMatchesGoldenConcurrent(t *testing.T) {
 
 // TestDecideSpanTreeAndDebugEndpoints drives a replay against the
 // random-forest model and asserts the acceptance-criterion span tree:
-// a single served decision decomposes into queue, search, featurize
-// and forest-eval phases, all visible through /debug/trace and
-// /debug/mpc.
+// a single served decision decomposes into search, featurize and
+// forest-eval phases, all visible through /debug/trace and /debug/mpc.
 func TestDecideSpanTreeAndDebugEndpoints(t *testing.T) {
 	sys, app, target, _ := testStack(t)
 	model := loadGoldenModel(t)
@@ -149,24 +148,22 @@ func TestDecideSpanTreeAndDebugEndpoints(t *testing.T) {
 		if root.SpanID == 0 || search.SpanID == 0 || search.ParentID != root.SpanID {
 			continue
 		}
-		var haveQueue, haveFeat, haveForest bool
+		var haveFeat, haveForest bool
 		for _, sp := range spans {
 			switch {
-			case sp.Name == telemetry.SpanQueue && sp.ParentID == root.SpanID:
-				haveQueue = true
 			case sp.Name == telemetry.SpanFeaturize && sp.ParentID == search.SpanID:
 				haveFeat = true
 			case sp.Name == telemetry.SpanForestEval && sp.ParentID == search.SpanID:
 				haveForest = true
 			}
 		}
-		if haveQueue && haveFeat && haveForest {
+		if haveFeat && haveForest {
 			found = true
 			break
 		}
 	}
 	if !found {
-		t.Fatalf("no trace decomposes into queue+search+featurize+forest-eval (have %d traces)", len(byTrace))
+		t.Fatalf("no trace decomposes into search+featurize+forest-eval (have %d traces)", len(byTrace))
 	}
 
 	// /debug/mpc JSON: the same state, plus scoreboard and ledger.

@@ -3,10 +3,8 @@ package telemetry
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"mpcdvfs/internal/hw"
-	"mpcdvfs/internal/metrics"
 	"mpcdvfs/internal/obs"
 )
 
@@ -17,49 +15,12 @@ import (
 // energy totals stay in the per-config buckets.
 const maxSessionAccounts = 256
 
-// queueWindow bounds the per-session queue-wait window backing the p99
-// estimate.
-const queueWindow = 128
-
-// waitWindow is a rolling window of queue waits (ms). p99 sorts a copy
-// on snapshot, so the record path stays O(1).
-type waitWindow struct {
-	vals   []float64
-	pos, n int
-}
-
-func (w *waitWindow) push(v float64) {
-	if w.vals == nil {
-		w.vals = make([]float64, queueWindow)
-	}
-	w.vals[w.pos] = v
-	w.pos++
-	if w.pos == len(w.vals) {
-		w.pos = 0
-	}
-	if w.n < len(w.vals) {
-		w.n++
-	}
-}
-
-// p99 returns the window's 99th-percentile wait (0 when empty).
-func (w *waitWindow) p99() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	tmp := make([]float64, w.n)
-	copy(tmp, w.vals[:w.n])
-	sort.Float64s(tmp)
-	return tmp[int(0.99*float64(w.n-1))]
-}
-
 type sessionAcct struct {
 	decisions    uint64
 	observations uint64
 	fallbacks    uint64
 	predictedMJ  float64
 	measuredMJ   float64
-	waits        waitWindow
 }
 
 type energyAcct struct {
@@ -69,17 +30,14 @@ type energyAcct struct {
 }
 
 // Accounting is the cumulative energy and decision ledger of a serving
-// process: a sink of the served event stream (Sink), plus the queue
-// waits no event carries (RecordQueueWait). Safe for concurrent use
-// from many session goroutines.
+// process, a pure sink of the served event stream (Sink). Safe for
+// concurrent use from many sessions.
 type Accounting struct {
 	mu       sync.Mutex
 	sessions map[string]*sessionAcct
 	order    []string // session insertion order, for eviction
 	configs  map[hw.Config]*energyAcct
 	horizons map[int]uint64
-
-	queueWait atomic.Pointer[metrics.Histogram] // set by Hub.Instrument
 }
 
 // NewAccounting returns an empty ledger.
@@ -105,20 +63,6 @@ func (a *Accounting) session(id string) *sessionAcct {
 		a.order = append(a.order, id)
 	}
 	return s
-}
-
-// RecordQueueWait books one served decision's session queue wait into
-// the session's p99 window and the queue-wait histogram.
-func (a *Accounting) RecordQueueWait(sessionID string, ms float64) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.session(sessionID).waits.push(ms)
-	a.mu.Unlock()
-	if h := a.queueWait.Load(); h != nil {
-		h.Observe(ms)
-	}
 }
 
 // Sink returns the observer that books session sessionID's events into
@@ -179,7 +123,6 @@ type SessionSummary struct {
 	Fallbacks         uint64  `json:"fallbacks"`
 	PredictedEnergyMJ float64 `json:"predicted_energy_mj"`
 	MeasuredEnergyMJ  float64 `json:"measured_energy_mj"`
-	QueueWaitP99MS    float64 `json:"queue_wait_p99_ms"`
 }
 
 // ConfigEnergy is one configuration bucket's energy ledger.
@@ -220,7 +163,6 @@ func (a *Accounting) Snapshot() Snapshot {
 			Fallbacks:         s.fallbacks,
 			PredictedEnergyMJ: s.predictedMJ,
 			MeasuredEnergyMJ:  s.measuredMJ,
-			QueueWaitP99MS:    s.waits.p99(),
 		})
 	}
 	sort.Slice(snap.Sessions, func(i, j int) bool {

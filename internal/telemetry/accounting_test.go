@@ -28,7 +28,6 @@ func TestAccountingLedger(t *testing.T) {
 	served(s1, 4, "", safe, 10, 12)
 	served(s1, 1, obs.FallbackColdStart, safe, 5, 4)
 	served(s2, 8, "", hot, 7, 7)
-	a.RecordQueueWait("s1", 0.5)
 
 	snap := a.Snapshot()
 	if len(snap.Sessions) != 2 {
@@ -38,8 +37,8 @@ func TestAccountingLedger(t *testing.T) {
 	if r1.SessionID != "s1" || r1.Decisions != 2 || r1.Observations != 2 || r1.Fallbacks != 1 {
 		t.Fatalf("s1 row wrong: %+v", r1)
 	}
-	if r1.PredictedEnergyMJ != 15 || r1.MeasuredEnergyMJ != 16 || r1.QueueWaitP99MS != 0.5 {
-		t.Fatalf("s1 energy/wait = %v/%v/%v, want 15/16/0.5", r1.PredictedEnergyMJ, r1.MeasuredEnergyMJ, r1.QueueWaitP99MS)
+	if r1.PredictedEnergyMJ != 15 || r1.MeasuredEnergyMJ != 16 {
+		t.Fatalf("s1 energy = %v/%v, want 15/16", r1.PredictedEnergyMJ, r1.MeasuredEnergyMJ)
 	}
 	if len(snap.Configs) != 2 {
 		t.Fatalf("config buckets wrong: %+v", snap.Configs)
@@ -54,18 +53,6 @@ func TestAccountingLedger(t *testing.T) {
 	}
 	if snap.Horizons[4] != 1 || snap.Horizons[1] != 1 || snap.Horizons[8] != 1 {
 		t.Fatalf("horizon tally wrong: %+v", snap.Horizons)
-	}
-}
-
-func TestAccountingQueueWaitP99(t *testing.T) {
-	a := NewAccounting()
-	for i := 1; i <= 100; i++ {
-		a.RecordQueueWait("s", float64(i))
-	}
-	snap := a.Snapshot()
-	p99 := snap.Sessions[0].QueueWaitP99MS
-	if p99 < 95 || p99 > 100 {
-		t.Fatalf("p99 = %v, want ~99", p99)
 	}
 }
 
@@ -90,7 +77,6 @@ func TestAccountingSessionEviction(t *testing.T) {
 
 func TestAccountingNilSafe(t *testing.T) {
 	var a *Accounting
-	a.RecordQueueWait("s", 1)
 	if snap := a.Snapshot(); snap.Sessions != nil {
 		t.Fatal("nil ledger returned sessions")
 	}
@@ -109,7 +95,6 @@ func TestAccountingConcurrent(t *testing.T) {
 			id := fmt.Sprintf("sess-%d", g)
 			sink := a.Sink(id)
 			for i := 0; i < perG; i++ {
-				a.RecordQueueWait(id, 0.2)
 				served(sink, 4, "", hw.FailSafe(), 1, 1)
 				if i%100 == 0 {
 					a.Snapshot()

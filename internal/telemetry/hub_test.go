@@ -26,7 +26,6 @@ func TestHubSessionObserver(t *testing.T) {
 	o.OnFallback(obs.FallbackEvent{Policy: "mpc", App: "Spmv", Reason: obs.FallbackZeroHorizon})
 	o.OnModelError(obs.ModelErrorEvent{Policy: "mpc", App: "Spmv", Config: cfg,
 		PredictedTimeMS: 1.5, MeasuredTimeMS: 1, PredictedPowerW: 10, MeasuredPowerW: 10})
-	hub.Accounting.RecordQueueWait("s1", 0.25)
 
 	cells := hub.Scoreboard.Snapshot()
 	if len(cells) != 2 || cells[1].Gen != 7 || cells[1].App != "Spmv" || cells[1].TimeMAPE != 0.5 {
@@ -37,7 +36,7 @@ func TestHubSessionObserver(t *testing.T) {
 		t.Fatalf("ledger rows %+v, want s0 and s1", snap.Sessions)
 	}
 	if r := snap.Sessions[1]; r.Decisions != 1 || r.Fallbacks != 1 || r.Observations != 1 ||
-		r.PredictedEnergyMJ != 15 || r.MeasuredEnergyMJ != 10 || r.QueueWaitP99MS != 0.25 {
+		r.PredictedEnergyMJ != 15 || r.MeasuredEnergyMJ != 10 {
 		t.Fatalf("s1 ledger row %+v", r)
 	}
 	text := exposition(t, reg)
@@ -46,7 +45,6 @@ func TestHubSessionObserver(t *testing.T) {
 		`mpcdvfs_fallbacks_total{policy="mpc",app="Spmv",reason="zero-horizon"} 1`,
 		`mpcdvfs_prediction_error_count{policy="mpc",app="Spmv",domain="time"} 1`,
 		`mpcdvfs_model_observations_total{gen="7",app="Spmv"} 1`,
-		`mpcdvfs_acct_queue_wait_ms_count 1`,
 	} {
 		if !hasLine(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)

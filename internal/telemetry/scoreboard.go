@@ -88,7 +88,7 @@ type cell struct {
 
 // Scoreboard tracks per-(model generation, app) prediction quality
 // from served Observe ground truth. Safe for concurrent use from many
-// session goroutines.
+// sessions.
 type Scoreboard struct {
 	window int
 	factor float64

@@ -13,12 +13,9 @@ import (
 // so one matcher selects the whole subsystem in any span store.
 const (
 	// SpanDecide is the root span of one configuration decision:
-	// everything from the moment the session's owner goroutine picks
-	// the operation up until the policy returns.
+	// everything from the moment the decide operation holds its
+	// session until the policy returns.
 	SpanDecide = "mpcdvfs_decide"
-	// SpanQueue covers the time a decide operation waited in the
-	// session's FIFO queue before the owner goroutine ran it.
-	SpanQueue = "mpcdvfs_queue"
 	// SpanSearch covers the policy's configuration search (the window
 	// optimization for MPC, the exhaustive sweep for PPK).
 	SpanSearch = "mpcdvfs_search"
@@ -117,8 +114,8 @@ func (t *Tracer) Instrument(reg *metrics.Registry) {
 }
 
 // NewContext returns a trace context for one session. The context is
-// owned by the session's single goroutine and is NOT safe for
-// concurrent use; a nil *Context (or a nil receiver anywhere in its
+// used by one of the session's operations at a time and is NOT safe
+// for concurrent use; a nil *Context (or a nil receiver anywhere in its
 // API) is safe and disables tracing.
 func (t *Tracer) NewContext(session string) *Context {
 	if t == nil {
@@ -211,9 +208,9 @@ type frame struct {
 // span ends. All methods are nil-receiver-safe, so producers embed
 // calls unconditionally and a disabled path costs one nil check.
 //
-// A Context must only be used from its session's owner goroutine (or a
-// single-threaded replay loop); the tracer it publishes to is the
-// shared, synchronized part.
+// A Context must only be used by one of its session's operations at a
+// time (or a single-threaded replay loop); the tracer it publishes to
+// is the shared, synchronized part.
 type Context struct {
 	t       *Tracer
 	session string
@@ -269,27 +266,6 @@ func (c *Context) Start(name string) Span {
 	c.frames[c.depth] = frame{name: name, id: c.t.ids.Add(1), parent: parent, start: time.Now()}
 	c.depth++
 	return Span{c: c, idx: int32(c.depth - 1)}
-}
-
-// RecordSince emits an already-elapsed child span under the innermost
-// open span — for intervals measured outside the owner goroutine, like
-// the queue wait a handler clocked from enqueue time. No-op outside a
-// sampled trace.
-func (c *Context) RecordSince(name string, start time.Time) {
-	if c == nil || c.depth == 0 {
-		return
-	}
-	top := &c.frames[c.depth-1]
-	c.buf = append(c.buf, SpanRecord{
-		TraceID:  c.traceID,
-		SpanID:   c.t.ids.Add(1),
-		ParentID: top.id,
-		Name:     name,
-		Session:  c.session,
-		Index:    c.index,
-		StartUNS: start.UnixNano(),
-		DurNS:    time.Since(start).Nanoseconds(),
-	})
 }
 
 // StartPhase returns a timestamp for EndPhase, or the zero time when

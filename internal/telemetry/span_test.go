@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"testing"
-	"time"
 )
 
 // findByName returns the spans named name, in ring order.
@@ -25,7 +24,6 @@ func TestSpanTree(t *testing.T) {
 	if !c.Active() {
 		t.Fatal("context not active inside a sampled root")
 	}
-	c.RecordSince(SpanQueue, time.Now().Add(-time.Millisecond))
 	search := c.Start(SpanSearch)
 	feat := c.Start(SpanFeaturize)
 	feat.End()
@@ -41,8 +39,8 @@ func TestSpanTree(t *testing.T) {
 	}
 
 	recs := tr.Snapshot(nil)
-	if len(recs) != 5 {
-		t.Fatalf("got %d spans, want 5 (root, queue, search, featurize, forest agg): %+v", len(recs), recs)
+	if len(recs) != 4 {
+		t.Fatalf("got %d spans, want 4 (root, search, featurize, forest agg): %+v", len(recs), recs)
 	}
 	roots := findByName(recs, SpanDecide)
 	if len(roots) != 1 || roots[0].ParentID != 0 {
@@ -52,16 +50,14 @@ func TestSpanTree(t *testing.T) {
 	if rootRec.Session != "s1" || rootRec.Index != 7 {
 		t.Fatalf("root session/index = %q/%d, want s1/7", rootRec.Session, rootRec.Index)
 	}
-	for _, name := range []string{SpanQueue, SpanSearch} {
-		got := findByName(recs, name)
-		if len(got) != 1 || got[0].ParentID != rootRec.SpanID {
-			t.Fatalf("%s not a child of root: %+v", name, got)
-		}
-		if got[0].TraceID != rootRec.TraceID {
-			t.Fatalf("%s trace id %d, want %d", name, got[0].TraceID, rootRec.TraceID)
-		}
+	searches := findByName(recs, SpanSearch)
+	if len(searches) != 1 || searches[0].ParentID != rootRec.SpanID {
+		t.Fatalf("search not a child of root: %+v", searches)
 	}
-	searchRec := findByName(recs, SpanSearch)[0]
+	searchRec := searches[0]
+	if searchRec.TraceID != rootRec.TraceID {
+		t.Fatalf("search trace id %d, want %d", searchRec.TraceID, rootRec.TraceID)
+	}
 	featRec := findByName(recs, SpanFeaturize)
 	if len(featRec) != 1 || featRec[0].ParentID != searchRec.SpanID {
 		t.Fatalf("featurize not a child of search: %+v", featRec)
@@ -69,10 +65,6 @@ func TestSpanTree(t *testing.T) {
 	agg := findByName(recs, SpanForestEval)
 	if len(agg) != 1 || !agg[0].Agg || agg[0].ParentID != searchRec.SpanID {
 		t.Fatalf("forest-eval aggregate wrong: %+v", agg)
-	}
-	queueRec := findByName(recs, SpanQueue)[0]
-	if queueRec.DurNS < int64(time.Millisecond) {
-		t.Fatalf("queue span duration %dns, want >= 1ms", queueRec.DurNS)
 	}
 }
 
@@ -117,7 +109,6 @@ func TestNilAndDisabledSafe(t *testing.T) {
 		t.Fatal("nil context active")
 	}
 	root := c.StartRoot(SpanDecide, 0)
-	c.RecordSince(SpanQueue, time.Now())
 	c.EndPhase(SpanForestEval, c.StartPhase())
 	c.Start(SpanSearch).End()
 	root.End() // all no-ops

@@ -19,14 +19,13 @@
 //   - Tracer/Context/Span (span.go): zero-alloc-when-disabled span
 //     tracing with 1-in-N root sampling, a bounded ring of finished
 //     spans, and JSONL export (jsonl.go). One Context per session,
-//     owned by that session's single goroutine.
+//     used by one of its operations at a time.
 //   - Scoreboard (scoreboard.go): per-(generation, app) rolling windows
 //     of signed relative prediction error and MAPE for time and power,
 //     with drift detection against a training-time MAPE baseline.
 //   - Accounting (accounting.go): cumulative predicted-vs-measured
 //     energy per session and per configuration bucket, decision,
-//     fallback and horizon tallies, queue-wait windows with per-session
-//     p99.
+//     fallback and horizon tallies.
 //
 // A Hub bundles the three so the serve layer and the commands thread
 // one pointer instead of three. The scoreboard and the ledger are sinks
@@ -96,18 +95,14 @@ func NewHub(o Options) *Hub {
 }
 
 // Instrument registers the hub's families on reg: the tracer's, the
-// scoreboard's, the ledger's queue-wait histogram, and the obs.Metrics
-// families that served sessions' events land in. Call once, before
-// traffic.
+// scoreboard's, and the obs.Metrics families that served sessions'
+// events land in. Call once, before traffic.
 func (h *Hub) Instrument(reg *metrics.Registry) {
 	if h == nil {
 		return
 	}
 	h.Tracer.Instrument(reg)
 	h.Scoreboard.Instrument(reg)
-	h.Accounting.queueWait.Store(reg.Histogram("mpcdvfs_acct_queue_wait_ms",
-		"Session queue wait of served decide operations, in milliseconds.",
-		metrics.ExponentialBuckets(0.01, 2, 16)).With())
 	h.metrics.Store(obs.NewMetrics(reg))
 }
 
