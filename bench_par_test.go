@@ -1,8 +1,8 @@
-// Benchmarks for the parallel hot paths — tree-parallel Random Forest
-// training and batched tree-walk inference, serial and parallel
-// variants paired so the speedup is a one-line benchstat comparison —
-// plus the exhaustive configuration sweep and a full MPC replay, which
-// run serially on the batched compiled path:
+// Benchmarks for the parallel hot path — tree-parallel Random Forest
+// training, serial and parallel variants paired so the speedup is a
+// one-line benchstat comparison — plus the exhaustive configuration
+// sweep and a full MPC replay, which run serially on the batched
+// compiled path:
 //
 //	go test -run '^$' -bench '^BenchmarkPar' -benchmem -cpu 1,2
 //
@@ -58,23 +58,6 @@ func benchParTrain(b *testing.B, workers int) {
 
 func BenchmarkParTrainSerial(b *testing.B)   { benchParTrain(b, 1) }
 func BenchmarkParTrainWorkers4(b *testing.B) { benchParTrain(b, 4) }
-
-func benchParPredictBatch(b *testing.B, workers int) {
-	X, y := parBenchData()
-	cfg := rf.DefaultConfig(17)
-	cfg.NumTrees = 16
-	f, err := rf.Train(X, y, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = f.PredictBatch(X, workers)
-	}
-}
-
-func BenchmarkParPredictBatchSerial(b *testing.B)   { benchParPredictBatch(b, 1) }
-func BenchmarkParPredictBatchWorkers4(b *testing.B) { benchParPredictBatch(b, 4) }
 
 // parBenchModel is a small Random Forest predictor shared by the sweep
 // and replay benchmarks.

@@ -110,7 +110,6 @@ type options struct {
 	seed        int64
 	traceSample int
 	drift       bool
-	driftErr    float64
 	zipfS       float64
 	out         string
 }
@@ -124,8 +123,7 @@ func main() {
 	flag.StringVar(&o.polName, "policy", "mpc", "self-host policy: ppk | mpc")
 	flag.Int64Var(&o.seed, "seed", 1, "self-host Random Forest training seed (also seeds the -zipf app draw)")
 	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace 1 in N decisions as spans and report per-phase latency breakdowns from /debug/trace (0 = off; tracing never changes decisions)")
-	flag.BoolVar(&o.drift, "drift", false, "self-host only: swap in an error-injected model after the first level, run the continuous trainer, and report the learning loop's recovery")
-	flag.Float64Var(&o.driftErr, "drift-error", 0.8, "mean absolute relative error injected into the degraded model under -drift")
+	flag.BoolVar(&o.drift, "drift", false, "self-host only: swap in a model with 80% injected error after the first level, run the continuous trainer, and report the learning loop's recovery")
 	flag.Float64Var(&o.zipfS, "zipf", 0, "Zipf-skew the per-session app draw over the whole benchmark suite with this exponent (> 1; 0 = every session replays -app); seeded and deterministic, recorded in the report header")
 	flag.StringVar(&o.cpusFlag, "cpus", "auto", "comma-separated GOMAXPROCS settings to sweep the whole run across (\"auto\": 1,2,4,8 capped at NumCPU; the top-level levels are recorded at the highest setting)")
 	flag.StringVar(&o.out, "out", "", "write the JSON report to this file (default: stdout summary only)")
@@ -289,7 +287,7 @@ func run(o options) error {
 		rep.Levels = append(rep.Levels, lr)
 		printLevel(lr)
 		if o.drift && li == 0 {
-			injectDrift(h, o.appName, o.seed, o.driftErr)
+			injectDrift(h, o.appName, o.seed)
 		}
 	}
 
@@ -483,7 +481,6 @@ func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
 	if o.drift {
 		trainer = learn.New(learn.Config{
 			Seed:        o.seed,
-			Forest:      predict.OnlineForestConfig(o.seed),
 			HoldoutFrac: 0.25,
 			Gate:        learn.Gate{MaxTimeMAPE: 0.25, MaxPowerMAPE: 0.25},
 			// Promotion baselines come from holdout MAPE, which understates
@@ -531,19 +528,23 @@ func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
 	}, nil
 }
 
+// driftError is the mean absolute relative error -drift injects into
+// the degraded model generation.
+const driftError = 0.8
+
 // injectDrift installs an error-injected model generation and anchors
 // its scoreboard baseline at the healthy first level's error, so the
 // remaining levels replay against a predictor the drift gate must flag.
-func injectDrift(h *hosted, appName string, seed int64, driftErr float64) {
+func injectDrift(h *hosted, appName string, seed int64) {
 	healthy := h.hub.Scoreboard.Snapshot()
-	gen := h.decider.Install(predict.NewWithError(h.model, driftErr, driftErr, seed), "drift-injected")
+	gen := h.decider.Install(predict.NewWithError(h.model, driftError, driftError, seed), "drift-injected")
 	for _, c := range healthy {
 		if c.App == appName {
 			h.hub.Scoreboard.SetBaseline(gen, c.TimeMAPE+0.01, c.PowerMAPE+0.01)
 			break
 		}
 	}
-	fmt.Printf("drift injected: generation %d serves with ±%.0f%% model error\n", gen, driftErr*100)
+	fmt.Printf("drift injected: generation %d serves with ±%.0f%% model error\n", gen, driftError*100)
 }
 
 // phaseBreakdown fetches the server's span ring and aggregates spans

@@ -20,8 +20,8 @@
 //	/v1/decide          decide one kernel invocation (POST)
 //	/v1/observe         feed back a measured kernel outcome (POST)
 //	/v1/session/close   drain and close a session (POST)
-//	/reload             hot-swap the serving model (POST; {"path": ...}
-//	                    loads a cmd/train gob, {} retrains in-process)
+//	/reload             hot-swap the serving model (POST {}: re-reads
+//	                    -model when given, else retrains from -seed)
 //
 // The decision API needs a shared predictor, so it is served for the
 // RF-backed policies (mpc, ppk) and disabled under -oracle or
@@ -71,14 +71,11 @@ type options struct {
 	traceOut    string
 	replay      bool
 	traceSample int
-	traceRing   int
 
-	learn          bool
-	learnInterval  time.Duration
-	learnHoldout   float64
-	learnMaxMAPE   float64
-	learnReservoir int
-	learnMinObs    int
+	learn         bool
+	learnInterval time.Duration
+	learnMaxMAPE  float64
+	learnMinObs   int
 }
 
 func main() {
@@ -94,12 +91,9 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines for RF training (0 = all CPUs, 1 = serial; decisions are identical either way)")
 	flag.BoolVar(&o.replay, "replay", true, "run the continuous benchmark replay loop (false: serve the decision API only)")
 	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace 1 in N decisions as spans on /debug/trace (0 = off, 1 = every decision; tracing never changes decisions)")
-	flag.IntVar(&o.traceRing, "trace-ring", 0, "span ring capacity (0 = default)")
 	flag.BoolVar(&o.learn, "learn", false, "continuously retrain from /v1/observe traffic and promote candidates that pass the holdout gate (needs the decision API)")
 	flag.DurationVar(&o.learnInterval, "learn-interval", time.Minute, "periodic retraining cadence; scoreboard drift triggers a round early")
-	flag.Float64Var(&o.learnHoldout, "learn-holdout", 0.25, "fraction of the reservoir held out for candidate validation")
 	flag.Float64Var(&o.learnMaxMAPE, "learn-promote-max-mape", 0.25, "holdout time/power MAPE a candidate must stay under to be promoted")
-	flag.IntVar(&o.learnReservoir, "learn-reservoir", 4096, "training reservoir capacity (uniform sample over all observed kernels)")
 	flag.IntVar(&o.learnMinObs, "learn-min-samples", 64, "fewest reservoir samples before a training round runs")
 	logLevel := flag.String("log-level", "info", "log level: debug | info | warn | error")
 	flag.Parse()
@@ -155,10 +149,7 @@ func run(o options) error {
 	// The telemetry hub carries the span tracer, model scoreboard and
 	// energy ledger for both faces of the process: served sessions get
 	// per-session trace contexts, the replay loop traces under "replay".
-	hub := mpcdvfs.NewTelemetryHub(mpcdvfs.TelemetryOptions{
-		Sample:   o.traceSample,
-		RingSize: o.traceRing,
-	})
+	hub := mpcdvfs.NewTelemetryHub(mpcdvfs.TelemetryOptions{Sample: o.traceSample})
 	hub.Instrument(reg)
 
 	sys := mpcdvfs.NewSystem()
@@ -172,12 +163,7 @@ func run(o options) error {
 	case o.oracle, o.policy == "turbo-core":
 		// Per-app oracles are built below; turbo-core needs no model.
 	case o.modelPath != "":
-		mf, err := os.Open(o.modelPath)
-		if err != nil {
-			return err
-		}
-		sharedModel, err = predict.LoadModel(mf)
-		cli.Close("model file", mf)
+		sharedModel, err = loadModel(o.modelPath)
 		if err != nil {
 			return err
 		}
@@ -215,8 +201,7 @@ func run(o options) error {
 			mux.Handle("/debug/learn", h)
 			trainer.Start(o.learnInterval)
 			slog.Info("continuous trainer enabled", "interval", o.learnInterval,
-				"holdout", o.learnHoldout, "promote_max_mape", o.learnMaxMAPE,
-				"reservoir", o.learnReservoir)
+				"promote_max_mape", o.learnMaxMAPE)
 		}
 		slog.Info("decision API enabled", "policy", o.policy, "trace_sample", o.traceSample)
 	} else {
@@ -257,29 +242,39 @@ func run(o options) error {
 	return srv.Shutdown(shctx)
 }
 
-// newDecider builds the concurrent decision service around the shared
-// model: per-session policies use the exact stack the replay loop uses,
-// which is what keeps served decision streams byte-identical to local
-// replays.
-// newTrainer shapes the continuous trainer from the -learn* flags. The
-// forest matches cmd/train's online configuration; the promotion gate
-// applies -learn-promote-max-mape to both targets.
+// loadModel reads a model written by cmd/train.
+func loadModel(path string) (predict.Model, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer cli.Close("model file", f)
+	m, err := predict.LoadModel(f)
+	if err != nil {
+		return nil, err // not a nil *RandomForest inside a non-nil Model
+	}
+	return m, nil
+}
+
+// newTrainer shapes the continuous trainer from the -learn* flags; the
+// promotion gate applies -learn-promote-max-mape to both targets, and
+// everything else keeps learn.New's defaults.
 func newTrainer(o options) *learn.Trainer {
-	fcfg := predict.OnlineForestConfig(o.seed)
 	return learn.New(learn.Config{
-		Seed:         o.seed,
-		Forest:       fcfg,
-		ReservoirCap: o.learnReservoir,
-		MinSamples:   o.learnMinObs,
-		HoldoutFrac:  o.learnHoldout,
+		Seed:       o.seed,
+		MinSamples: o.learnMinObs,
 		Gate: learn.Gate{
 			MaxTimeMAPE:  o.learnMaxMAPE,
 			MaxPowerMAPE: o.learnMaxMAPE,
 		},
-		ExtendTrees: fcfg.NumTrees / 2,
 	})
 }
 
+// newDecider builds the concurrent decision service around the shared
+// model: per-session policies use the exact stack the replay loop uses,
+// which is what keeps served decision streams byte-identical to local
+// replays. /reload re-reads -model when one was given and retrains from
+// -seed otherwise; it never opens a file the client names.
 func newDecider(o options, sys *mpcdvfs.System, sharedModel mpcdvfs.Model, reg *mpcdvfs.MetricsRegistry, hub *mpcdvfs.TelemetryHub, trainer *learn.Trainer) (*serve.Server, error) {
 	newPolicy := func(m predict.Model) sim.Policy {
 		if o.policy == "ppk" {
@@ -296,6 +291,9 @@ func newDecider(o options, sys *mpcdvfs.System, sharedModel mpcdvfs.Model, reg *
 		Tag:       tag,
 		NewPolicy: newPolicy,
 		Train: func() (predict.Model, error) {
+			if o.modelPath != "" {
+				return loadModel(o.modelPath)
+			}
 			return mpcdvfs.TrainRandomForest(mpcdvfs.DefaultTrainOptions(o.seed))
 		},
 		Telemetry: hub,

@@ -50,14 +50,6 @@ type Config struct {
 	// the offline model's headline MAPE because online rounds train on
 	// a few hundred samples, tight enough to reject a broken candidate.
 	Gate Gate
-	// ExtendTrees, when positive, lets a round that fails the gate grow
-	// its candidate incrementally (rf.Extend on the same training
-	// split) by this many trees at a time, re-validating after each
-	// growth, until the gate passes or MaxTrees is reached.
-	ExtendTrees int
-	// MaxTrees caps adaptive extension. Default 3× the configured tree
-	// count.
-	MaxTrees int
 	// BaselineSlack multiplies the holdout MAPEs reported through
 	// Baseline after a promotion. Live traffic concentrates on
 	// optimizer-selected configurations — exactly where the model's
@@ -97,7 +89,6 @@ type Status struct {
 	LastGen        uint64  `json:"last_gen"`
 	LastTimeMAPE   float64 `json:"last_time_mape"`
 	LastPowerMAPE  float64 `json:"last_power_mape"`
-	LastTrees      int     `json:"last_trees"`
 	LastOutcome    string  `json:"last_outcome"`
 	LastError      string  `json:"last_error,omitempty"`
 	Running        bool    `json:"running"`
@@ -108,7 +99,6 @@ type learnMetrics struct {
 	size         *metrics.Gauge
 	rounds       *metrics.CounterVec
 	mape         *metrics.GaugeVec
-	trees        *metrics.Gauge
 	drift        *metrics.Counter
 	duration     *metrics.Histogram
 }
@@ -154,9 +144,6 @@ func New(cfg Config) *Trainer {
 	if cfg.Forest.NumTrees == 0 {
 		cfg.Forest = predict.OnlineForestConfig(cfg.Seed)
 	}
-	if cfg.MaxTrees <= 0 {
-		cfg.MaxTrees = 3 * cfg.Forest.NumTrees
-	}
 	if cfg.BaselineSlack < 1 {
 		cfg.BaselineSlack = 1
 	}
@@ -196,8 +183,6 @@ func (t *Trainer) Instrument(reg *metrics.Registry) {
 			"Training rounds by outcome (promoted, rejected, skipped, error).", "outcome"),
 		mape: reg.Gauge("mpcdvfs_learn_holdout_mape",
 			"Held-out mean absolute relative error of the last candidate, by target.", "target"),
-		trees: reg.Gauge("mpcdvfs_learn_candidate_trees",
-			"Tree count of the last candidate forest after any adaptive extension.").With(),
 		drift: reg.Counter("mpcdvfs_learn_drift_signals_total",
 			"Rising-edge drift notifications received from the scoreboard.").With(),
 		duration: reg.Histogram("mpcdvfs_learn_round_duration_ms",
@@ -276,8 +261,8 @@ func (t *Trainer) SnapshotSamples() []predict.Sample {
 }
 
 // TrainOnce runs one synchronous training round: snapshot the
-// reservoir, deterministically split it, build a candidate, validate
-// against the holdout, adaptively extend if configured, and promote
+// reservoir, deterministically split it, build one candidate of the
+// configured size, validate it against the holdout, and promote it
 // through Install only if the gate passes. Returns whether a promotion
 // happened. Rounds are serialized; observation continues concurrently
 // — Add only contends for the short reservoir-snapshot critical
@@ -335,35 +320,12 @@ func (t *Trainer) TrainOnce() (promoted bool, err error) {
 
 	cand, err := t.cfg.BuildCandidate(train, fcfg, t.cfg.Workers)
 	if err != nil {
-		t.finishRound(m, start, 0, 0, 0, "error", err)
+		t.finishRound(m, start, 0, 0, "error", err)
 		return false, fmt.Errorf("learn: round %d candidate: %w", round, err)
 	}
 	tm, pm, _ := predict.EvaluateOnSamples(cand, hold)
-	tc, _ := cand.CompiledForests()
-	trees := tc.NumTrees()
-
-	// Adaptive extension: grow the same candidate (bit-identical to a
-	// bigger from-scratch train, per rf.Extend's contract) while the
-	// gate fails and budget remains. A candidate from a substituted
-	// builder may not be extensible; the first extension error ends the
-	// loop and the gate judges what exists.
-	for t.cfg.ExtendTrees > 0 && trees < t.cfg.MaxTrees &&
-		(tm > t.cfg.Gate.MaxTimeMAPE || pm > t.cfg.Gate.MaxPowerMAPE) {
-		extra := t.cfg.ExtendTrees
-		if trees+extra > t.cfg.MaxTrees {
-			extra = t.cfg.MaxTrees - trees
-		}
-		bigger, xerr := predict.ExtendOnSamples(cand, train, fcfg, extra, t.cfg.Workers)
-		if xerr != nil {
-			break
-		}
-		cand = bigger
-		trees += extra
-		tm, pm, _ = predict.EvaluateOnSamples(cand, hold)
-	}
-
 	if tm > t.cfg.Gate.MaxTimeMAPE || pm > t.cfg.Gate.MaxPowerMAPE {
-		t.finishRound(m, start, tm, pm, trees, "rejected", nil)
+		t.finishRound(m, start, tm, pm, "rejected", nil)
 		return false, nil
 	}
 
@@ -377,11 +339,11 @@ func (t *Trainer) TrainOnce() (promoted bool, err error) {
 	t.mu.Lock()
 	t.st.LastGen = gen
 	t.mu.Unlock()
-	t.finishRound(m, start, tm, pm, trees, "promoted", nil)
+	t.finishRound(m, start, tm, pm, "promoted", nil)
 	return true, nil
 }
 
-func (t *Trainer) finishRound(m *learnMetrics, start time.Time, tm, pm float64, trees int, outcome string, err error) {
+func (t *Trainer) finishRound(m *learnMetrics, start time.Time, tm, pm float64, outcome string, err error) {
 	t.mu.Lock()
 	switch outcome {
 	case "promoted":
@@ -391,7 +353,6 @@ func (t *Trainer) finishRound(m *learnMetrics, start time.Time, tm, pm float64, 
 	}
 	t.st.LastTimeMAPE = tm
 	t.st.LastPowerMAPE = pm
-	t.st.LastTrees = trees
 	t.st.LastOutcome = outcome
 	if err != nil {
 		t.st.LastError = err.Error()
@@ -403,7 +364,6 @@ func (t *Trainer) finishRound(m *learnMetrics, start time.Time, tm, pm float64, 
 		m.rounds.With(outcome).Inc()
 		m.mape.With("time").Set(tm)
 		m.mape.With("power").Set(pm)
-		m.trees.Set(float64(trees))
 		m.duration.Observe(float64(time.Since(start).Milliseconds()))
 	}
 }

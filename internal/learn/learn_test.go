@@ -187,42 +187,6 @@ func TestTrainOnceDeterministic(t *testing.T) {
 	}
 }
 
-// TestTrainOnceAdaptiveExtension: with an unreachable gate, the trainer
-// grows the candidate to MaxTrees before giving up — and the round is
-// still a clean rejection, not an error.
-func TestTrainOnceAdaptiveExtension(t *testing.T) {
-	ir := &installRecorder{}
-	fcfg := predict.OnlineForestConfig(23)
-	fcfg.NumTrees = 4
-	tr := New(Config{
-		Seed:        23,
-		Forest:      fcfg,
-		MinSamples:  60,
-		Gate:        Gate{MaxTimeMAPE: 1e-9, MaxPowerMAPE: 1e-9},
-		ExtendTrees: 4,
-		MaxTrees:    12,
-		Workers:     2,
-		Install:     ir.install,
-	})
-	for _, s := range streamSamples(120, 6) {
-		tr.Add(s)
-	}
-	promoted, err := tr.TrainOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if promoted {
-		t.Fatal("a 1e-9 gate promoted")
-	}
-	st := tr.Status()
-	if st.LastTrees != 12 {
-		t.Fatalf("adaptive extension stopped at %d trees, want MaxTrees=12", st.LastTrees)
-	}
-	if st.LastOutcome != "rejected" {
-		t.Fatalf("outcome %q, want rejected", st.LastOutcome)
-	}
-}
-
 func TestTrainerBuildErrorIsReported(t *testing.T) {
 	ir := &installRecorder{}
 	tr := newTestTrainer(ir)

@@ -1,7 +1,6 @@
 // Package par is the shared worker pool behind the repository's
-// parallel paths: Random Forest tree growth and in-place forest
-// extension (internal/rf), and mpclint's per-package checks
-// (internal/analysis). Inference does not fan out: the exhaustive sweep
+// parallel paths: Random Forest tree growth (internal/rf) and mpclint's
+// per-package checks (internal/analysis). Inference does not fan out: the exhaustive sweep
 // is one serial set descent. It deliberately provides only order-free
 // fan-out — every parallel caller in this repository is required to
 // produce byte-identical results to its serial counterpart, so work is

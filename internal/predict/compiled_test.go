@@ -12,13 +12,20 @@ import (
 	"mpcdvfs/internal/kernel"
 )
 
-// quickRF trains a small forest pair fast enough for unit tests that
-// only need a structurally real model, not paper-grade accuracy.
-func quickRF(t *testing.T) *RandomForest {
-	t.Helper()
+// quickForest trains the small forest pair behind quickRF, once per
+// test binary.
+var quickForest = sync.OnceValues(func() (*RandomForest, error) {
 	opt := DefaultTrainOptions(77)
 	opt.NumKernels = 12
-	m, err := TrainRandomForest(opt)
+	return TrainRandomForest(opt)
+})
+
+// quickRF returns a structurally real model, not a paper-grade one, for
+// unit tests that only read it. The model is shared, so no caller may
+// change it; tests of training itself train their own forests.
+func quickRF(t *testing.T) *RandomForest {
+	t.Helper()
+	m, err := quickForest()
 	if err != nil {
 		t.Fatal(err)
 	}

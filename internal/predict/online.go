@@ -62,9 +62,7 @@ func sampleMatrix(samples []Sample) (X [][]float64, yTime, yPower []float64) {
 // OnlineForestConfig returns the forest hyperparameters continuous
 // retraining uses by default: the offline shape (half the features per
 // split, depth 14) at a reduced tree count, sized so a retrain round
-// on a few thousand reservoir samples completes in well under a second
-// — the trainer can always Extend the candidate afterwards if the
-// holdout gate wants more capacity.
+// on a few thousand reservoir samples completes in well under a second.
 func OnlineForestConfig(seed int64) rf.Config {
 	cfg := rf.DefaultConfig(seed)
 	cfg.NumTrees = 24
@@ -98,40 +96,6 @@ func TrainOnSamples(samples []Sample, fcfg rf.Config, workers int) (*RandomFores
 	pf, err := rf.Train(X, yPower, fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("predict: power forest: %w", err)
-	}
-	return NewFromForests(tf, pf)
-}
-
-// ExtendOnSamples grows `extra` more trees onto a model produced by
-// TrainOnSamples(samples, fcfg, …) — the bagging-native incremental
-// step: cheaper than retraining, and by rf.Extend's equality contract
-// the result is bit-identical to having trained the bigger forest from
-// scratch on the same samples, so gate decisions made against an
-// extended candidate are decisions about the equivalent full retrain.
-// It needs the tree form, so it fails on a loaded model.
-func ExtendOnSamples(m *RandomForest, samples []Sample, fcfg rf.Config, extra, workers int) (*RandomForest, error) {
-	if m == nil {
-		return nil, fmt.Errorf("predict: extend of a nil model")
-	}
-	if m.timeForest == nil {
-		return nil, errNoTrees
-	}
-	if fcfg.NumTrees == 0 {
-		fcfg = OnlineForestConfig(fcfg.Seed)
-	}
-	if fcfg.Workers == 0 {
-		fcfg.Workers = workers
-	}
-	X, yTime, yPower := sampleMatrix(samples)
-	fcfg.NumTrees = m.timeForest.NumTrees()
-	tf, err := rf.Extend(m.timeForest, X, yTime, fcfg, extra)
-	if err != nil {
-		return nil, fmt.Errorf("predict: extend time forest: %w", err)
-	}
-	fcfg.Seed++
-	pf, err := rf.Extend(m.powerForest, X, yPower, fcfg, extra)
-	if err != nil {
-		return nil, fmt.Errorf("predict: extend power forest: %w", err)
 	}
 	return NewFromForests(tf, pf)
 }

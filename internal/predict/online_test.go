@@ -91,41 +91,6 @@ func TestTrainOnSamplesDeterministicAndAccurate(t *testing.T) {
 	}
 }
 
-// TestExtendOnSamplesEqualsBiggerTrain carries rf.Extend's equality
-// contract through the predict layer: extending an online model by k
-// trees predicts bit-identically to training NumTrees+k from scratch.
-func TestExtendOnSamplesEqualsBiggerTrain(t *testing.T) {
-	samples := oracleSamples(t, 20, 7)
-	fcfg := OnlineForestConfig(5)
-	fcfg.NumTrees = 8
-	small, err := TrainOnSamples(samples, fcfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := ExtendOnSamples(small, samples, fcfg, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := fcfg
-	big.NumTrees = 12
-	want, err := TrainOnSamples(samples, big, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ext.timeForest.NumTrees() != 12 || ext.powerForest.NumTrees() != 12 {
-		t.Fatalf("extended forests have %d/%d trees, want 12",
-			ext.timeForest.NumTrees(), ext.powerForest.NumTrees())
-	}
-	for _, s := range samples {
-		a := ext.PredictKernel(s.Counters, s.Config)
-		b := want.PredictKernel(s.Counters, s.Config)
-		if math.Float64bits(a.TimeMS) != math.Float64bits(b.TimeMS) ||
-			math.Float64bits(a.GPUPowerW) != math.Float64bits(b.GPUPowerW) {
-			t.Fatalf("extended model differs from bigger retrain: %+v vs %+v", a, b)
-		}
-	}
-}
-
 // TestTrainOnSamplesMatchesOfflineTransforms checks the online path
 // produces the same matrix the offline trainer would: a model trained
 // on oracle samples agrees with one trained via sampleMatrix + rf
@@ -166,9 +131,6 @@ func TestTrainOnSamplesMatchesOfflineTransforms(t *testing.T) {
 func TestTrainOnSamplesValidation(t *testing.T) {
 	if _, err := TrainOnSamples(nil, OnlineForestConfig(1), 1); err == nil {
 		t.Fatal("TrainOnSamples accepted an empty sample set")
-	}
-	if _, err := ExtendOnSamples(nil, oracleSamples(t, 2, 1), OnlineForestConfig(1), 2, 1); err == nil {
-		t.Fatal("ExtendOnSamples accepted a nil model")
 	}
 }
 

@@ -34,7 +34,7 @@ func SaveModel(w io.Writer, m *RandomForest) error {
 
 // LoadModel reads a predictor previously written by SaveModel, for
 // serving: it compiles both forests and drops their tree form, so the
-// model cannot be saved, extended or asked for feature importance.
+// model cannot be saved or asked for feature importance.
 func LoadModel(r io.Reader) (*RandomForest, error) {
 	tf, pf, err := ReadForests(r)
 	if err != nil {

@@ -304,7 +304,7 @@ func TestModelPersistRoundTrip(t *testing.T) {
 
 // TestLoadedModelKeepsOnlyCompiledForm pins the model lifetime: a
 // loaded model holds its compiled forests and no tree form, so
-// Forests() is nil and the three operations that need trees return
+// Forests() is nil and the two operations that need trees return
 // errors instead of panicking, while a trained model still saves the
 // bytes the loaded one was read from.
 func TestLoadedModelKeepsOnlyCompiledForm(t *testing.T) {
@@ -329,9 +329,6 @@ func TestLoadedModelKeepsOnlyCompiledForm(t *testing.T) {
 	}
 	if _, _, err := loaded.FeatureImportance(DefaultTrainOptions(77)); err == nil {
 		t.Error("FeatureImportance accepted a loaded model")
-	}
-	if _, err := ExtendOnSamples(loaded, oracleSamples(t, 2, 1), OnlineForestConfig(1), 2, 1); err == nil {
-		t.Error("ExtendOnSamples accepted a loaded model")
 	}
 
 	// The trained model is untouched by the save and saves again.

@@ -72,9 +72,9 @@ func featurize(cs counters.Set, c hw.Config) []float64 {
 //
 // Every prediction runs on the compiled forests, built from the tree
 // form at train or load time. Only a model trained in this process
-// (TrainRandomForest, TrainOnSamples, ExtendOnSamples) keeps the tree
-// form as well, for SaveModel, FeatureImportance and ExtendOnSamples; a
-// model from LoadModel holds the compiled forests alone.
+// (TrainRandomForest, TrainOnSamples) keeps the tree form as well, for
+// SaveModel and FeatureImportance; a model from LoadModel holds the
+// compiled forests alone.
 type RandomForest struct {
 	// The tree form: log(ms per instruction) and GPU+NB watts. Nil on
 	// a loaded model.
@@ -312,8 +312,8 @@ func (m *RandomForest) FeatureImportance(opt TrainOptions) (timeImp, powerImp []
 
 // NewFromForests builds a RandomForest from a forest pair and keeps the
 // tree form next to the compiled one, as a model trained in this
-// process does (TrainRandomForest, TrainOnSamples and ExtendOnSamples
-// land here). LoadModel compiles without keeping the trees.
+// process does (TrainRandomForest and TrainOnSamples land here).
+// LoadModel compiles without keeping the trees.
 func NewFromForests(timeForest, powerForest *rf.Forest) (*RandomForest, error) {
 	m, err := compileForests(timeForest, powerForest)
 	if err != nil {

@@ -88,21 +88,10 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestPredictBatchEmpty pins the n==0 fast paths: no allocation, no
-// worker-pool dispatch, nil result from the tree walk, and an empty set
-// descent that returns at once.
-func TestPredictBatchEmpty(t *testing.T) {
-	f := fuzzForest(t)
-	c := compileOrFatal(t, f)
-	if out := f.PredictBatch(nil, 0); out != nil {
-		t.Fatalf("Forest.PredictBatch(nil) = %v, want nil", out)
-	}
-	if out := f.PredictBatch([][]float64{}, 4); out != nil {
-		t.Fatalf("Forest.PredictBatch(empty) = %v, want nil", out)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = f.PredictBatch(nil, 0) }); allocs != 0 {
-		t.Fatalf("Forest.PredictBatch(nil) allocates %v times per call, want 0", allocs)
-	}
+// TestPredictSetIntoEmpty pins the empty set descent: no rows, an
+// empty result at once.
+func TestPredictSetIntoEmpty(t *testing.T) {
+	c := compileOrFatal(t, fuzzForest(t))
 	x := []float64{0.3, 0.7, 0.1}
 	splits := make([]RowSplits, 3)
 	if out := c.PredictSetInto(nil, x, splits); len(out) != 0 {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 // randomConfig draws a small but non-degenerate training configuration.
@@ -75,62 +74,4 @@ func TestParallelTrainMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-}
-
-// Property: PredictBatch equals row-by-row Predict for every worker
-// count, on arbitrary seeded inputs.
-func TestPredictBatchMatchesPredictQuick(t *testing.T) {
-	X, y := makeDataset(300, 4, 0.05, 11, func(x []float64) float64 {
-		return 2*x[0] - x[1] + x[2]*x[3]
-	})
-	cfg := DefaultConfig(12)
-	cfg.NumTrees = 10
-	f, err := Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prop := func(seed int64, nRaw uint8, wRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw % 40) // includes the empty batch
-		Xq := make([][]float64, n)
-		for i := range Xq {
-			x := make([]float64, 4)
-			for j := range x {
-				x[j] = rng.Float64()*3 - 1
-			}
-			Xq[i] = x
-		}
-		workers := int(wRaw%6) - 1 // -1..4: default, serial, fan-out
-		got := f.PredictBatch(Xq, workers)
-		if len(got) != n {
-			return false
-		}
-		for i := range Xq {
-			if got[i] != f.Predict(Xq[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(77))}); err != nil {
-		t.Error(err)
-	}
-}
-
-// PredictBatch validates dimensions up front: a bad row must panic
-// before any result is produced, exactly like Predict.
-func TestPredictBatchPanicsOnWrongDim(t *testing.T) {
-	X, y := makeDataset(50, 3, 0, 5, func(x []float64) float64 { return x[0] })
-	cfg := DefaultConfig(6)
-	cfg.NumTrees = 3
-	f, err := Train(X, y, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("PredictBatch accepted a wrong-dimension row")
-		}
-	}()
-	f.PredictBatch([][]float64{{1, 2, 3}, {1, 2}}, 4)
 }

@@ -145,31 +145,6 @@ func (f *Forest) Predict(x []float64) float64 {
 	return s / float64(len(f.trees))
 }
 
-// PredictBatch returns the forest's estimate for every row of X, fanning
-// the rows out across `workers` goroutines (<= 0 uses the process
-// default, 1 is serial). Each row's prediction sums the trees in the
-// same order as Predict, so the result is bit-identical to calling
-// Predict row by row regardless of the worker count. It panics if any
-// row has the wrong dimensionality — checked up front, before any
-// goroutine is spawned, so the panic is synchronous like Predict's.
-// An empty batch returns nil immediately: no result allocation, no
-// worker resolution, no pool dispatch.
-func (f *Forest) PredictBatch(X [][]float64, workers int) []float64 {
-	if len(X) == 0 {
-		return nil
-	}
-	for i, x := range X {
-		if len(x) != f.nFeatures {
-			panic(fmt.Sprintf("rf: PredictBatch row %d has %d features, trained on %d", i, len(x), f.nFeatures))
-		}
-	}
-	out := make([]float64, len(X))
-	par.ForEach(workers, len(X), func(i int) {
-		out[i] = f.Predict(X[i])
-	})
-	return out
-}
-
 // Train grows a forest on (X, y). Rows of X are feature vectors; every
 // row must have the same length. Training is deterministic for a given
 // Config.Seed, independent of Config.Workers (see the package comment

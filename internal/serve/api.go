@@ -196,9 +196,9 @@ type CloseRequest struct {
 	SessionID string `json:"session_id"`
 }
 
-// ReloadRequest swaps the serving model: with Path, load a gob model
-// written by cmd/train; without, retrain in-process (if the server was
-// configured with a trainer).
+// ReloadRequest swaps the serving model for the one Config.Train
+// builds. Path is refused: a body that names one gets 400 and the
+// serving generation does not change.
 type ReloadRequest struct {
 	Path string `json:"path,omitempty"`
 }

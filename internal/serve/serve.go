@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -74,8 +73,8 @@ type Config struct {
 	// model. Required. It must build the exact stack a local replay
 	// would use — that identity is what the golden parity test pins.
 	NewPolicy func(m predict.Model) sim.Policy
-	// Train, when set, lets /reload without a path retrain in-process.
-	// /reload with a path loads a model written by cmd/train.
+	// Train, when set, builds the model /reload installs. /reload never
+	// opens a file the client names: a body with a path gets 400.
 	Train func() (predict.Model, error)
 	// Telemetry, when set, deep-instruments the server: every decision
 	// runs under a trace root (sampled per the hub's tracer); each
@@ -145,21 +144,6 @@ func New(cfg Config) (*Server, error) {
 		tr.Bind(s.Install, baseline)
 	}
 	return s, nil
-}
-
-func loadGobModel(path string) (predict.Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := predict.LoadModel(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // Instrument mirrors the server's counters into reg:
@@ -505,26 +489,20 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.count("reload", status)
 		return
 	}
-	var (
-		model predict.Model
-		tag   string
-		err   error
-	)
 	if req.Path != "" {
-		model, err = loadGobModel(req.Path)
-		tag = req.Path
-	} else if s.cfg.Train != nil {
-		model, err = s.cfg.Train()
-		tag = "retrained"
-	} else {
-		s.fail(w, "reload", http.StatusNotImplemented, "no path given and server has no trainer")
+		s.fail(w, "reload", http.StatusBadRequest, "reload takes no path: the server never opens a file a client names")
 		return
 	}
+	if s.cfg.Train == nil {
+		s.fail(w, "reload", http.StatusNotImplemented, "server has no model source to reload from")
+		return
+	}
+	model, err := s.cfg.Train()
 	if err != nil {
 		s.fail(w, "reload", http.StatusInternalServerError, "reload: "+err.Error())
 		return
 	}
-	gen := s.Install(model, tag)
+	gen := s.Install(model, "reloaded")
 	s.count("reload", http.StatusOK)
 	writeJSON(w, http.StatusOK, ReloadResponse{SnapshotGen: gen, Model: model.Name()})
 }

@@ -12,9 +12,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -572,9 +574,11 @@ func (*nopPolicy) Begin(sim.RunInfo)       {}
 func (*nopPolicy) Decide(int) sim.Decision { return sim.Decision{Config: hw.FailSafe()} }
 func (*nopPolicy) Observe(sim.Observation) {}
 
-// TestReloadEndpoint covers both /reload modes: without a trainer or a
-// path the server answers 501; with a trainer it installs the retrained
-// model as the next generation.
+// TestReloadEndpoint drives /reload through the real mux. A body that
+// names a path gets 400 whatever the path (a valid model file
+// included), builds nothing and leaves the generation alone; without a
+// model source {} gets 501; with one, {} installs its model as the
+// next generation, which the next session pins.
 func TestReloadEndpoint(t *testing.T) {
 	bare, err := serve.New(serve.Config{
 		Model:     fakeModel{},
@@ -586,29 +590,54 @@ func TestReloadEndpoint(t *testing.T) {
 	tsBare := httptest.NewServer(bare.Handler())
 	t.Cleanup(func() { bare.Shutdown(); tsBare.Close() })
 	if code, _, _ := post(t, tsBare.URL, "/reload", serve.ReloadRequest{}); code != http.StatusNotImplemented {
-		t.Fatalf("reload without trainer: %d, want 501", code)
+		t.Fatalf("reload without a model source: %d, want 501", code)
 	}
 
+	var builds atomic.Int32
 	trained, err := serve.New(serve.Config{
 		Model:     fakeModel{},
 		NewPolicy: func(predict.Model) sim.Policy { return &nopPolicy{} },
-		Train:     func() (predict.Model, error) { return fakeModel{}, nil },
+		Train: func() (predict.Model, error) {
+			builds.Add(1)
+			return fakeModel{}, nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tsTrained := httptest.NewServer(trained.Handler())
 	t.Cleanup(func() { trained.Shutdown(); tsTrained.Close() })
+	for _, path := range []string{filepath.Join("..", "..", "testdata", "golden", "model.bin"), "/nonexistent/model.bin"} {
+		for _, ts := range []*httptest.Server{tsBare, tsTrained} {
+			if code, _, body := post(t, ts.URL, "/reload", serve.ReloadRequest{Path: path}); code != http.StatusBadRequest {
+				t.Fatalf("reload naming %q: %d %s, want 400", path, code, body)
+			}
+		}
+	}
+	if builds.Load() != 0 || trained.CurrentSnapshot().Gen != 1 || bare.CurrentSnapshot().Gen != 1 {
+		t.Fatalf("refused reloads changed the server: %d builds, generations %d and %d, want 0 and 1, 1",
+			builds.Load(), trained.CurrentSnapshot().Gen, bare.CurrentSnapshot().Gen)
+	}
+
 	code, _, body := post(t, tsTrained.URL, "/reload", serve.ReloadRequest{})
 	if code != http.StatusOK {
-		t.Fatalf("reload with trainer: %d %s", code, body)
+		t.Fatalf("reload with a model source: %d %s", code, body)
 	}
 	var resp serve.ReloadResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.SnapshotGen != 2 || trained.CurrentSnapshot().Gen != 2 {
-		t.Fatalf("reload installed gen %d (server at %d), want 2", resp.SnapshotGen, trained.CurrentSnapshot().Gen)
+	if resp.SnapshotGen != 2 || trained.CurrentSnapshot().Gen != 2 || builds.Load() != 1 {
+		t.Fatalf("reload installed gen %d (server at %d, %d builds), want 2 after 1 build",
+			resp.SnapshotGen, trained.CurrentSnapshot().Gen, builds.Load())
+	}
+	code, _, body = post(t, tsTrained.URL, "/v1/session", serve.SessionRequest{App: "x", NumKernels: 4})
+	var sresp serve.SessionResponse
+	if code != http.StatusOK || json.Unmarshal(body, &sresp) != nil {
+		t.Fatalf("session open after reload: %d %s", code, body)
+	}
+	if sresp.SnapshotGen != 2 {
+		t.Fatalf("session after reload pinned gen %d, want 2", sresp.SnapshotGen)
 	}
 }
 
