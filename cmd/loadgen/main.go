@@ -463,6 +463,15 @@ type hosted struct {
 // wires the continuous trainer the way mpcserve -learn does, so the
 // sweep exercises the full observe → reservoir → retrain → promote loop.
 func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
+	var newPolicy func(predict.Model) sim.Policy
+	switch o.polName {
+	case "mpc":
+		newPolicy = func(m predict.Model) sim.Policy { return sys.NewMPC(m) }
+	case "ppk":
+		newPolicy = func(m predict.Model) sim.Policy { return sys.NewPPK(m) }
+	default:
+		return nil, fmt.Errorf("unknown -policy %q (want mpc or ppk)", o.polName)
+	}
 	slog.Info("training Random Forest predictor for the self-hosted server", "seed", o.seed)
 	model, err := mpcdvfs.TrainRandomForest(mpcdvfs.DefaultTrainOptions(o.seed))
 	if err != nil {
@@ -490,14 +499,9 @@ func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
 		})
 	}
 	decider, err := serve.New(serve.Config{
-		Model: model,
-		Tag:   "loadgen seed=" + strconv.FormatInt(o.seed, 10),
-		NewPolicy: func(m predict.Model) sim.Policy {
-			if o.polName == "ppk" {
-				return sys.NewPPK(m)
-			}
-			return sys.NewMPC(m)
-		},
+		Model:     model,
+		Tag:       "loadgen seed=" + strconv.FormatInt(o.seed, 10),
+		NewPolicy: newPolicy,
 		Telemetry: hub,
 		Learn:     trainer,
 	})
@@ -508,19 +512,8 @@ func selfHost(sys *mpcdvfs.System, o options) (*hosted, error) {
 		// A long period: rounds during the sweep are drift-triggered.
 		trainer.Start(time.Hour)
 	}
-	mux := http.NewServeMux()
-	h := decider.Handler()
-	mux.Handle("/v1/", h)
-	if hub != nil {
-		mux.Handle("/debug/mpc", h)
-		mux.Handle("/debug/models", h)
-		mux.Handle("/debug/trace", h)
-	}
-	if trainer != nil {
-		mux.Handle("/debug/learn", h)
-	}
 	return &hosted{
-		ts:      httptest.NewServer(mux),
+		ts:      httptest.NewServer(decider.Handler()),
 		decider: decider,
 		model:   model,
 		hub:     hub,

@@ -1,9 +1,11 @@
-// Command mpcserve runs the MPC runtime as a long-lived observable
-// service with two faces: a replay loop that continuously re-runs
-// benchmark workloads under a policy (the original mode), and a
-// concurrent decision API that serves per-kernel configuration
-// decisions to remote clients over HTTP, one session per client
-// application (internal/serve).
+// Command mpcserve is the MPC decision server: it serves per-kernel
+// configuration decisions to client applications over HTTP, one
+// session per client application (internal/serve), next to the
+// observability surface of the serving process. Every decision it
+// counts is one a client asked for. To put the benchmark suite through
+// a running server, replay it as a client does (loadgen -addr); offline
+// replays with savings and speedup metrics run in mpcsim and
+// experiments (-metrics-addr).
 //
 // Endpoints (on -addr):
 //
@@ -21,56 +23,47 @@
 //	/v1/observe         feed back a measured kernel outcome (POST)
 //	/v1/session/close   drain and close a session (POST)
 //	/reload             hot-swap the serving model (POST {}: re-reads
-//	                    -model when given, else retrains from -seed)
-//
-// The decision API needs a shared predictor, so it is served for the
-// RF-backed policies (mpc, ppk) and disabled under -oracle or
-// -policy=turbo-core, whose predictors are per-app or absent.
+//	                    -model; 501 without -model, because retraining
+//	                    from -seed would rebuild the same model)
 //
 // Usage:
 //
-//	mpcserve                        # replay all benchmarks + serve API
-//	mpcserve -replay=false          # decision API only
-//	mpcserve -oracle -apps Spmv     # perfect predictor, replay only
+//	mpcserve                                # train the RF from -seed, then serve
+//	mpcserve -model model.bin               # serve a model written by cmd/train
+//	loadgen -addr http://localhost:9090     # replay the suite through it
 //	curl localhost:9090/metrics
 //	curl -d '{"app":"x","num_kernels":8,"target":{"total_insts":1e9,"total_time_ms":100}}' localhost:9090/v1/session
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"mpcdvfs"
 	"mpcdvfs/internal/cli"
 	"mpcdvfs/internal/learn"
-	"mpcdvfs/internal/metrics"
-	"mpcdvfs/internal/obs"
 	"mpcdvfs/internal/par"
 	"mpcdvfs/internal/predict"
 	"mpcdvfs/internal/serve"
 	"mpcdvfs/internal/sim"
-	"mpcdvfs/internal/telemetry"
 )
 
 type options struct {
 	addr        string
-	apps        string
 	policy      string
-	oracle      bool
 	modelPath   string
 	seed        int64
-	interval    time.Duration
-	traceOut    string
-	replay      bool
+	workers     int
 	traceSample int
+	logLevel    string
 
 	learn         bool
 	learnInterval time.Duration
@@ -79,167 +72,161 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.addr, "addr", ":9090", "HTTP listen address for the decision API, /metrics, /health and /debug/pprof")
-	flag.StringVar(&o.apps, "apps", "", "comma-separated benchmarks to replay (default: all)")
-	flag.StringVar(&o.policy, "policy", "mpc", "policy: turbo-core | ppk | mpc")
-	flag.BoolVar(&o.oracle, "oracle", false, "use a perfect predictor instead of the Random Forest (disables the decision API)")
-	flag.StringVar(&o.modelPath, "model", "", "load a model trained with cmd/train instead of training in-process")
-	flag.Int64Var(&o.seed, "seed", 1, "Random Forest training seed")
-	flag.DurationVar(&o.interval, "interval", 100*time.Millisecond, "pause between workload replays")
-	flag.StringVar(&o.traceOut, "trace-out", "", "stream runtime events as JSONL to this file (tailable)")
-	workers := flag.Int("workers", 0, "worker goroutines for RF training (0 = all CPUs, 1 = serial; decisions are identical either way)")
-	flag.BoolVar(&o.replay, "replay", true, "run the continuous benchmark replay loop (false: serve the decision API only)")
-	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace 1 in N decisions as spans on /debug/trace (0 = off, 1 = every decision; tracing never changes decisions)")
-	flag.BoolVar(&o.learn, "learn", false, "continuously retrain from /v1/observe traffic and promote candidates that pass the holdout gate (needs the decision API)")
-	flag.DurationVar(&o.learnInterval, "learn-interval", time.Minute, "periodic retraining cadence; scoreboard drift triggers a round early")
-	flag.Float64Var(&o.learnMaxMAPE, "learn-promote-max-mape", 0.25, "holdout time/power MAPE a candidate must stay under to be promoted")
-	flag.IntVar(&o.learnMinObs, "learn-min-samples", 64, "fewest reservoir samples before a training round runs")
-	logLevel := flag.String("log-level", "info", "log level: debug | info | warn | error")
-	flag.Parse()
-
-	if err := cli.InitLogging(*logLevel); err != nil {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2) // the flag set has printed the error and the usage
+	}
+	if err := cli.InitLogging(o.logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	par.SetDefault(*workers)
+	par.SetDefault(o.workers)
 	if err := run(o); err != nil {
 		slog.Error("mpcserve failed", "err", err)
 		os.Exit(1)
 	}
 }
 
+// parseFlags reads the command line into options.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("mpcserve", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":9090", "HTTP listen address for the decision API, /metrics, /health and /debug/pprof")
+	fs.StringVar(&o.policy, "policy", "mpc", "per-session policy: mpc | ppk")
+	fs.StringVar(&o.modelPath, "model", "", "load a model trained with cmd/train instead of training in-process")
+	fs.Int64Var(&o.seed, "seed", 1, "Random Forest training seed")
+	fs.IntVar(&o.workers, "workers", 0, "worker goroutines for RF training (0 = all CPUs, 1 = serial; decisions are identical either way)")
+	fs.IntVar(&o.traceSample, "trace-sample", 0, "trace 1 in N decisions as spans on /debug/trace (0 = off, 1 = every decision; tracing never changes decisions)")
+	fs.BoolVar(&o.learn, "learn", false, "continuously retrain from /v1/observe traffic and promote candidates that pass the holdout gate")
+	fs.DurationVar(&o.learnInterval, "learn-interval", time.Minute, "periodic retraining cadence; scoreboard drift triggers a round early")
+	fs.Float64Var(&o.learnMaxMAPE, "learn-promote-max-mape", 0.25, "holdout time/power MAPE a candidate must stay under to be promoted")
+	fs.IntVar(&o.learnMinObs, "learn-min-samples", 64, "fewest reservoir samples before a training round runs")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug | info | warn | error")
+	err := fs.Parse(args)
+	return o, err
+}
+
 func run(o options) error {
-	apps, err := selectApps(o.apps)
+	s, err := newServer(o)
 	if err != nil {
 		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return s.serve(ctx)
+}
+
+// server is a built decision server: its HTTP surface and the parts
+// that drain on shutdown.
+type server struct {
+	o       options
+	handler *http.ServeMux
+	decider *serve.Server
+	trainer *learn.Trainer
+}
+
+// newServer checks -policy, loads or trains the model, and builds the
+// decision server and its observability surface. Nothing listens and
+// no trainer runs until serve.
+func newServer(o options) (*server, error) {
+	sys := mpcdvfs.NewSystem()
+	newPolicy, err := policyFor(sys, o.policy)
+	if err != nil {
+		return nil, err
+	}
+
+	var model predict.Model
+	var reload func() (predict.Model, error)
+	tag := o.modelPath
+	if o.modelPath != "" {
+		if model, err = loadModel(o.modelPath); err != nil {
+			return nil, err
+		}
+		slog.Info("model loaded", "path", o.modelPath, "name", model.Name())
+		reload = func() (predict.Model, error) { return loadModel(o.modelPath) }
+	} else {
+		// No reload source: by the training determinism contract,
+		// retraining from -seed would install the same model, so
+		// /reload answers 501.
+		slog.Info("training Random Forest predictor (use -model to skip)", "seed", o.seed)
+		start := time.Now()
+		if model, err = mpcdvfs.TrainRandomForest(mpcdvfs.DefaultTrainOptions(o.seed)); err != nil {
+			return nil, err
+		}
+		slog.Info("predictor trained", "took", time.Since(start).Round(time.Millisecond))
+		tag = "trained seed=" + fmt.Sprint(o.seed)
 	}
 
 	reg := mpcdvfs.NewMetricsRegistry()
 	par.Instrument(reg)
-	observers := []mpcdvfs.Observer{mpcdvfs.NewMetricsObserver(reg), obs.NewSlog(nil)}
-	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		defer cli.Close("trace output", f)
-		jw := obs.NewJSONLWriter(f)
-		observers = append(observers, jw)
-		defer func() {
-			if err := jw.Err(); err != nil {
-				slog.Error("event stream write failed", "err", err)
-			}
-		}()
-	}
-
-	// Service-level metrics on the same registry as the runtime's.
-	replays := reg.Counter("mpcdvfs_replays_total",
-		"Completed workload replays.", "policy", "app")
-	savings := reg.Gauge("mpcdvfs_energy_savings_pct",
-		"Chip energy savings of the last replay versus the Turbo Core baseline.",
-		"policy", "app")
-	speedup := reg.Gauge("mpcdvfs_speedup",
-		"Speedup of the last replay versus the Turbo Core baseline (>1 is faster).",
-		"policy", "app")
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// The telemetry hub carries the span tracer, model scoreboard and
-	// energy ledger for both faces of the process: served sessions get
-	// per-session trace contexts, the replay loop traces under "replay".
 	hub := mpcdvfs.NewTelemetryHub(mpcdvfs.TelemetryOptions{Sample: o.traceSample})
 	hub.Instrument(reg)
-
-	sys := mpcdvfs.NewSystem()
-	sys.SetObserver(mpcdvfs.MultiObserver(observers...))
-	if o.traceSample > 0 {
-		sys.SetTraceContext(hub.Tracer.NewContext("replay"))
-	}
-
-	var sharedModel mpcdvfs.Model
-	switch {
-	case o.oracle, o.policy == "turbo-core":
-		// Per-app oracles are built below; turbo-core needs no model.
-	case o.modelPath != "":
-		sharedModel, err = loadModel(o.modelPath)
-		if err != nil {
-			return err
-		}
-		slog.Info("model loaded", "path", o.modelPath, "name", sharedModel.Name())
-	default:
-		slog.Info("training Random Forest predictor (use -oracle or -model to skip)", "seed", o.seed)
-		start := time.Now()
-		sharedModel, err = mpcdvfs.TrainRandomForest(mpcdvfs.DefaultTrainOptions(o.seed))
-		if err != nil {
-			return err
-		}
-		slog.Info("predictor trained", "took", time.Since(start).Round(time.Millisecond))
-	}
-
-	// The decision API serves sessions from the shared model; mount it
-	// next to the observability surface when one exists.
-	mux := cli.NewObsMux(reg)
-	var decider *serve.Server
 	var trainer *learn.Trainer
-	if sharedModel != nil {
-		if o.learn {
-			trainer = newTrainer(o)
-		}
-		decider, err = newDecider(o, sys, sharedModel, reg, hub, trainer)
-		if err != nil {
-			return err
-		}
-		h := decider.Handler()
-		mux.Handle("/v1/", h)
-		mux.Handle("/reload", h)
-		mux.Handle("/debug/mpc", h)
-		mux.Handle("/debug/models", h)
-		mux.Handle("/debug/trace", h)
-		if trainer != nil {
-			mux.Handle("/debug/learn", h)
-			trainer.Start(o.learnInterval)
-			slog.Info("continuous trainer enabled", "interval", o.learnInterval,
-				"promote_max_mape", o.learnMaxMAPE)
-		}
-		slog.Info("decision API enabled", "policy", o.policy, "trace_sample", o.traceSample)
-	} else {
-		if o.learn {
-			slog.Warn("-learn ignored: continuous training needs the decision API's observe stream")
-		}
-		slog.Info("decision API disabled (no shared predictor under -oracle/turbo-core)")
-		if o.traceSample > 0 {
-			// The replay loop still records spans; without a decision
-			// server to host the richer /debug/mpc view, expose the
-			// raw ring so the phase timings stay reachable.
-			mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				_ = telemetry.WriteSpansJSONL(w, hub.Tracer.Snapshot(nil))
-			})
-		}
+	if o.learn {
+		// The gate applies -learn-promote-max-mape to both targets;
+		// everything else keeps learn.New's defaults.
+		trainer = learn.New(learn.Config{
+			Seed:       o.seed,
+			MinSamples: o.learnMinObs,
+			Gate:       learn.Gate{MaxTimeMAPE: o.learnMaxMAPE, MaxPowerMAPE: o.learnMaxMAPE},
+		})
 	}
-	srv := cli.ServeMux(o.addr, mux)
+	decider, err := serve.New(serve.Config{
+		Model:     model,
+		Tag:       tag,
+		NewPolicy: newPolicy,
+		Train:     reload,
+		Telemetry: hub,
+		Learn:     trainer,
+	})
+	if err != nil {
+		return nil, err
+	}
+	decider.Instrument(reg)
+	if rfm, ok := model.(*predict.RandomForest); ok {
+		rfm.InstrumentArenaPool(reg)
+	}
 
-	if o.replay {
-		if err := replayLoop(ctx, o, sys, sharedModel, apps, replays, savings, speedup); err != nil {
-			return err
-		}
-	} else {
-		slog.Info("replay loop disabled; serving decisions only")
-		<-ctx.Done()
+	mux := cli.NewObsMux(reg)
+	mux.Handle("/", decider.Handler())
+	return &server{o: o, handler: mux, decider: decider, trainer: trainer}, nil
+}
+
+// serve starts the trainer (-learn), listens on -addr until ctx is
+// done, then drains: retraining stops first, then the decision
+// sessions close, then the listener goes.
+func (s *server) serve(ctx context.Context) error {
+	if s.trainer != nil {
+		s.trainer.Start(s.o.learnInterval)
+		slog.Info("continuous trainer enabled", "interval", s.o.learnInterval,
+			"promote_max_mape", s.o.learnMaxMAPE)
 	}
+	srv := cli.ServeMux(s.o.addr, s.handler)
+	slog.Info("serving decisions", "policy", s.o.policy, "trace_sample", s.o.traceSample)
+	<-ctx.Done()
 
 	slog.Info("shutting down")
-	if trainer != nil {
-		trainer.Stop() // quiesce retraining before sessions drain
+	if s.trainer != nil {
+		s.trainer.Stop()
 	}
-	if decider != nil {
-		decider.Shutdown() // drain decision sessions before dropping the listener
-	}
+	s.decider.Shutdown()
 	shctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	return srv.Shutdown(shctx)
+}
+
+// policyFor maps -policy to the per-session policy constructor.
+func policyFor(sys *mpcdvfs.System, name string) (func(predict.Model) sim.Policy, error) {
+	switch name {
+	case "mpc":
+		return func(m predict.Model) sim.Policy { return sys.NewMPC(m) }, nil
+	case "ppk":
+		return func(m predict.Model) sim.Policy { return sys.NewPPK(m) }, nil
+	}
+	return nil, fmt.Errorf("unknown -policy %q (want mpc or ppk)", name)
 }
 
 // loadModel reads a model written by cmd/train.
@@ -254,148 +241,4 @@ func loadModel(path string) (predict.Model, error) {
 		return nil, err // not a nil *RandomForest inside a non-nil Model
 	}
 	return m, nil
-}
-
-// newTrainer shapes the continuous trainer from the -learn* flags; the
-// promotion gate applies -learn-promote-max-mape to both targets, and
-// everything else keeps learn.New's defaults.
-func newTrainer(o options) *learn.Trainer {
-	return learn.New(learn.Config{
-		Seed:       o.seed,
-		MinSamples: o.learnMinObs,
-		Gate: learn.Gate{
-			MaxTimeMAPE:  o.learnMaxMAPE,
-			MaxPowerMAPE: o.learnMaxMAPE,
-		},
-	})
-}
-
-// newDecider builds the concurrent decision service around the shared
-// model: per-session policies use the exact stack the replay loop uses,
-// which is what keeps served decision streams byte-identical to local
-// replays. /reload re-reads -model when one was given and retrains from
-// -seed otherwise; it never opens a file the client names.
-func newDecider(o options, sys *mpcdvfs.System, sharedModel mpcdvfs.Model, reg *mpcdvfs.MetricsRegistry, hub *mpcdvfs.TelemetryHub, trainer *learn.Trainer) (*serve.Server, error) {
-	newPolicy := func(m predict.Model) sim.Policy {
-		if o.policy == "ppk" {
-			return sys.NewPPK(m)
-		}
-		return sys.NewMPC(m)
-	}
-	tag := "trained seed=" + fmt.Sprint(o.seed)
-	if o.modelPath != "" {
-		tag = o.modelPath
-	}
-	decider, err := serve.New(serve.Config{
-		Model:     sharedModel,
-		Tag:       tag,
-		NewPolicy: newPolicy,
-		Train: func() (predict.Model, error) {
-			if o.modelPath != "" {
-				return loadModel(o.modelPath)
-			}
-			return mpcdvfs.TrainRandomForest(mpcdvfs.DefaultTrainOptions(o.seed))
-		},
-		Telemetry: hub,
-		Learn:     trainer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	decider.Instrument(reg)
-	if rfm, ok := sharedModel.(*predict.RandomForest); ok {
-		rfm.InstrumentArenaPool(reg)
-	}
-	return decider, nil
-}
-
-// replayLoop is the original mpcserve behaviour: replay each benchmark
-// continuously under the policy, publishing savings/speedup metrics.
-func replayLoop(ctx context.Context, o options, sys *mpcdvfs.System, sharedModel mpcdvfs.Model, apps []mpcdvfs.App,
-	replays *metrics.CounterVec, savings, speedup *metrics.GaugeVec) error {
-	// One replayer per app: MPC keeps per-app pattern knowledge across
-	// replays, so horizon and fallback metrics reflect steady state.
-	type replayer struct {
-		app    mpcdvfs.App
-		pol    mpcdvfs.Policy
-		base   *mpcdvfs.Result
-		target mpcdvfs.Target
-		first  bool
-	}
-	reps := make([]*replayer, 0, len(apps))
-	for _, app := range apps {
-		if ctx.Err() != nil {
-			return nil
-		}
-		app := app
-		base, target, err := sys.Baseline(&app)
-		if err != nil {
-			return err
-		}
-		model := sharedModel
-		if model == nil && o.policy != "turbo-core" {
-			model = sys.NewOracle(&app)
-		}
-		var pol mpcdvfs.Policy
-		switch o.policy {
-		case "turbo-core":
-			pol = sys.NewTurboCore()
-		case "ppk":
-			pol = sys.NewPPK(model)
-		case "mpc":
-			pol = sys.NewMPC(model)
-		default:
-			return fmt.Errorf("unknown policy %q (want turbo-core, ppk or mpc)", o.policy)
-		}
-		reps = append(reps, &replayer{app: app, pol: pol, base: base, target: target, first: true})
-	}
-
-	slog.Info("replay loop started", "apps", len(reps), "policy", o.policy, "interval", o.interval)
-	cycles := 0
-	for ctx.Err() == nil {
-		for _, r := range reps {
-			if ctx.Err() != nil {
-				break
-			}
-			res, err := sys.Run(&r.app, r.pol, r.target, r.first)
-			if err != nil {
-				return fmt.Errorf("replay %s: %w", r.app.Name, err)
-			}
-			r.first = false
-			c := mpcdvfs.Compare(res, r.base)
-			replays.With(res.Policy, res.App).Inc()
-			savings.With(res.Policy, res.App).Set(c.EnergySavingsPct)
-			speedup.With(res.Policy, res.App).Set(c.Speedup)
-			slog.Debug("replay done",
-				"app", res.App, "policy", res.Policy,
-				"time_ms", res.TotalTimeMS(), "energy_mj", res.TotalEnergyMJ(),
-				"savings_pct", c.EnergySavingsPct, "speedup", c.Speedup)
-			select {
-			case <-ctx.Done():
-			case <-time.After(o.interval):
-			}
-		}
-		cycles++
-		if cycles%100 == 0 {
-			slog.Info("replay progress", "cycles", cycles)
-		}
-	}
-	slog.Info("replay loop stopped", "cycles", cycles)
-	return nil
-}
-
-// selectApps resolves the -apps flag against the benchmark suite.
-func selectApps(flagVal string) ([]mpcdvfs.App, error) {
-	if flagVal == "" {
-		return mpcdvfs.Benchmarks(), nil
-	}
-	var out []mpcdvfs.App
-	for _, name := range strings.Split(flagVal, ",") {
-		app, err := mpcdvfs.BenchmarkByName(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, app)
-	}
-	return out, nil
 }

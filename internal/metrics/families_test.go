@@ -8,7 +8,6 @@ import (
 
 	"mpcdvfs/internal/learn"
 	"mpcdvfs/internal/metrics"
-	"mpcdvfs/internal/obs"
 	"mpcdvfs/internal/par"
 	"mpcdvfs/internal/predict"
 	"mpcdvfs/internal/serve"
@@ -20,14 +19,14 @@ var update = flag.Bool("update", false, "regenerate testdata/families.txt")
 
 // TestFamiliesGolden pins every mpcdvfs_* family, with its kind and
 // label names, that mpcserve's full instrumentation registers: the
-// worker pool, the replay loop's obs.Metrics, the telemetry hub, the
-// decision server, the continuous trainer and the forest's sweep-plan
-// counters. A second family for one fact shows up here in review.
+// worker pool, the obs.Metrics sink served sessions report through,
+// the telemetry hub, the decision server, the continuous trainer and
+// the forest's sweep-plan counters. A second family for one fact shows
+// up here in review.
 // Regenerate with -update.
 func TestFamiliesGolden(t *testing.T) {
 	reg := metrics.New()
 	par.Instrument(reg)
-	obs.NewMetrics(reg)
 	hub := telemetry.NewHub(telemetry.Options{})
 	hub.Instrument(reg)
 	rfm := &predict.RandomForest{}

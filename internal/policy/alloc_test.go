@@ -34,7 +34,7 @@ func (r *recorder) Observe(o sim.Observation) {
 // run at zero allocations: Begin, every Decide and every Observe. Every
 // suite app gets its own MPC over the committed golden forest (behind
 // predict.Calibrated, as NewMPC wraps it) with the obs.Metrics observer
-// attached, as mpcserve's replay loop and the replay-steady benchmark
+// attached, as mpcsim -metrics-addr and the replay-steady benchmark
 // run it. The engine makes each app's profiling run and two
 // steady-state runs; the pinned run replays the last one's observations
 // straight into the policy, because the engine's per-run Result is not

@@ -76,7 +76,8 @@ func OnlineForestConfig(seed int64) rf.Config {
 // fcfg.Seed+1, mirroring TrainRandomForest's offline scheme. A zero
 // fcfg.Workers inherits workers. Invalid samples must already be
 // filtered out (the reservoir never admits them); they would poison the
-// log targets.
+// log targets. The model keeps only the compiled forests, as a loaded
+// one does: nothing reads a candidate's trees after the promotion gate.
 func TrainOnSamples(samples []Sample, fcfg rf.Config, workers int) (*RandomForest, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("predict: no training samples")
@@ -97,7 +98,7 @@ func TrainOnSamples(samples []Sample, fcfg rf.Config, workers int) (*RandomFores
 	if err != nil {
 		return nil, fmt.Errorf("predict: power forest: %w", err)
 	}
-	return NewFromForests(tf, pf)
+	return compileForests(tf, pf)
 }
 
 // EvaluateOnSamples measures a model's mean absolute relative errors

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -94,7 +95,8 @@ func TestTrainOnSamplesDeterministicAndAccurate(t *testing.T) {
 // TestTrainOnSamplesMatchesOfflineTransforms checks the online path
 // produces the same matrix the offline trainer would: a model trained
 // on oracle samples agrees with one trained via sampleMatrix + rf
-// directly, pinning the featurization/target transforms together.
+// directly, pinning the featurization/target transforms together. The
+// candidate keeps only its compiled forests, as a loaded model does.
 func TestTrainOnSamplesMatchesOfflineTransforms(t *testing.T) {
 	samples := oracleSamples(t, 10, 3)
 	fcfg := rf.Config{NumTrees: 6, MaxDepth: 8, MinLeaf: 2, MaxFeatures: numRFFeatures / 2,
@@ -102,6 +104,12 @@ func TestTrainOnSamplesMatchesOfflineTransforms(t *testing.T) {
 	m, err := TrainOnSamples(samples, fcfg, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tf, pf := m.Forests(); tf != nil || pf != nil {
+		t.Fatal("TrainOnSamples kept the tree form")
+	}
+	if err := SaveModel(io.Discard, m); err == nil {
+		t.Fatal("SaveModel accepted a model without its tree form")
 	}
 	X, yTime, yPower := sampleMatrix(samples)
 	tf, err := rf.Train(X, yTime, fcfg)

@@ -19,8 +19,9 @@ type modelFile struct {
 
 const modelMagic = "mpcdvfs-rf-v1"
 
-// SaveModel writes a predictor trained in this process to w. It needs
-// the tree form, so it fails on a loaded model.
+// SaveModel writes a predictor from TrainRandomForest to w. It needs
+// the tree form, so it fails on a model from LoadModel or
+// TrainOnSamples.
 func SaveModel(w io.Writer, m *RandomForest) error {
 	if m == nil || m.timeForest == nil {
 		return errNoTrees

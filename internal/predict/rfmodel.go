@@ -71,13 +71,12 @@ func featurize(cs counters.Set, c hw.Config) []float64 {
 // kernel shape — and removes two orders of magnitude of target spread.
 //
 // Every prediction runs on the compiled forests, built from the tree
-// form at train or load time. Only a model trained in this process
-// (TrainRandomForest, TrainOnSamples) keeps the tree form as well, for
-// SaveModel and FeatureImportance; a model from LoadModel holds the
-// compiled forests alone.
+// form at train or load time. Only a model from TrainRandomForest keeps
+// the tree form as well, for SaveModel and FeatureImportance; a model
+// from LoadModel or TrainOnSamples holds the compiled forests alone.
 type RandomForest struct {
 	// The tree form: log(ms per instruction) and GPU+NB watts. Nil on
-	// a loaded model.
+	// a loaded model and on a TrainOnSamples candidate.
 	timeForest  *rf.Forest
 	powerForest *rf.Forest
 
@@ -267,16 +266,17 @@ func TrainRandomForest(opt TrainOptions) (*RandomForest, error) {
 	return NewFromForests(tf, pf)
 }
 
-// Forests exposes the tree form of a model trained in this process
-// (for serialization and inspection). A loaded model keeps only its
-// compiled forests, and Forests returns nil, nil for it.
+// Forests exposes the tree form of a model from TrainRandomForest (for
+// serialization and inspection). A model from LoadModel or
+// TrainOnSamples keeps only its compiled forests, and Forests returns
+// nil, nil for it.
 func (m *RandomForest) Forests() (timeForest, powerForest *rf.Forest) {
 	return m.timeForest, m.powerForest
 }
 
 // errNoTrees is what the operations that need the tree form return on
 // a model that holds only the compiled forests.
-var errNoTrees = errors.New("predict: the model holds no tree form (a loaded model keeps only its compiled forests)")
+var errNoTrees = errors.New("predict: the model holds no tree form (a loaded or online-trained model keeps only its compiled forests)")
 
 // FeatureNames returns the names of the model's input features in
 // vector order: the eight Table III counters followed by the
@@ -290,7 +290,8 @@ func FeatureNames() []string {
 // FeatureImportance regenerates the training data for opt (which must be
 // the options the model was trained with) and returns the normalized
 // mean-decrease-in-impurity importance of each feature for the time and
-// power forests. It needs the tree form, so it fails on a loaded model.
+// power forests. It needs the tree form, so it fails on a model from
+// LoadModel or TrainOnSamples.
 func (m *RandomForest) FeatureImportance(opt TrainOptions) (timeImp, powerImp []float64, err error) {
 	if m.timeForest == nil {
 		return nil, nil, errNoTrees
@@ -311,9 +312,8 @@ func (m *RandomForest) FeatureImportance(opt TrainOptions) (timeImp, powerImp []
 }
 
 // NewFromForests builds a RandomForest from a forest pair and keeps the
-// tree form next to the compiled one, as a model trained in this
-// process does (TrainRandomForest and TrainOnSamples land here).
-// LoadModel compiles without keeping the trees.
+// tree form next to the compiled one, as TrainRandomForest does.
+// LoadModel and TrainOnSamples compile without keeping the trees.
 func NewFromForests(timeForest, powerForest *rf.Forest) (*RandomForest, error) {
 	m, err := compileForests(timeForest, powerForest)
 	if err != nil {
