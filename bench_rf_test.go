@@ -1,7 +1,7 @@
 // Paired benchmarks of the Random Forest inference engines: the
 // reference tree-walking path versus the compiled branchless engine
 // (clustered level-order node layout, key-transformed predicated
-// descent, set descent for sweeps — see DESIGN.md §10), at the
+// descent, grid descent for sweeps — see DESIGN.md §10), at the
 // three granularities the MPC runtime exercises: one scalar
 // prediction, one batched space evaluation, and one full 336-config
 // exhaustive sweep (the per-decision inner loop). Both engines are

@@ -107,6 +107,7 @@ type options struct {
 	cpusFlag    string
 	replays     int
 	polName     string
+	polSet      bool // -policy was given on the command line
 	seed        int64
 	traceSample int
 	drift       bool
@@ -120,7 +121,7 @@ func main() {
 	flag.StringVar(&o.appName, "app", "Spmv", "benchmark application each session replays (ignored under -zipf)")
 	flag.StringVar(&o.levelsFlag, "levels", "1,2,4,8", "comma-separated concurrent session counts to sweep")
 	flag.IntVar(&o.replays, "replays", 2, "replays per session at each level (each replay is one full session)")
-	flag.StringVar(&o.polName, "policy", "mpc", "self-host policy: ppk | mpc")
+	flag.StringVar(&o.polName, "policy", "mpc", "self-host policy: ppk | mpc (with -addr: the policy the server must serve)")
 	flag.Int64Var(&o.seed, "seed", 1, "self-host Random Forest training seed (also seeds the -zipf app draw)")
 	flag.IntVar(&o.traceSample, "trace-sample", 0, "trace 1 in N decisions as spans and report per-phase latency breakdowns from /debug/trace (0 = off; tracing never changes decisions)")
 	flag.BoolVar(&o.drift, "drift", false, "self-host only: swap in a model with 80% injected error after the first level, run the continuous trainer, and report the learning loop's recovery")
@@ -129,6 +130,7 @@ func main() {
 	flag.StringVar(&o.out, "out", "", "write the JSON report to this file (default: stdout summary only)")
 	logLevel := flag.String("log-level", "warn", "log level: debug | info | warn | error")
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) { o.polSet = o.polSet || f.Name == "policy" })
 
 	if err := cli.InitLogging(*logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -184,6 +186,18 @@ func run(o options) error {
 	if o.drift && !selfHosted {
 		return fmt.Errorf("-drift needs the self-hosted server (it degrades the in-process model)")
 	}
+	policy := o.polName
+	if !selfHosted {
+		// The report names the policy the server serves, which only a
+		// session reveals; a -policy the server does not serve is an
+		// error before any level runs.
+		if policy, err = serverPolicy(base, catalog); err != nil {
+			return err
+		}
+		if o.polSet && o.polName != policy {
+			return fmt.Errorf("-policy %s, but the server at %s serves %s", o.polName, base, policy)
+		}
+	}
 	var h *hosted
 	if selfHosted {
 		h, err = selfHost(sys, o)
@@ -203,7 +217,7 @@ func run(o options) error {
 
 	rep := report{
 		App:        o.appName,
-		Policy:     o.polName,
+		Policy:     policy,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		SelfHosted: selfHosted,
@@ -379,14 +393,9 @@ func (c *workloadCatalog) assign(n int, o options) ([]sessApp, error) {
 	out := make([]sessApp, n)
 	for i, k := range idx {
 		app := &c.apps[k]
-		t, ok := c.targets[app.Name]
-		if !ok {
-			_, tgt, err := c.sys.Baseline(app)
-			if err != nil {
-				return nil, err
-			}
-			c.targets[app.Name] = tgt
-			t = tgt
+		t, err := c.target(app)
+		if err != nil {
+			return nil, err
 		}
 		out[i] = sessApp{app: app, target: t}
 		if c.mix != nil {
@@ -394,6 +403,37 @@ func (c *workloadCatalog) assign(n int, o options) ([]sessApp, error) {
 		}
 	}
 	return out, nil
+}
+
+// target returns app's Turbo Core baseline target, computing it on the
+// app's first use.
+func (c *workloadCatalog) target(app *mpcdvfs.App) (mpcdvfs.Target, error) {
+	if t, ok := c.targets[app.Name]; ok {
+		return t, nil
+	}
+	_, t, err := c.sys.Baseline(app)
+	if err != nil {
+		return mpcdvfs.Target{}, err
+	}
+	c.targets[app.Name] = t
+	return t, nil
+}
+
+// serverPolicy opens one session on the server at base for the
+// catalog's first app, closes it before it decides anything, and
+// returns the name of the policy the server served it.
+func serverPolicy(base string, c *workloadCatalog) (string, error) {
+	app := &c.apps[0]
+	t, err := c.target(app)
+	if err != nil {
+		return "", err
+	}
+	cl := serve.NewClient(base)
+	cl.Begin(sim.RunInfo{AppName: app.Name, NumKernels: app.Len(), Target: t, FirstRun: true})
+	if err := cl.Close(); err != nil {
+		return "", fmt.Errorf("opening a session to learn the server's policy: %w", err)
+	}
+	return cl.Name(), nil
 }
 
 // runLevel sweeps one concurrency level: each assigned session runs its

@@ -86,7 +86,7 @@ func main() {
 				slog.Error("compiled forest self-check failed", "forest", fc.name, "err", err)
 				os.Exit(2)
 			}
-			fmt.Printf("compiled %-5s forest: %d trees, %d-node pool, branchless layout bit-identical to the tree walk on %d probes (scalar and set descent)\n",
+			fmt.Printf("compiled %-5s forest: %d trees, %d-node pool, branchless layout bit-identical to the tree walk on %d probes (scalar and grid descent)\n",
 				fc.name, fc.compiled.NumTrees(), fc.compiled.NumNodes(), samples)
 		}
 	}

@@ -3,6 +3,7 @@ package learn
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -257,4 +258,41 @@ func TestStartStopAndDriftWake(t *testing.T) {
 		t.Fatal("Status.Running true after Stop")
 	}
 	tr.Stop() // idempotent
+}
+
+// TestTrainerStopLeavesNoGoroutine checks the trainer's lifecycle for
+// leaks: Stop on a trainer that never started, and Start, a
+// drift-woken round and Stop, each leave the goroutine count at its
+// baseline.
+func TestTrainerStopLeavesNoGoroutine(t *testing.T) {
+	settles := func(what string, base int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after %s, want at most %d as before", runtime.NumGoroutine(), what, base)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	before := runtime.NumGoroutine()
+	newTestTrainer(&installRecorder{}).Stop()
+	settles("Stop on a trainer that never started", before)
+
+	tr := newTestTrainer(&installRecorder{})
+	for _, s := range streamSamples(150, 10) {
+		tr.Add(s)
+	}
+	tr.Start(time.Hour)
+	tr.NotifyDrift(1, "spmv")
+	deadline := time.Now().Add(10 * time.Second)
+	for tr.Status().Rounds == 0 {
+		if time.Now().After(deadline) {
+			tr.Stop()
+			t.Fatal("drift notification did not wake the training loop")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	tr.Stop()
+	settles("Start, a round and Stop", before)
 }

@@ -66,10 +66,11 @@ func TestPredictKernelCompiledEquivalence(t *testing.T) {
 
 // TestPredictSpaceMatchesScalar checks the batched sweep against a
 // scalar PredictKernel loop and the tree walk: same configurations,
-// same order, same bits. It sweeps the default and the full space
-// (which also swaps the installed plan back and forth), with random
-// kernels and with counter sets holding NaN, ±Inf and negative values,
-// which reach the forest as NaN and +Inf features.
+// same order, same bits. It sweeps the default and the full space, a
+// one-configuration space and sub-spaces whose knob lists run out of
+// order (which also swaps the installed plan back and forth), with
+// random kernels and with counter sets holding NaN, ±Inf and negative
+// values, which reach the forest as NaN and +Inf features.
 func TestPredictSpaceMatchesScalar(t *testing.T) {
 	m := quickRF(t)
 	walk := treeWalkOf(t, m)
@@ -84,7 +85,13 @@ func TestPredictSpaceMatchesScalar(t *testing.T) {
 		cs[0], cs[counters.NumCounters-1] = v, v
 		sets = append(sets, cs)
 	}
-	for _, space := range []hw.Space{hw.DefaultSpace(), hw.FullSpace()} {
+	one := hw.Space{CPUs: []hw.CPUPState{hw.P4}, NBs: []hw.NBState{hw.NB1}, GPUs: []hw.GPUState{hw.DPM2}, CUs: []int8{6}}
+	reordered := hw.DefaultSpace()
+	reordered.GPUs = []hw.GPUState{hw.DPM4, hw.DPM0}
+	reordered.CPUs = []hw.CPUPState{hw.P7}
+	reordered.NBs = []hw.NBState{hw.NB3, hw.NB0, hw.NB2}
+	reordered.CUs = []int8{8, 2, 6}
+	for _, space := range []hw.Space{hw.DefaultSpace(), hw.FullSpace(), one, reordered} {
 		dst := make([]Estimate, space.Size())
 		for i, cs := range sets {
 			if !m.PredictSpace(cs, space, dst) {
@@ -106,30 +113,55 @@ func TestPredictSpaceMatchesScalar(t *testing.T) {
 }
 
 // TestPredictSpaceDisabled checks the contract for the unavailable
-// case: a space beyond the set descent's row capacity refuses the
-// batched path and leaves dst alone (the optimizer then fills its sweep
-// per configuration). The tree-walk reference has no batched path at
-// all.
+// case: a space beyond the sweep's row capacity, and one whose factors
+// need more than a word, refuse the batched path and leave dst alone
+// (the optimizer then fills its sweep per configuration). The tree-walk
+// reference has no batched path at all.
 func TestPredictSpaceDisabled(t *testing.T) {
 	m := quickRF(t)
 	big := hw.FullSpace()
 	big.CPUs = append(big.CPUs, big.CPUs...) // 1,120 configurations
+	wide := hw.Space{CPUs: []hw.CPUPState{hw.P1}, NBs: []hw.NBState{hw.NB0}, GPUs: []hw.GPUState{hw.DPM4}}
+	for len(wide.CUs) < 64 {
+		wide.CUs = append(wide.CUs, 2, 4, 6, 8) // 64 configurations over 66 factor bits
+	}
 	sentinel := Estimate{TimeMS: -1, GPUPowerW: -1}
 	cs := kernel.NewPeak("pk", 1).Counters()
-	dst := make([]Estimate, big.Size())
-	for i := range dst {
-		dst[i] = sentinel
-	}
-	if m.PredictSpace(cs, big, dst) {
-		t.Fatal("PredictSpace returned true over a space beyond MaxSetRows")
-	}
-	for i := range dst {
-		if dst[i] != sentinel {
-			t.Fatalf("dst[%d] touched on the refused path: %+v", i, dst[i])
+	for _, space := range []hw.Space{big, wide} {
+		dst := make([]Estimate, space.Size())
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		if m.PredictSpace(cs, space, dst) {
+			t.Fatalf("PredictSpace returned true over %d configurations of %v", space.Size(), space)
+		}
+		for i := range dst {
+			if dst[i] != sentinel {
+				t.Fatalf("dst[%d] touched on the refused path: %+v", i, dst[i])
+			}
 		}
 	}
 	if _, ok := treeWalkOf(t, m).(SpaceEvaluator); ok {
 		t.Fatal("the tree-walk reference implements SpaceEvaluator")
+	}
+}
+
+// TestSweepGridFactorCheck checks that the sweep's grid follows the
+// features patch writes: patchConfig's features each depend on one
+// factor and make a grid of the space's shape, while a feature that
+// depends on two factors declines the space.
+func TestSweepGridFactorCheck(t *testing.T) {
+	space := hw.FullSpace()
+	g := sweepGrid(space, patchConfig)
+	if g == nil || g.Rows() != space.Size() {
+		t.Fatalf("patchConfig over the full space: grid %v, want %d rows", g, space.Size())
+	}
+	twoFactors := func(x []float64, c hw.Config) {
+		patchConfig(x, c)
+		x[counters.NumCounters+2] += CPUPowerW(c.CPU) // CUs now vary with the CPU state too
+	}
+	if g := sweepGrid(space, twoFactors); g != nil {
+		t.Fatal("a feature of both the CU and the CPU factor made a grid")
 	}
 }
 

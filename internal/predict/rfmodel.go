@@ -86,7 +86,7 @@ type RandomForest struct {
 	timeCompiled  *rf.CompiledForest
 	powerCompiled *rf.CompiledForest
 
-	// plan is the immutable set-descent plan behind PredictSpace, shared
+	// plan is the immutable grid plan behind PredictSpace, shared
 	// by concurrent sweeps and rebuilt (by planFor) whenever the swept
 	// space changes.
 	plan atomic.Pointer[sweepPlan]

@@ -38,37 +38,72 @@ type TracedSpaceEvaluator interface {
 	PredictSpaceTraced(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool
 }
 
-// sweepPlan is the set-descent form of one configuration space: for
-// each of the six configuration features, the split table of its value
-// on every configuration (row r is space.At(r)), built by the same
-// patchConfig the scalar path uses. The eight counter features are
-// shared by every row of a sweep and carry no table. A plan depends on
-// the space alone — not on the forest — and is immutable once built, so
-// concurrent sweeps share it with no pool and no lock.
+// A configuration space sweeps as the product of three factors: its CPU
+// states, its (NB, GPU) pairs and its CU counts, in that order. Row r of
+// the product is then space.At(r).
+const (
+	cpuFactor = iota
+	nbGPUFactor
+	cuFactor
+)
+
+// configFactor is the factor each configuration feature of patchConfig
+// depends on alone: GPU frequency, rail voltage, NB frequency and memory
+// bandwidth on the (NB, GPU) pair, CUs on the CU count and CPU power on
+// the CPU state. sweepGrid checks it over every configuration of a space.
+var configFactor = [numConfigFeatures]int{nbGPUFactor, nbGPUFactor, cuFactor, nbGPUFactor, nbGPUFactor, cpuFactor}
+
+// maxSweepRows is the largest space a sweep takes, because its
+// accumulator lives on the sweep's stack. It holds hw.FullSpace's 560
+// configurations.
+const maxSweepRows = 576
+
+// sweepPlan is the grid form of one configuration space; its grid is
+// nil when the sweep declines the space. The eight counter features are
+// shared by every row of a sweep and the six configuration features
+// each vary with one factor. A plan depends on the space alone — not on
+// the forest — and is immutable once built, so concurrent sweeps share
+// it with no pool and no lock.
 type sweepPlan struct {
-	space  hw.Space
-	splits [numRFFeatures]rf.RowSplits
+	space hw.Space
+	grid  *rf.Grid
 }
 
-// newSweepPlan builds the plan for a space of at most rf.MaxSetRows
-// configurations.
+// newSweepPlan builds the plan for a space.
 func newSweepPlan(space hw.Space) *sweepPlan {
-	n := space.Size()
-	cols := make([]float64, numConfigFeatures*n)
-	var row [numRFFeatures]float64
-	r := 0
-	space.ForEach(func(c hw.Config) {
-		patchConfig(row[:], c)
-		for f := 0; f < numConfigFeatures; f++ {
-			cols[f*n+r] = row[counters.NumCounters+f]
+	return &sweepPlan{space: space, grid: sweepGrid(space, patchConfig)}
+}
+
+// sweepGrid returns the grid of space's configuration features as patch
+// writes them, or nil when the space is no such grid: a feature is not
+// a function of its configFactor over the space's configurations, or
+// the factors need more than 64 bits.
+func sweepGrid(space hw.Space, patch func([]float64, hw.Config)) *rf.Grid {
+	nCPU, nNB, nGPU, nCU := space.KnobStates()
+	dims := [rf.GridFactors]int{nCPU, nNB * nGPU, nCU}
+	stride := [rf.GridFactors]int{dims[1] * dims[2], dims[2], 1}
+	var x [numRFFeatures]float64
+	feats := make([]rf.GridFeature, numConfigFeatures)
+	for f, k := range configFactor {
+		feats[f] = rf.GridFeature{Feature: counters.NumCounters + f, Factor: k, Vals: make([]float64, dims[k])}
+		for e := range feats[f].Vals {
+			patch(x[:], space.At(e*stride[k]))
+			feats[f].Vals[e] = x[counters.NumCounters+f]
 		}
-		r++
-	})
-	p := &sweepPlan{space: space}
-	for f := 0; f < numConfigFeatures; f++ {
-		p.splits[counters.NumCounters+f] = rf.NewRowSplits(cols[f*n : (f+1)*n])
 	}
-	return p
+	for r := 0; r < space.Size(); r++ {
+		patch(x[:], space.At(r))
+		for _, gf := range feats {
+			if math.Float64bits(x[gf.Feature]) != math.Float64bits(gf.Vals[r/stride[gf.Factor]%dims[gf.Factor]]) {
+				return nil
+			}
+		}
+	}
+	g, err := rf.NewGrid(numRFFeatures, dims, feats)
+	if err != nil {
+		return nil
+	}
+	return g
 }
 
 // planFor returns the model's sweep plan for space, building and
@@ -90,9 +125,10 @@ type arenaInstr struct {
 }
 
 // ArenaPoolStats returns the cumulative batched-sweep plan traffic:
-// sweeps served by the installed plan (hits) and plan builds (misses,
-// one for the first sweep and one after every change of space). The
-// name predates the plan, which replaced a pool of per-sweep arenas.
+// sweeps served by the installed plan (hits) and sweeps that built it
+// (misses, one for the first sweep and one after every change of
+// space). A sweep that declines its space counts as neither. The name
+// predates the plan, which replaced a pool of per-sweep arenas.
 func (m *RandomForest) ArenaPoolStats() (hits, misses uint64) {
 	return m.arenaHits.Load(), m.arenaMisses.Load()
 }
@@ -124,12 +160,13 @@ func (m *RandomForest) countArena(hit bool) {
 	}
 }
 
-// PredictSpace implements SpaceEvaluator with one set descent per
+// PredictSpace implements SpaceEvaluator with one grid descent per
 // forest: the kernel's counter prefix is computed once and shared by
-// every row, the space's configurations form the row set, and each
+// every row, the space's configurations form the grid, and each
 // estimate is assembled with exactly the scalar path's final operations
 // (math.Exp(t)·insts, p). Returns false — leaving dst untouched — when
-// the space has more than rf.MaxSetRows configurations.
+// the space has more than maxSweepRows configurations or is no grid
+// (see sweepGrid).
 //
 // PredictSpace is safe for concurrent use: sweeps share the model's
 // immutable plan and keep their accumulators on their own stacks.
@@ -160,23 +197,27 @@ func (m *RandomForest) predictSpace(cs counters.Set, space hw.Space, dst []Estim
 	if n == 0 {
 		return true
 	}
-	if n > rf.MaxSetRows {
+	if n > maxSweepRows {
 		return false
 	}
 	sp := tc.Start(telemetry.SpanFeaturize)
-	var x [numRFFeatures]float64
-	counterPrefix(x[:], cs)
 	//mpclint:ignore hotpath-alloc the plan build runs once per space; warm sweeps load the installed plan, pinned by TestPredictSpaceZeroAllocSteadyState
 	plan, hit := m.planFor(space)
+	if plan.grid == nil {
+		sp.End()
+		return false
+	}
 	m.countArena(hit)
+	var x [numRFFeatures]float64
+	counterPrefix(x[:], cs)
 	sp.End()
 	sp = tc.Start(telemetry.SpanForestEval)
-	var acc [rf.MaxSetRows]float64
+	var acc [maxSweepRows]float64
 	insts := instsOf(cs)
-	for r, t := range m.timeCompiled.PredictSetInto(acc[:n], x[:], plan.splits[:]) {
+	for r, t := range m.timeCompiled.PredictGridInto(acc[:n], x[:], plan.grid) {
 		dst[r].TimeMS = math.Exp(t) * insts
 	}
-	for r, p := range m.powerCompiled.PredictSetInto(acc[:n], x[:], plan.splits[:]) {
+	for r, p := range m.powerCompiled.PredictGridInto(acc[:n], x[:], plan.grid) {
 		dst[r].GPUPowerW = p
 	}
 	sp.End()

@@ -38,14 +38,15 @@ import (
 //
 // — a subtract-with-borrow and an add, no data-dependent branch. The
 // scalar path transforms the input row to keys once and descends eight
-// trees at a time in register-resident cursors. The set path
-// (PredictSetInto) evaluates many rows that share most features by
-// descending each tree once with the whole row set as a bitset.
+// trees at a time in register-resident cursors. The grid path
+// (PredictGridInto) evaluates a product of rows, each feature shared or
+// a function of one factor, by descending each tree once with the whole
+// row set packed into one word.
 //
 // The compiled form is derived state, never persisted: MarshalBinary
 // stays the canonical wire format, and a CompiledForest is rebuilt from
 // the Forest after every load or train. Its contract is bit-exactness —
-// Predict and PredictSetInto return results bit-identical to the
+// Predict and PredictGridInto return results bit-identical to the
 // tree-walking Forest for every input (the comparisons decide
 // identically, the per-tree summation order and the final division are
 // the same operations in the same order), so golden replays,
@@ -55,7 +56,7 @@ import (
 // done.
 //
 // A CompiledForest is safe for concurrent use: all fields are
-// immutable after Compile, and PredictSetInto writes only into the
+// immutable after Compile, and PredictGridInto writes only into the
 // caller's dst.
 //
 //mpclint:immutable node pool is shared lock-free by concurrent predictors; any post-Compile write is a data race and breaks bit-exactness
@@ -74,7 +75,7 @@ type cnode struct {
 	feat int32  // split feature; nFeat for leaves (the always-zero key slot)
 }
 
-// maxCompiledFeatures bounds the key buffers of the scalar and set
+// maxCompiledFeatures bounds the key buffers of the scalar and grid
 // descents, which hold the key-transformed input row in a fixed-size
 // stack array of this width (so they stay provably allocation-free).
 // Slot nFeat must stay in bounds and at 0 for the leaf self-loop, so a
@@ -339,98 +340,147 @@ func (c *CompiledForest) Predict(x []float64) float64 {
 	return s / float64(nt)
 }
 
-// setWords is the width of a rowSet in 64-bit words: enough for the
-// 560 configurations of the full hardware space.
-const setWords = 9
+// GridFactors is the number of factors of a Grid's row product.
+const GridFactors = 3
 
-// MaxSetRows is the largest row count one set descent carries.
-const MaxSetRows = setWords * 64
-
-// rowSet is a set of row indices below MaxSetRows, one bit per row.
-type rowSet [setWords]uint64
-
-// RowSplits is the set-descent form of one feature whose value differs
-// across the rows of a set: the distinct keys the rows take, in
-// ascending order, and for each of them the rows whose key is at or
-// below it. A split on the feature then partitions any row set with one
-// mask — the mask at the rank of the split's threshold key among those
-// keys. The zero value marks a feature every row shares.
-type RowSplits struct {
-	keys  []uint64 // distinct row keys, ascending
-	below []rowSet // below[i]: the rows whose key is <= keys[i]
-	rows  int
+// Grid is the set-descent form of a row set that is the Cartesian
+// product of GridFactors factors, factor k a list of dims[k] elements.
+// Row (e0, e1, e2) is row (e0·dims[1] + e1)·dims[2] + e2: row-major,
+// factor 0 outermost. A feature is either shared by every row (it takes
+// the input row's value) or depends on one factor alone (it takes one
+// value per element of that factor).
+//
+// A product of element subsets, one per factor, packs into one word:
+// factor k's elements take the bits from shift[k] up. A split on a
+// feature of factor k divides factor k's subset and keeps the others
+// whole, so both halves are products again and a set descent never
+// leaves the word. A Grid is immutable after NewGrid and safe for
+// concurrent use.
+//
+//mpclint:immutable shared lock-free by concurrent sweeps through a model's sweep plan; any write after NewGrid is a data race
+type Grid struct {
+	nFeat  int
+	rows   int
+	dims   [GridFactors]int
+	shift  [GridFactors]uint
+	all    uint64      // every element of every factor: the whole grid
+	splits []gridSplit // one per feature; the zero value for a shared feature
 }
 
-// NewRowSplits builds the split table of a feature from its value on
-// each row of a set: row r holds vals[r]. It panics beyond MaxSetRows
-// rows.
-func NewRowSplits(vals []float64) RowSplits {
-	if len(vals) > MaxSetRows {
-		panic(fmt.Sprintf("rf: NewRowSplits over %d rows, max %d", len(vals), MaxSetRows))
+// gridSplit is the split table of one factor-dependent feature: the
+// distinct keys the feature takes over its factor's elements, in
+// ascending order, and per rank the elements keyed at or below it. A
+// split's threshold ranks among the keys with a short scan, and
+// below[rank] is then the factor's left side.
+type gridSplit struct {
+	fbits uint64   // the factor's bits; 0 marks a shared feature
+	keys  []uint64 // distinct element keys, ascending
+	below []uint64 // below[r]: the elements keyed at or below keys[r-1]; below[0] = 0
+}
+
+// GridFeature declares one factor-dependent feature of a Grid: feature
+// Feature takes Vals[e] on every row whose factor-Factor element is e.
+type GridFeature struct {
+	Feature int
+	Factor  int
+	Vals    []float64
+}
+
+// NewGrid builds the grid of the product of factors of dims[k] elements
+// over rows of nFeat features. Features no entry of feats names are
+// shared. It fails when a factor is empty, when the factors need more
+// than 64 bits together, or when an entry names a feature outside
+// [0, nFeat) or one already named, a factor outside the grid, or a
+// value count other than its factor's size.
+func NewGrid(nFeat int, dims [GridFactors]int, feats []GridFeature) (*Grid, error) {
+	g := &Grid{nFeat: nFeat, rows: 1, dims: dims, splits: make([]gridSplit, nFeat)}
+	width := 0
+	for k, n := range dims {
+		if n < 1 || width+n > 64 {
+			return nil, fmt.Errorf("rf: grid factors %v do not pack into one 64-bit word", dims)
+		}
+		g.shift[k] = uint(width)
+		width += n
+		g.rows *= n
 	}
-	rowKeys := make([]uint64, len(vals))
-	for r, v := range vals {
-		rowKeys[r] = keyOf(v)
-	}
-	keys := slices.Clone(rowKeys)
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	below := make([]rowSet, len(keys))
-	for i, k := range keys {
-		for r, rk := range rowKeys {
-			if rk <= k {
-				below[i][r>>6] |= 1 << (r & 63)
+	g.all = ^uint64(0) >> (64 - width)
+	for _, gf := range feats {
+		if gf.Feature < 0 || gf.Feature >= nFeat || g.splits[gf.Feature].fbits != 0 {
+			return nil, fmt.Errorf("rf: grid feature %d is outside [0,%d) or named twice", gf.Feature, nFeat)
+		}
+		if gf.Factor < 0 || gf.Factor >= GridFactors || len(gf.Vals) != dims[gf.Factor] {
+			return nil, fmt.Errorf("rf: grid feature %d has %d values for factor %d of %v",
+				gf.Feature, len(gf.Vals), gf.Factor, dims)
+		}
+		sh := g.shift[gf.Factor]
+		elemKeys := make([]uint64, len(gf.Vals))
+		for e, v := range gf.Vals {
+			elemKeys[e] = keyOf(v)
+		}
+		keys := slices.Clone(elemKeys)
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		below := make([]uint64, len(keys)+1)
+		for r, k := range keys {
+			for e, ek := range elemKeys {
+				if ek <= k {
+					below[r+1] |= 1 << (sh + uint(e))
+				}
 			}
 		}
+		g.splits[gf.Feature] = gridSplit{fbits: below[len(keys)], keys: keys, below: below}
 	}
-	return RowSplits{keys: keys, below: below, rows: len(vals)}
+	return g, nil
 }
 
-// PredictSetInto evaluates a set of rows that share some features and
-// differ in others, writing row r's prediction into dst[r]; it returns
-// dst. Row r is x with every feature f whose splits[f] is non-zero
-// replaced by that feature's row-r value (x[f] is then ignored), and
-// the row count is len(dst).
+// Rows returns the number of rows of the grid: the product of its
+// factor sizes.
+func (g *Grid) Rows() int { return g.rows }
+
+// PredictGridInto evaluates every row of g, writing row r's prediction
+// into dst[r]; it returns dst. Row r is x with each factor-dependent
+// feature of g replaced by its value on that row (x's own value of such
+// a feature is ignored).
 //
-// Each tree descends once for the whole set, depth first, carrying the
-// rows that reach a node as a bitset. A split on a shared feature sends
-// the whole set one way with one key compare; a split on a row-varying
-// feature partitions it with the mask at its threshold's rank, and an
-// empty half is pruned. At a leaf every row of the set adds the leaf's
-// value. Trees run outermost and in order, so each row adds exactly the
-// leaves the scalar descent would, in the same order, and divides once:
-// results are bit-identical to calling Predict row by row. It panics on
-// a dimensionality or row-count mismatch, checked up front.
+// Each tree descends once for the whole grid, depth first, carrying the
+// rows that reach a node as a product word. A split on a shared feature
+// sends the whole set one way with one key compare; a split on a
+// factor-dependent feature divides its factor's subset with the mask at
+// its threshold's rank, and an empty half is pruned. At a leaf every
+// row of the product adds the leaf's value. Trees run outermost and in
+// order, so each row adds exactly the leaves the scalar descent would,
+// in the same order, and divides once: results are bit-identical to
+// calling Predict row by row. It panics when x or g has another
+// dimensionality than the forest or dst does not hold g's rows.
 //
 //mpclint:hotpath pinned at 0 allocs/op by TestCompiledZeroAlloc
-func (c *CompiledForest) PredictSetInto(dst, x []float64, splits []RowSplits) []float64 {
-	if len(x) != c.nFeat || len(splits) != c.nFeat {
-		panic(fmt.Sprintf("rf: PredictSetInto with %d features and %d split tables, compiled for %d",
-			len(x), len(splits), c.nFeat))
+func (c *CompiledForest) PredictGridInto(dst, x []float64, g *Grid) []float64 {
+	if len(x) != c.nFeat || g.nFeat != c.nFeat {
+		panic(fmt.Sprintf("rf: PredictGridInto with %d features and a %d-feature grid, compiled for %d",
+			len(x), g.nFeat, c.nFeat))
 	}
-	n := len(dst)
-	if n > MaxSetRows {
-		panic(fmt.Sprintf("rf: PredictSetInto over %d rows, max %d", n, MaxSetRows))
+	if len(dst) != g.rows {
+		panic(fmt.Sprintf("rf: PredictGridInto over %d rows, dst holds %d", g.rows, len(dst)))
 	}
-	for f := range splits {
-		if len(splits[f].keys) > 0 && splits[f].rows != n {
-			panic(fmt.Sprintf("rf: PredictSetInto feature %d splits %d rows, dst holds %d", f, splits[f].rows, n))
-		}
+	w := gridWalk{
+		nodes:   c.nodes,
+		splits:  g.splits,
+		acc:     dst,
+		mask0:   1<<g.dims[0] - 1,
+		mask1:   1<<g.dims[1] - 1,
+		shift1:  g.shift[1],
+		shift2:  g.shift[2],
+		n2:      g.dims[2],
+		stride0: g.dims[1] * g.dims[2],
 	}
-	w := setWalk{nodes: c.nodes, splits: splits, acc: dst}
 	for i, v := range x {
 		w.kx[i] = keyOf(v)
 	}
-	var all rowSet
-	for r := 0; r < n; r++ {
-		all[r>>6] |= 1 << (r & 63)
+	for r := range dst {
 		dst[r] = 0
 	}
-	if n == 0 {
-		return dst
-	}
 	for _, root := range c.roots {
-		w.descend(root, all)
+		w.descend(root, g.all)
 	}
 	div := float64(c.nTrees)
 	for r := range dst {
@@ -439,66 +489,67 @@ func (c *CompiledForest) PredictSetInto(dst, x []float64, splits []RowSplits) []
 	return dst
 }
 
-// setWalk is the read-only state of one set descent plus its
+// gridWalk is the read-only state of one grid descent plus its
 // accumulator, one slot per row.
-type setWalk struct {
-	nodes  []cnode
-	splits []RowSplits
-	acc    []float64
-	kx     [maxCompiledFeatures]uint64
+type gridWalk struct {
+	nodes          []cnode
+	splits         []gridSplit
+	acc            []float64
+	mask0, mask1   uint64 // factors 0 and 1's element bits, shifted down
+	shift1, shift2 uint
+	n2             int // factor 2's size: factor 1's row stride
+	stride0        int // factor 0's row stride
+	kx             [maxCompiledFeatures]uint64
 }
 
-// descend walks the subtree at node i with the row set s (never
-// empty). One side of a split that keeps rows on both sides recurses;
-// the other continues in the loop, so the recursion is as deep as the
-// splits that divide the set, never deeper than the tree.
+// descend walks the subtree at node i with the product s (never empty).
+// One side of a split that keeps rows on both sides recurses; the other
+// continues in the loop, so the recursion is as deep as the splits that
+// divide the set, never deeper than the tree.
 //
-//mpclint:hotpath pinned transitively under the PredictSetInto pin
-func (w *setWalk) descend(i int32, s rowSet) {
+//mpclint:hotpath pinned transitively under the PredictGridInto pin
+func (w *gridWalk) descend(i int32, s uint64) {
 	for {
 		n := &w.nodes[i]
-		if n.left == i { // leaf
+		if n.left == i { // leaf: every row of the product adds its value
+			// Each row adds once per tree, so the order of the adds
+			// within one leaf is free. Factor 0 runs innermost: its
+			// subsets are the largest at a leaf of a sweep (CPU states),
+			// so the loops start least often.
 			v := math.Float64frombits(n.tkey)
-			for j, word := range s {
-				for word != 0 {
-					w.acc[j<<6|bits.TrailingZeros64(word)] += v
-					word &= word - 1
+			a0, a2 := s&w.mask0, s>>w.shift2
+			for a1 := s >> w.shift1 & w.mask1; a1 != 0; a1 &= a1 - 1 {
+				r1 := bits.TrailingZeros64(a1) * w.n2
+				for b2 := a2; b2 != 0; b2 &= b2 - 1 {
+					r := r1 + bits.TrailingZeros64(b2)
+					for b0 := a0; b0 != 0; b0 &= b0 - 1 {
+						w.acc[r+bits.TrailingZeros64(b0)*w.stride0] += v
+					}
 				}
 			}
 			return
 		}
 		sp := &w.splits[n.feat]
-		if len(sp.keys) == 0 { // shared feature: the whole set goes one way
+		if sp.fbits == 0 { // shared feature: the whole set goes one way
 			_, b := bits.Sub64(n.tkey, w.kx[n.feat], 0)
 			i = n.left + int32(b)
 			continue
 		}
-		rank := 0 // how many of the feature's row keys are <= the threshold
+		rank := 0 // how many of the feature's element keys are <= the threshold
 		for _, k := range sp.keys {
 			_, b := bits.Sub64(n.tkey, k, 0)
 			rank += int(1 - b)
 		}
-		if rank == 0 { // every row goes right
-			i = n.left + 1
-			continue
-		}
-		m := &sp.below[rank-1]
-		var l, r rowSet
-		var anyL, anyR uint64
-		for j := range s {
-			l[j] = s[j] & m[j]
-			r[j] = s[j] &^ m[j]
-			anyL |= l[j]
-			anyR |= r[j]
-		}
+		l := s & sp.below[rank] // the split factor's elements that go left
+		r := s & sp.fbits &^ l  // and those that go right
 		switch {
-		case anyR == 0:
+		case r == 0:
 			i = n.left
-		case anyL == 0:
+		case l == 0:
 			i = n.left + 1
 		default:
-			w.descend(n.left+1, r)
-			i, s = n.left, l
+			w.descend(n.left+1, s^l)
+			i, s = n.left, s^r
 		}
 	}
 }
@@ -507,15 +558,16 @@ func (w *setWalk) descend(i int32, s rowSet) {
 // pseudo-random inputs drawn to straddle every feature's threshold
 // range in f, comparing raw float64 bits of the tree-walking Forest
 // (ground truth) against the branchless level-order layout (the serving
-// path), both scalar and as set descents. Any difference — even in the
+// path), both scalar and as grid descents. Any difference — even in the
 // last ulp — is an error. This is the load/train-time guard cmd/train
 // runs before persisting a model (compiled inference is only trusted
 // because it is bit-exact).
 //
-// The set check runs the samples MaxSetRows at a time. Within a set the
-// odd-numbered features are shared, taking the set's first sample's
-// values, and the even-numbered ones vary per row, as the configuration
-// features of a decision sweep do.
+// The grid check runs the samples twelve at a time as 4×4×4 grids.
+// Within a grid the odd-numbered features are shared, taking the first
+// sample's values, and even-numbered feature j depends on factor
+// j/2 mod 3, whose element e takes sample 4k+e's value on factor k: as
+// each configuration feature of a decision sweep depends on one knob.
 func (c *CompiledForest) SelfCheck(f *Forest, samples int, seed int64) error {
 	if f.nFeatures != c.nFeat {
 		return fmt.Errorf("rf: self-check against a forest with %d features, compiled for %d", f.nFeatures, c.nFeat)
@@ -559,27 +611,34 @@ func (c *CompiledForest) SelfCheck(f *Forest, samples int, seed int64) error {
 				s, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
-	splits := make([]RowSplits, c.nFeat)
-	dst := make([]float64, 0, MaxSetRows)
-	for s0 := 0; s0 < samples; s0 += MaxSetRows {
-		set := probes[s0:min(s0+MaxSetRows, samples)]
-		col := make([]float64, len(set))
-		for j := 0; j < c.nFeat; j += 2 {
-			for r, x := range set {
-				col[r] = x[j]
+	const side = 4 // elements per factor of a check grid
+	dims := [GridFactors]int{side, side, side}
+	var feats []GridFeature
+	for j := 0; j < c.nFeat; j += 2 {
+		feats = append(feats, GridFeature{Feature: j, Factor: j / 2 % GridFactors, Vals: make([]float64, side)})
+	}
+	dst := make([]float64, side*side*side)
+	row := make([]float64, c.nFeat)
+	for s0 := 0; s0 < samples; s0 += GridFactors * side {
+		for _, gf := range feats {
+			for e := range gf.Vals {
+				gf.Vals[e] = probes[(s0+side*gf.Factor+e)%samples][gf.Feature]
 			}
-			splits[j] = NewRowSplits(col)
 		}
-		dst = c.PredictSetInto(dst[:len(set)], set[0], splits)
-		row := make([]float64, c.nFeat)
-		for r, x := range set {
-			copy(row, set[0])
-			for j := 0; j < c.nFeat; j += 2 {
-				row[j] = x[j]
+		g, err := NewGrid(c.nFeat, dims, feats)
+		if err != nil {
+			return err
+		}
+		c.PredictGridInto(dst, probes[s0], g)
+		for r := range dst {
+			copy(row, probes[s0])
+			at := [GridFactors]int{r / (side * side), r / side % side, r % side}
+			for _, gf := range feats {
+				row[gf.Feature] = gf.Vals[at[gf.Factor]]
 			}
 			if want := f.Predict(row); math.Float64bits(dst[r]) != math.Float64bits(want) {
-				return fmt.Errorf("rf: set descent diverges at sample %d: set %v (bits %#x), tree-walk %v (bits %#x)",
-					s0+r, dst[r], math.Float64bits(dst[r]), want, math.Float64bits(want))
+				return fmt.Errorf("rf: grid descent diverges at row %d of the grid from sample %d: grid %v (bits %#x), tree-walk %v (bits %#x)",
+					r, s0, dst[r], math.Float64bits(dst[r]), want, math.Float64bits(want))
 			}
 		}
 	}

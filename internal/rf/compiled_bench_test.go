@@ -7,8 +7,8 @@ package rf
 // tree walk speculates perfectly) and cycling over 64 distinct rows
 // (the serving regime — every decision carries fresh counters, so
 // branchy descent pays misprediction flushes while the predicated
-// kernels are input-oblivious). The set sweep times the set descent
-// over one decision-sweep-shaped row set.
+// kernels are input-oblivious). The set sweep times the grid descent
+// over one decision-sweep-shaped grid.
 //
 // The "kernels" section of BENCH_rf.json is recorded from:
 //
@@ -88,34 +88,43 @@ func BenchmarkCompiledScalarBranchlessVaried(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledSetSweep measures one 336-row set descent shaped
+// BenchmarkCompiledSetSweep measures one 336-row grid descent shaped
 // like a decision sweep: the eight leading features are one input row
 // shared by every row, and the six trailing features take a few
-// distinct values each, laid out as the 7×4×3×4 product of a
-// configuration space.
+// distinct values each over a 7×12×4 grid, the CPU × (NB, GPU) × CU
+// product of a configuration space. Each depends on one factor, as its
+// configuration feature does.
 func BenchmarkCompiledSetSweep(b *testing.B) {
 	c := compileOrFatal(b, benchForest(b))
 	x := benchInputs(1)[0]
 	levels := [6]int{3, 5, 4, 4, 2, 7} // distinct values per trailing feature
-	cols := make([][]float64, len(levels))
-	for f := range cols {
-		cols[f] = make([]float64, 336)
+	level := func(f, l int) float64 { return -2 + 4*float64(l)/float64(levels[f]-1) }
+	const nCPU, nNB, nGPU, nCU = 7, 4, 3, 4
+	feats := make([]GridFeature, len(levels))
+	for f, k := range [6]int{1, 1, 2, 1, 1, 0} {
+		feats[f] = GridFeature{Feature: 8 + f, Factor: k}
 	}
-	for r := 0; r < 336; r++ {
-		cpu, nb, gpu, cu := r/48, r/12%4, r/4%3, r%4
-		level := [6]int{gpu, (gpu + nb) % 5, cu, nb, nb / 3, cpu}
-		for f, l := range level {
-			cols[f][r] = -2 + 4*float64(l)/float64(levels[f]-1)
-		}
+	for p := 0; p < nNB*nGPU; p++ {
+		nb, gpu := p/nGPU, p%nGPU
+		feats[0].Vals = append(feats[0].Vals, level(0, gpu))
+		feats[1].Vals = append(feats[1].Vals, level(1, (gpu+nb)%5))
+		feats[3].Vals = append(feats[3].Vals, level(3, nb))
+		feats[4].Vals = append(feats[4].Vals, level(4, nb/3))
 	}
-	splits := make([]RowSplits, 14)
-	for f, col := range cols {
-		splits[8+f] = NewRowSplits(col)
+	for cu := 0; cu < nCU; cu++ {
+		feats[2].Vals = append(feats[2].Vals, level(2, cu))
 	}
-	dst := make([]float64, 336)
+	for cpu := 0; cpu < nCPU; cpu++ {
+		feats[5].Vals = append(feats[5].Vals, level(5, cpu))
+	}
+	g, err := NewGrid(14, [GridFactors]int{nCPU, nNB * nGPU, nCU}, feats)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float64, g.Rows())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.PredictSetInto(dst, x, splits)
+		c.PredictGridInto(dst, x, g)
 	}
 }

@@ -74,28 +74,55 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 							nTrees, depth, d, trial, got, want)
 					}
 				}
-				// The same rows as set descents: every feature varying,
-				// and alternate features shared.
+				// The same rows' values as grid descents: every feature
+				// on a factor, and alternate features shared.
 				name := fmt.Sprintf("trees=%d depth=%d d=%d", nTrees, depth, d)
-				checkSetDescent(t, name, f, c, rows, make([]bool, d))
-				shared := make([]bool, d)
-				for j := range shared {
-					shared[j] = (j+int(seed))%2 == 0
+				factorOf := make([]int, d)
+				for j := range factorOf {
+					factorOf[j] = j % GridFactors
 				}
-				checkSetDescent(t, name, f, c, rows, shared)
+				checkGridChunks(t, name, f, c, rows, [GridFactors]int{5, 8, 5}, factorOf)
+				for j := range factorOf {
+					if (j+int(seed))%2 == 0 {
+						factorOf[j] = -1
+					}
+				}
+				checkGridChunks(t, name, f, c, rows, [GridFactors]int{5, 8, 5}, factorOf)
 			}
 		}
 	}
 }
 
-// TestPredictSetIntoEmpty pins the empty set descent: no rows, an
-// empty result at once.
-func TestPredictSetIntoEmpty(t *testing.T) {
-	c := compileOrFatal(t, fuzzForest(t))
-	x := []float64{0.3, 0.7, 0.1}
-	splits := make([]RowSplits, 3)
-	if out := c.PredictSetInto(nil, x, splits); len(out) != 0 {
-		t.Fatalf("PredictSetInto(empty) = %v, want empty", out)
+// TestNewGridRejectsUnrepresentable covers NewGrid's errors: an empty
+// factor, factors wider than one word together, and feature entries out
+// of range, named twice or with a value count other than their factor's
+// size. Factors exactly one word wide build.
+func TestNewGridRejectsUnrepresentable(t *testing.T) {
+	vals := func(n int) []float64 { return make([]float64, n) }
+	for _, tc := range []struct {
+		name  string
+		dims  [GridFactors]int
+		feats []GridFeature
+	}{
+		{"empty factor", [GridFactors]int{2, 0, 3}, nil},
+		{"65 bits", [GridFactors]int{21, 22, 22}, nil},
+		{"negative feature", [GridFactors]int{2, 2, 2}, []GridFeature{{Feature: -1, Factor: 0, Vals: vals(2)}}},
+		{"feature past the row", [GridFactors]int{2, 2, 2}, []GridFeature{{Feature: 3, Factor: 0, Vals: vals(2)}}},
+		{"feature named twice", [GridFactors]int{2, 3, 2}, []GridFeature{
+			{Feature: 1, Factor: 0, Vals: vals(2)}, {Feature: 1, Factor: 1, Vals: vals(3)}}},
+		{"factor past the grid", [GridFactors]int{2, 2, 2}, []GridFeature{{Feature: 0, Factor: GridFactors, Vals: vals(2)}}},
+		{"short values", [GridFactors]int{2, 3, 2}, []GridFeature{{Feature: 0, Factor: 1, Vals: vals(2)}}},
+	} {
+		if _, err := NewGrid(3, tc.dims, tc.feats); err == nil {
+			t.Errorf("%s: NewGrid(%v) built a grid", tc.name, tc.dims)
+		}
+	}
+	g, err := NewGrid(3, [GridFactors]int{21, 21, 22}, []GridFeature{{Feature: 2, Factor: 2, Vals: vals(22)}})
+	if err != nil {
+		t.Fatalf("64-bit grid refused: %v", err)
+	}
+	if g.Rows() != 21*21*22 {
+		t.Fatalf("64-bit grid holds %d rows, want %d", g.Rows(), 21*21*22)
 	}
 }
 
@@ -112,14 +139,19 @@ func TestCompiledBatchPanics(t *testing.T) {
 		fn()
 	}
 	x := []float64{0.3, 0.7, 0.1}
-	splits := make([]RowSplits, 3)
+	g, err := NewGrid(3, [GridFactors]int{2, 3, 1}, []GridFeature{{Feature: 1, Factor: 1, Vals: []float64{1, 2, 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := NewGrid(4, [GridFactors]int{2, 3, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	expectPanic("Predict wrong dim", func() { c.Predict(make([]float64, 2)) })
-	expectPanic("PredictSetInto wrong dim", func() { c.PredictSetInto(make([]float64, 2), x[:2], splits) })
-	expectPanic("PredictSetInto short splits", func() { c.PredictSetInto(make([]float64, 2), x, splits[:2]) })
-	expectPanic("PredictSetInto too many rows", func() { c.PredictSetInto(make([]float64, MaxSetRows+1), x, splits) })
-	splits[1] = NewRowSplits([]float64{1, 2, 3})
-	expectPanic("PredictSetInto row-count mismatch", func() { c.PredictSetInto(make([]float64, 2), x, splits) })
-	expectPanic("NewRowSplits too many rows", func() { NewRowSplits(make([]float64, MaxSetRows+1)) })
+	expectPanic("PredictGridInto wrong dim", func() { c.PredictGridInto(make([]float64, 6), x[:2], g) })
+	expectPanic("PredictGridInto grid of another width", func() { c.PredictGridInto(make([]float64, 6), x, wide) })
+	expectPanic("PredictGridInto short dst", func() { c.PredictGridInto(make([]float64, 5), x, g) })
+	expectPanic("PredictGridInto long dst", func() { c.PredictGridInto(make([]float64, 7), x, g) })
 }
 
 // TestCompiledZeroAlloc pins the steady-state compiled inference paths
@@ -132,37 +164,37 @@ func TestCompiledZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() { _ = c.Predict(x) }); allocs != 0 {
 		t.Fatalf("CompiledForest.Predict allocates %v times per call, want 0", allocs)
 	}
-	const rows = 70 // more than one bitset word
-	col := make([]float64, rows)
-	for r := range col {
-		col[r] = float64(r%7) * 0.2
+	col := make([]float64, 7)
+	for e := range col {
+		col[e] = float64(e) * 0.2
 	}
-	splits := []RowSplits{{}, NewRowSplits(col), {}}
-	dst := make([]float64, rows)
-	if allocs := testing.AllocsPerRun(200, func() { c.PredictSetInto(dst, x, splits) }); allocs != 0 {
-		t.Fatalf("CompiledForest.PredictSetInto allocates %v times per call, want 0", allocs)
+	g, err := NewGrid(3, [GridFactors]int{5, 7, 2}, []GridFeature{
+		{Feature: 1, Factor: 1, Vals: col},
+		{Feature: 2, Factor: 0, Vals: col[:5]},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, g.Rows())
+	if allocs := testing.AllocsPerRun(200, func() { c.PredictGridInto(dst, x, g) }); allocs != 0 {
+		t.Fatalf("CompiledForest.PredictGridInto allocates %v times per call, want 0", allocs)
 	}
 }
 
-// checkSetDescent runs rows through one set descent — features marked
-// shared take rows[0]'s value on every row, the others vary per row —
-// and requires each row's result to match the tree walk on that row
-// bit for bit. The destination sits inside a larger buffer whose other
-// slots must stay untouched.
-func checkSetDescent(tb testing.TB, name string, f *Forest, c *CompiledForest, rows [][]float64, shared []bool) {
+// checkGridDescent runs one grid descent over the product of factors of
+// dims elements, x's features shared except those feats names, and
+// requires each row's result to match the tree walk on that row bit for
+// bit. The destination sits inside a larger buffer whose other slots
+// must stay untouched.
+func checkGridDescent(tb testing.TB, name string, f *Forest, c *CompiledForest, x []float64, dims [GridFactors]int, feats []GridFeature) {
 	tb.Helper()
-	d := f.NumFeatures()
-	n := len(rows)
-	splits := make([]RowSplits, d)
-	col := make([]float64, n)
-	for j := 0; j < d; j++ {
-		if shared[j] {
-			continue
-		}
-		for r, x := range rows {
-			col[r] = x[j]
-		}
-		splits[j] = NewRowSplits(col)
+	g, err := NewGrid(f.NumFeatures(), dims, feats)
+	if err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	n := g.Rows()
+	if n != dims[0]*dims[1]*dims[2] {
+		tb.Fatalf("%s: grid %v holds %d rows", name, dims, n)
 	}
 	const pad = 3
 	sentinel := math.Float64frombits(0x7ff8dead0000beef)
@@ -170,59 +202,90 @@ func checkSetDescent(tb testing.TB, name string, f *Forest, c *CompiledForest, r
 	for i := range buf {
 		buf[i] = sentinel
 	}
-	dst := c.PredictSetInto(buf[pad:pad+n], rows[0], splits)
-	row := make([]float64, d)
-	for r, x := range rows {
-		for j := range row {
-			if shared[j] {
-				row[j] = rows[0][j]
-			} else {
-				row[j] = x[j]
-			}
+	dst := c.PredictGridInto(buf[pad:pad+n], x, g)
+	row := make([]float64, len(x))
+	for r := 0; r < n; r++ {
+		at := [GridFactors]int{r / (dims[1] * dims[2]), r / dims[2] % dims[1], r % dims[2]}
+		copy(row, x)
+		for _, gf := range feats {
+			row[gf.Feature] = gf.Vals[at[gf.Factor]]
 		}
 		if want := f.Predict(row); !bitsEqual(dst[r], want) {
-			tb.Fatalf("%s shared=%v row %d of %d (%v): set %v (bits %#x) != tree-walk %v (bits %#x)",
-				name, shared, r, n, row, dst[r], math.Float64bits(dst[r]), want, math.Float64bits(want))
+			tb.Fatalf("%s grid %v row %d (%v): grid %v (bits %#x) != tree-walk %v (bits %#x)",
+				name, dims, r, row, dst[r], math.Float64bits(dst[r]), want, math.Float64bits(want))
 		}
 	}
 	for i := range buf {
 		if (i < pad || i >= pad+n) && math.Float64bits(buf[i]) != math.Float64bits(sentinel) {
-			tb.Fatalf("%s: set descent over %d rows wrote slot %d outside dst", name, n, i-pad)
+			tb.Fatalf("%s: grid descent over %d rows wrote slot %d outside dst", name, n, i-pad)
 		}
 	}
 }
 
-// TestPredictSetRowCounts runs set descents over row counts at and
-// around the bitset word boundaries, the 336-configuration default
-// space, the 560-configuration full space and the maximum, each with a
-// few distinct values per varying feature (as a configuration space
-// has) and, separately, with every row distinct.
+// checkGridChunks runs rows' values through grid descents over factors
+// of dims elements: feature j depends on factor factorOf[j], or is
+// shared when that is negative. Each grid takes its shared values from
+// one row and its element values from that row and the rows after it,
+// one row per element, and the grids step through every row.
+func checkGridChunks(tb testing.TB, name string, f *Forest, c *CompiledForest, rows [][]float64, dims [GridFactors]int, factorOf []int) {
+	tb.Helper()
+	var off [GridFactors + 1]int
+	for k, n := range dims {
+		off[k+1] = off[k] + n
+	}
+	for s0 := 0; s0 < len(rows); s0 += off[GridFactors] {
+		var feats []GridFeature
+		for j, k := range factorOf {
+			if k < 0 {
+				continue
+			}
+			vals := make([]float64, dims[k])
+			for e := range vals {
+				vals[e] = rows[(s0+off[k]+e)%len(rows)][j]
+			}
+			feats = append(feats, GridFeature{Feature: j, Factor: k, Vals: vals})
+		}
+		checkGridDescent(tb, fmt.Sprintf("%s rows from %d", name, s0), f, c, rows[s0], dims, feats)
+	}
+}
+
+// TestPredictSetRowCounts runs grid descents over shapes from one row to
+// the widest word: single-element factors, one factor of the 62
+// elements a word leaves it, the 7×12×4 default space, the 7×20×4 full
+// space and a 21×21×22 grid of all 64 bits. The varying features take a
+// few distinct values each (as a configuration space's do) and,
+// separately, a distinct value per element.
 func TestPredictSetRowCounts(t *testing.T) {
 	f := benchForest(t)
 	c := compileOrFatal(t, f)
 	d := f.NumFeatures()
-	shared := make([]bool, d)
-	for j := 0; j < d/2; j++ {
-		shared[j] = true
-	}
 	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{1, 63, 64, 65, 336, 560, MaxSetRows} {
-		for _, levels := range []int{5, n} {
-			table := make([][]float64, d)
-			for j := range table {
-				table[j] = make([]float64, levels)
-				for k := range table[j] {
-					table[j][k] = (rng.Float64() - 0.5) * 4
+	x := make([]float64, d)
+	for j := range x {
+		x[j] = (rng.Float64() - 0.5) * 4
+	}
+	for _, dims := range [][GridFactors]int{
+		{1, 1, 1}, {1, 1, 62}, {1, 62, 1}, {62, 1, 1}, {2, 3, 5}, {7, 12, 4}, {7, 20, 4}, {21, 21, 22},
+	} {
+		for _, distinct := range []bool{false, true} {
+			var feats []GridFeature
+			for j := d / 2; j < d; j++ {
+				k := j % GridFactors
+				levels := 5
+				if distinct {
+					levels = dims[k]
 				}
-			}
-			rows := make([][]float64, n)
-			for r := range rows {
-				rows[r] = make([]float64, d)
-				for j := range rows[r] {
-					rows[r][j] = table[j][rng.Intn(levels)]
+				table := make([]float64, levels)
+				for i := range table {
+					table[i] = (rng.Float64() - 0.5) * 4
 				}
+				vals := make([]float64, dims[k])
+				for e := range vals {
+					vals[e] = table[rng.Intn(levels)]
+				}
+				feats = append(feats, GridFeature{Feature: j, Factor: k, Vals: vals})
 			}
-			checkSetDescent(t, fmt.Sprintf("rows=%d levels=%d", n, levels), f, c, rows, shared)
+			checkGridDescent(t, fmt.Sprintf("distinct=%v", distinct), f, c, x, dims, feats)
 		}
 	}
 }
@@ -361,7 +424,7 @@ func chainTree(depth int, leafBase float64) tree {
 // skewed spines, depths exactly at (and one off) the cluster-stratum
 // boundary, and ensembles straddling the scalar tree-block width — and
 // requires bit-exact agreement with the tree walk on every path,
-// scalar and set descent.
+// scalar and grid descent.
 func TestCompiledLayoutEdgeCases(t *testing.T) {
 	const d = 3
 	depths := []int{0, 1, clusterStratum - 1, clusterStratum, clusterStratum + 1,
@@ -404,12 +467,12 @@ func TestCompiledLayoutEdgeCases(t *testing.T) {
 				t.Fatalf("nTrees=%d trial=%d x=%v: compiled %v != tree-walk %v", nTrees, trial, x, got, want)
 			}
 		}
-		// The chains split on feature 0 only: varying it drives the
-		// mask partition down every spine, sharing it the whole-set
-		// compare.
+		// The chains split on feature 0 only: putting it on a factor
+		// drives the mask partition down every spine, sharing it the
+		// whole-set compare.
 		name := fmt.Sprintf("nTrees=%d", nTrees)
-		checkSetDescent(t, name, f, c, rows, []bool{false, false, false})
-		checkSetDescent(t, name, f, c, rows, []bool{true, false, true})
+		checkGridChunks(t, name, f, c, rows, [GridFactors]int{4, 9, 3}, []int{1, 0, 2})
+		checkGridChunks(t, name, f, c, rows, [GridFactors]int{4, 9, 3}, []int{-1, 1, -1})
 		if err := c.SelfCheck(f, 256, int64(nTrees)*7+1); err != nil {
 			t.Fatalf("nTrees=%d: self-check failed: %v", nTrees, err)
 		}
@@ -479,7 +542,7 @@ func TestCompiledLayoutInvariants(t *testing.T) {
 // fuzzer-chosen forest shapes and raw input bits: any trainable forest,
 // compiled, must predict bit-identically to the tree-walking original
 // on any input — including NaNs, infinities and denormals assembled
-// from the raw bytes — both scalar and as one set descent.
+// from the raw bytes — both scalar and as one grid descent.
 func FuzzCompiledEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4), []byte("0123456789abcdef0123456789abcdef"))
 	f.Add(int64(42), uint8(1), uint8(1), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f})                   // +Inf input
@@ -531,17 +594,21 @@ func FuzzCompiledEquivalence(f *testing.F) {
 					x, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
-		// Set descent over the same rows: the seed's low bits pick the
-		// shared features, whose keys come from the first row's raw
-		// bytes.
+		// Grid descent over the same rows' values: the seed's low bits
+		// pick the shared features, whose keys come from the first
+		// row's raw bytes, and the bits above them each other
+		// feature's factor. Each factor element takes one row's value.
 		set := make([][]float64, 8)
-		shared := make([]bool, d)
+		factorOf := make([]int, d)
 		for r := range set {
 			set[r] = rows[r*d : (r+1)*d]
 		}
-		for j := range shared {
-			shared[j] = seed>>j&1 == 1
+		for j := range factorOf {
+			factorOf[j] = int(uint64(seed)>>(d+2*j)&3) % GridFactors
+			if seed>>j&1 == 1 {
+				factorOf[j] = -1
+			}
 		}
-		checkSetDescent(t, "fuzz", forest, c, set, shared)
+		checkGridChunks(t, "fuzz", forest, c, set, [GridFactors]int{2, 4, 2}, factorOf)
 	})
 }
