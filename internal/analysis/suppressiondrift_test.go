@@ -36,6 +36,10 @@ func TestNoSuppressionDrift(t *testing.T) {
 		filepath.Join("internal", "policy", "mpc.go"): 4,
 		// hotpath-alloc: the batched sweep's once-per-space plan build.
 		filepath.Join("internal", "predict", "spaceeval.go"): 1,
+		// hotpath-alloc: Calibrated.PredictKernel's inner-model call on a
+		// memo miss; TestCalibratedPredictKernelZeroAlloc pins both paths
+		// over the forest.
+		filepath.Join("internal", "predict", "calibrate.go"): 1,
 		// determinism-taint: CHA may-target through serve.Client.Decide
 		// (latency-callback timing, not decision input).
 		filepath.Join("internal", "sim", "sim.go"): 1,

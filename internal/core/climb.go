@@ -128,7 +128,7 @@ func (c *evalCache) eval(cfg hw.Config) (predict.Estimate, float64) {
 	}
 	c.evals++
 	t0 := c.o.Trace.StartPhase()
-	//mpclint:ignore hotpath-alloc deployed Model is predict.RandomForest, whose PredictKernel carries its own hotpath proof; other implementations are cold-path test doubles and wrappers
+	//mpclint:ignore hotpath-alloc in a policy the Model is *predict.Calibrated (NewMPC and NewPPK wrap theirs), whose PredictKernel carries its own hotpath proof; other implementations are test doubles and the backtracking experiment's bare oracle
 	est := c.o.Model.PredictKernel(c.cs, cfg)
 	c.o.Trace.EndPhase(telemetry.SpanForestEval, t0)
 	e := predict.EnergyMJ(est, cfg)

@@ -192,6 +192,12 @@ func (m *MPC) Begin(info sim.RunInfo) {
 		m.win = slices.Grow(m.win[:0], m.n)
 		m.suffixDeficit = slices.Grow(m.suffixDeficit, m.n+1)
 	}
+	// A steady-state run prices the same expected kernels at the same
+	// configurations decision after decision, so it memoizes the raw
+	// model's answers for the run. A profiling run's searches are
+	// batched sweeps, which the memo never sees, so it keeps none (nor
+	// does the early return above: no steady-state run has begun yet).
+	m.calib.BeginRun(!m.profiling)
 }
 
 // Profiling reports whether the policy is in its PPK profiling run.

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"mpcdvfs/internal/counters"
@@ -119,5 +120,277 @@ func TestFeedbackReturnsPreUpdateEstimate(t *testing.T) {
 		if got != want {
 			t.Fatalf("feedback %d returned %+v, PredictKernel before it gave %+v", i, got, want)
 		}
+	}
+}
+
+// countingInner counts the queries that reach a Calibrated's inner
+// model.
+type countingInner struct {
+	Model
+	calls int
+}
+
+func (c *countingInner) PredictKernel(cs counters.Set, cfg hw.Config) Estimate {
+	c.calls++
+	return c.Model.PredictKernel(cs, cfg)
+}
+
+// sameBits reports whether two estimates are bit-identical.
+func sameBits(a, b Estimate) bool {
+	return math.Float64bits(a.TimeMS) == math.Float64bits(b.TimeMS) &&
+		math.Float64bits(a.GPUPowerW) == math.Float64bits(b.GPUPowerW)
+}
+
+// memoSlot returns the memo entry index a query maps to.
+func memoSlot(cs counters.Set, cfg hw.Config) uint64 {
+	k := memoKey{cfg: cfg, used: true}
+	for i, v := range cs {
+		k.bits[i] = math.Float64bits(v)
+	}
+	return k.slot()
+}
+
+// adversarialSets returns counter sets built from values a memo keyed
+// by float equality, or by a lossy hash, would get wrong: signed zeros,
+// NaN, infinities, subnormals and the largest magnitudes, placed at
+// random over a realistic kernel's counters. finite keeps only finite,
+// non-negative values (for the oracle, whose nearest-kernel fallback
+// needs them).
+func adversarialSets(rng *rand.Rand, n int, finite bool) []counters.Set {
+	special := []float64{0, math.Copysign(0, -1), 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, math.MaxFloat64}
+	if !finite {
+		special = append(special, math.NaN(), math.Inf(1), math.Inf(-1), -1e308, -1)
+	}
+	base := kernel.NewMemoryBound("mb", 1).Counters()
+	out := make([]counters.Set, 0, n)
+	for len(out) < n {
+		cs := base
+		for i := range cs {
+			switch rng.Intn(3) {
+			case 0:
+				cs[i] = special[rng.Intn(len(special))]
+			case 1:
+				cs[i] = math.Exp(rng.Float64() * 20)
+			}
+		}
+		out = append(out, cs)
+	}
+	return out
+}
+
+// TestCalibratedMemoMatchesInner drives a memoized Calibrated and a
+// memo-less twin through the same stream of queries and feedback, and
+// requires every answer bit for bit equal: over the trained forest with
+// adversarial counter sets (±0, NaN, ±Inf, subnormals, 1e308), and over
+// an error model whose answer for −0 differs from its answer for +0.
+// Queries repeat, so the memo serves hits; feedback between hits moves
+// the ratios, which must show on the next hit.
+func TestCalibratedMemoMatchesInner(t *testing.T) {
+	o := NewOracle()
+	for _, k := range []kernel.Kernel{kernel.NewMemoryBound("mb", 1), kernel.NewComputeBound("cb", 1), kernel.NewPeak("pk", 1)} {
+		o.Register(k)
+	}
+	space := hw.DefaultSpace()
+	for _, tc := range []struct {
+		inner  Model
+		finite bool
+	}{
+		{quickRF(t), false},
+		{NewWithError(o, 0.15, 0.10, 7), true},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		inner := &countingInner{Model: tc.inner}
+		memo := NewCalibrated(inner)
+		ref := NewCalibrated(tc.inner)
+		var sets []counters.Set
+		const queries = 4000
+		for q := 0; q < queries; q++ {
+			if q%400 == 0 {
+				// A new run: fresh counter sets and an empty memo; the
+				// ratios carry over, as they do across a policy's runs.
+				sets = adversarialSets(rng, 8, tc.finite)
+				memo.BeginRun(true)
+			}
+			cs := sets[rng.Intn(len(sets))]
+			cfg := space.At(rng.Intn(8))
+			if rng.Intn(10) == 0 {
+				mt, mp := math.Exp(rng.NormFloat64()), 10*math.Exp(rng.NormFloat64())
+				if got, want := memo.Feedback(cs, cfg, mt, mp), ref.Feedback(cs, cfg, mt, mp); !sameBits(got, want) {
+					t.Fatalf("%s: feedback %d on %v at %v: memo %+v, without memo %+v", tc.inner.Name(), q, cs, cfg, got, want)
+				}
+				continue
+			}
+			if got, want := memo.PredictKernel(cs, cfg), ref.PredictKernel(cs, cfg); !sameBits(got, want) {
+				t.Fatalf("%s: query %d on %v at %v: memo %+v, without memo %+v", tc.inner.Name(), q, cs, cfg, got, want)
+			}
+		}
+		if memo.KnownKernels() == 0 {
+			t.Fatalf("%s: no feedback took, so no ratio was checked", tc.inner.Name())
+		}
+		// A run asks at most 8 sets × 8 configurations = 64 distinct
+		// queries, so most of its 400 repeat one; a memo that never hits
+		// calls the inner model once per query.
+		if inner.calls > queries/2 {
+			t.Fatalf("%s: %d of %d queries reached the inner model", tc.inner.Name(), inner.calls, queries)
+		}
+	}
+}
+
+// TestCalibratedMemoCollisionsAndSignedZero forces queries onto one
+// memo entry. Two distinct queries that share an entry evict each
+// other and are both answered by the inner model, every time. A −0 and
+// a +0 query that share an entry must stay apart, because the error
+// model answers them differently: a memo that compared keys with ==
+// would hand the +0 answer to the −0 query. A NaN query finds its own
+// entry.
+func TestCalibratedMemoCollisionsAndSignedZero(t *testing.T) {
+	o := NewOracle()
+	k := kernel.NewBalanced("b", 1)
+	o.Register(k)
+	we := NewWithError(o, 0.15, 0.10, 3)
+	inner := &countingInner{Model: we}
+	c := NewCalibrated(inner)
+	c.BeginRun(true)
+	space := hw.DefaultSpace()
+	rng := rand.New(rand.NewSource(2))
+
+	// A colliding pair of distinct queries, with a ratio installed so
+	// hits are checked after the correction too.
+	base := k.Counters()
+	a, cfg := base, space.At(5)
+	c.Feedback(a, cfg, 1.3*we.PredictKernel(a, cfg).TimeMS, 40)
+	var b counters.Set
+	for try := 0; ; try++ {
+		if try == 1<<16 {
+			t.Fatal("no counter set shares the first query's memo entry")
+		}
+		b = base
+		b[counters.FetchSize] = math.Exp(rng.Float64() * 20)
+		if b != a && memoSlot(b, cfg) == memoSlot(a, cfg) {
+			break
+		}
+	}
+	check := func(cs counters.Set, cfg hw.Config, wantCalls int) {
+		t.Helper()
+		want := we.PredictKernel(cs, cfg)
+		if r, ok := c.ratios[counters.SignatureOf(cs)]; ok {
+			want.TimeMS *= r.time
+			want.GPUPowerW *= r.power
+		}
+		before := inner.calls
+		if got := c.PredictKernel(cs, cfg); !sameBits(got, want) {
+			t.Fatalf("%v at %v: got %+v, want %+v", cs, cfg, got, want)
+		}
+		if n := inner.calls - before; n != wantCalls {
+			t.Fatalf("%v at %v reached the inner model %d times, want %d", cs, cfg, n, wantCalls)
+		}
+	}
+	check(a, cfg, 1)
+	check(a, cfg, 0)
+	for i := 0; i < 3; i++ {
+		check(b, cfg, 1) // evicts a
+		check(a, cfg, 1) // evicts b
+	}
+	c.Feedback(a, cfg, 2*we.PredictKernel(a, cfg).TimeMS, 45)
+	check(a, cfg, 0) // a hit shows the ratio the feedback just moved
+
+	// −0 and +0 in one counter, on one entry.
+	var pos, neg counters.Set
+	var zcfg hw.Config
+	for try, found := 0, false; !found; try++ {
+		if try == 64 {
+			t.Fatal("−0 and +0 never share a memo entry: the slot hash does not spread a sign bit")
+		}
+		pos = base
+		pos[counters.ScratchRegs] = 0
+		pos[counters.VALUInsts] = math.Exp(rng.Float64() * 10)
+		neg = pos
+		neg[counters.ScratchRegs] = math.Copysign(0, -1)
+		for i := 0; i < space.Size() && !found; i++ {
+			zcfg = space.At(i)
+			found = memoSlot(pos, zcfg) == memoSlot(neg, zcfg)
+		}
+	}
+	if sameBits(we.PredictKernel(pos, zcfg), we.PredictKernel(neg, zcfg)) {
+		t.Fatal("the error model answers −0 and +0 alike, so this case checks nothing")
+	}
+	check(pos, zcfg, 1)
+	check(neg, zcfg, 1)
+	check(pos, zcfg, 1)
+
+	// NaN is not equal to itself, but its bits are.
+	nan := base
+	nan[counters.CacheHit] = math.NaN()
+	rfc := &countingInner{Model: quickRF(t)}
+	cr := NewCalibrated(rfc)
+	cr.BeginRun(true)
+	first := cr.PredictKernel(nan, cfg)
+	if again := cr.PredictKernel(nan, cfg); !sameBits(again, first) || rfc.calls != 1 {
+		t.Fatalf("NaN query repeated: %+v then %+v, %d inner calls, want the same bits from 1 call", first, again, rfc.calls)
+	}
+}
+
+// TestCalibratedWithoutMemo covers a Calibrated that never got a memo,
+// as PPK's and every profiling run's is: each query reaches the inner
+// model. BeginRun(true) empties a memo that has one, and BeginRun(false)
+// drops it.
+func TestCalibratedWithoutMemo(t *testing.T) {
+	o := NewOracle()
+	k := kernel.NewComputeBound("cb", 1)
+	o.Register(k)
+	inner := &countingInner{Model: o}
+	c := NewCalibrated(inner)
+	cs, cfg := k.Counters(), hw.FailSafe()
+	want := o.PredictKernel(cs, cfg)
+	query := func(wantCalls int) {
+		t.Helper()
+		before := inner.calls
+		if got := c.PredictKernel(cs, cfg); !sameBits(got, want) {
+			t.Fatalf("got %+v, want %+v", got, want)
+		}
+		if n := inner.calls - before; n != wantCalls {
+			t.Fatalf("query reached the inner model %d times, want %d", n, wantCalls)
+		}
+	}
+	query(1)
+	query(1)
+	c.BeginRun(true)
+	query(1)
+	query(0)
+	c.BeginRun(true)
+	query(1)
+	c.BeginRun(false)
+	query(1)
+	query(1)
+}
+
+// TestCalibratedPredictKernelZeroAlloc pins the hotpath-annotated
+// PredictKernel at zero allocations on a warm memo with a ratio
+// installed, and on its miss path over the forest.
+func TestCalibratedPredictKernelZeroAlloc(t *testing.T) {
+	m := quickRF(t)
+	c := NewCalibrated(m)
+	c.BeginRun(true)
+	cs := kernel.NewComputeBound("cb", 1).Counters()
+	space := hw.DefaultSpace()
+	c.Feedback(cs, space.At(0), 2, 30)
+	cfgs := []hw.Config{space.At(0), space.At(17), space.At(101)}
+	for _, cfg := range cfgs {
+		c.PredictKernel(cs, cfg)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		for _, cfg := range cfgs {
+			_ = c.PredictKernel(cs, cfg)
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm memo: PredictKernel allocates %v times per 3 calls, want 0", allocs)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		c.BeginRun(true)
+		_ = c.PredictKernel(cs, space.At(i%space.Size()))
+		i++
+	}); allocs != 0 {
+		t.Fatalf("memo miss: PredictKernel allocates %v times per call, want 0", allocs)
 	}
 }

@@ -41,12 +41,13 @@ type Estimate struct {
 // are the only kernel description a Model may rely on: ground-truth
 // parameters never cross this interface except inside Oracle.
 //
-// PredictKernel must be safe for concurrent calls: serving sessions
-// share one model across goroutines. All implementations in this
-// package satisfy this — they either are pure functions of their
-// immutable state or, like Calibrated, mutate state only through
-// methods outside this interface (Feedback), which the runtime never
-// overlaps with a search.
+// PredictKernel must be a pure function of (cs, c) for the model's
+// lifetime: the same query always returns the same bits, because
+// Calibrated memoizes its inner model's answers and relies on it. It
+// must also be safe for concurrent calls, because serving sessions
+// share one model across goroutines. Calibrated itself is the
+// exception to both: its answers follow the Feedback it is given, and
+// it is per-policy state that one goroutine at a time uses.
 type Model interface {
 	// Name identifies the model in reports.
 	Name() string
@@ -93,7 +94,10 @@ type Oracle struct {
 func NewOracle() *Oracle { return &Oracle{byCounters: map[counters.Set]kernel.Kernel{}} }
 
 // Register gives the oracle perfect knowledge of k (including its current
-// input scale).
+// input scale). Register every kernel before handing the oracle to a
+// policy: a later registration can change the answer to a query already
+// made (through the nearest-kernel fallback, or by replacing the kernel
+// under the same counters), which breaks Model's purity contract.
 func (o *Oracle) Register(k kernel.Kernel) {
 	cs := k.Counters()
 	if _, seen := o.byCounters[cs]; !seen {
