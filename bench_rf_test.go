@@ -147,7 +147,7 @@ func BenchmarkRFSpaceEvalParallel(b *testing.B) {
 
 // benchRFExhaustiveSweep measures the full per-decision inner loop —
 // Optimizer.ExhaustiveSearch over the 336-configuration space,
-// including the decision cache and argmin reduction — in both modes.
+// including the decision record and argmin reduction — in both modes.
 func benchRFExhaustiveSweep(b *testing.B, compiled bool) {
 	m := benchRF(b, compiled)
 	cs := kernel.NewBalanced("bench", 1).Counters()

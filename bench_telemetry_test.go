@@ -14,29 +14,18 @@ import (
 	"mpcdvfs/internal/hw"
 	"mpcdvfs/internal/metrics"
 	"mpcdvfs/internal/obs"
-	"mpcdvfs/internal/policy"
 	"mpcdvfs/internal/sim"
 	"mpcdvfs/internal/telemetry"
 )
 
-// benchTracedMPC is benchObservedMPC's telemetry twin: one full
-// steady-state MPC run of Spmv (30 receding-horizon decisions ×2 runs)
-// on a private engine with the given trace context attached.
+// benchTracedMPC is benchObservedMPC's telemetry twin: one steady-state
+// MPC run of Spmv (30 receding-horizon decisions) per op on a private
+// engine with the given trace context attached.
 func benchTracedMPC(b *testing.B, tc *telemetry.Context) {
 	b.Helper()
-	f := experiments.Shared()
-	app := f.App("Spmv")
-	_, target := f.Baseline(app)
-	oracle := f.Oracle(app)
-	eng := sim.NewEngine(f.Space)
+	eng := sim.NewEngine(experiments.Shared().Space)
 	eng.Trace = tc
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := policy.NewMPC(oracle, f.Space)
-		if _, err := eng.RunRepeated(app, m, target, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSteadyMPC(b, eng)
 }
 
 // BenchmarkTelemetryMPCDecisionNilContext is the baseline: no trace

@@ -465,8 +465,7 @@ func hotAllowedExternal(fn *types.Func) bool {
 		// unlike sort.SliceStable, no reflect swapper. classifyCall
 		// proves the comparator as a call at its argument.
 		return true
-	case "(*sync.Pool).Get", "(*sync.Pool).Put",
-		"(*sync.Mutex).Lock", "(*sync.Mutex).Unlock",
+	case "(*sync.Mutex).Lock", "(*sync.Mutex).Unlock",
 		"(*sync.RWMutex).RLock", "(*sync.RWMutex).RUnlock",
 		"(*sync.RWMutex).Lock", "(*sync.RWMutex).Unlock",
 		"(*log/slog.Logger).Enabled":

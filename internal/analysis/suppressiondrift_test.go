@@ -22,13 +22,13 @@ func TestNoSuppressionDrift(t *testing.T) {
 		// rf.go grows trees with bit-exact split decisions; its three
 		// float-eq suppressions are the byte-identical-forest guarantee.
 		filepath.Join("internal", "rf", "rf.go"): 3,
-		// hotpath-alloc: the eval cache's miss-path insert and the
-		// deployed-model PredictKernel call, both off the pinned warm path;
-		// OptimizeWindow's empty-window model call and exhaustive-ablation
-		// sweep, both off the steady-state path; and the window and slot
-		// scratch appends, capacity-bounded by the longest window.
+		// hotpath-alloc: eval's model call (in a policy, the deployed
+		// Calibrated, proven on its own); OptimizeWindow's empty-window
+		// model call and exhaustive-ablation sweep, both off the
+		// steady-state path; and the window and slot scratch appends,
+		// capacity-bounded by the longest window.
 		// TestMPCSteadyStateRunZeroAlloc pins the window path.
-		filepath.Join("internal", "core", "climb.go"): 6,
+		filepath.Join("internal", "core", "climb.go"): 5,
 		// hotpath-alloc: decideMPC's once-per-run deficit pricing (model
 		// interface), its horizon-change observer call, its window append
 		// within the capacity Begin reserves, and the pattern-divergence
@@ -36,9 +36,9 @@ func TestNoSuppressionDrift(t *testing.T) {
 		filepath.Join("internal", "policy", "mpc.go"): 4,
 		// hotpath-alloc: the batched sweep's once-per-space plan build.
 		filepath.Join("internal", "predict", "spaceeval.go"): 1,
-		// hotpath-alloc: Calibrated.PredictKernel's inner-model call on a
-		// memo miss; TestCalibratedPredictKernelZeroAlloc pins both paths
-		// over the forest.
+		// hotpath-alloc: Calibrated.raw's inner-model call on a memo
+		// miss; TestCalibratedPredictKernelZeroAlloc pins both paths over
+		// the forest.
 		filepath.Join("internal", "predict", "calibrate.go"): 1,
 		// determinism-taint: CHA may-target through serve.Client.Decide
 		// (latency-callback timing, not decision input).

@@ -15,7 +15,6 @@ import (
 type state struct {
 	mu   sync.Mutex
 	hits atomic.Uint64
-	pool sync.Pool
 }
 
 // scale is a clean module helper: hot paths may call it freely because
@@ -51,17 +50,6 @@ func Outer(s *state, x float64) float64 {
 		panic(fmt.Sprintf("p: negative input %v", x))
 	}
 	return Inner(s, x)
-}
-
-//mpclint:hotpath proven by the fixture's AllocsPerRun pin
-func Pooled(s *state) float64 {
-	v, _ := s.pool.Get().(*[16]float64)
-	if v == nil {
-		panic("p: empty pool")
-	}
-	x := v[0]
-	s.pool.Put(v)
-	return x
 }
 
 // Sorted stable-sorts a caller's array in place: slices.SortStableFunc

@@ -53,7 +53,7 @@ func (o *Optimizer) BruteForceWindow(win []WindowKernel, tr *Tracker) BruteForce
 	energies := make([][]float64, len(ordered))
 	evals := 0
 	for i, w := range ordered {
-		cache := acquireEvalCache(o, w.Rec.Counters)
+		cache := evalCache{o: o, cs: w.Rec.Counters}
 		times[i] = make([]float64, len(cfgs))
 		energies[i] = make([]float64, len(cfgs))
 		for j, c := range cfgs {
@@ -62,7 +62,6 @@ func (o *Optimizer) BruteForceWindow(win []WindowKernel, tr *Tracker) BruteForce
 			energies[i][j] = e
 		}
 		evals += cache.evals
-		releaseEvalCache(cache)
 	}
 
 	res := BruteForceResult{Config: o.failSafe, EnergyMJ: math.Inf(1), Evals: evals}

@@ -113,43 +113,36 @@ func TestExhaustiveBatchedThroughCalibrated(t *testing.T) {
 	sameClimbResult(t, "calibrated", batched, want)
 }
 
-// TestExhaustiveBatchedCacheSemantics checks the decision-cache
-// contract of the batched sweep: pre-seeded entries are reused without
-// counting an evaluation, new entries land in the cache with the same
-// values the scalar path would store, and the final count matches.
+// TestExhaustiveBatchedCacheSemantics checks the decision record of
+// the batched sweep against the scalar one: both fills price the same
+// set, the whole space, with the same Evals, and a configuration the
+// decision priced before the sweep is not counted again.
 func TestExhaustiveBatchedCacheSemantics(t *testing.T) {
 	m := batchedModel(t)
 	space := hw.DefaultSpace()
 	cs := kernel.NewComputeBound("cb", 1).Counters()
 
-	run := func(model predict.Model) (*evalCache, climbResult) {
+	run := func(model predict.Model) (evalCache, climbResult) {
 		o := NewOptimizer(model, space)
-		cache := newEvalCache(o, cs)
+		cache := evalCache{o: o, cs: cs}
 		cache.eval(o.failSafe) // pre-seed, as OptimizeWindow does
-		res := o.exhaustive(cache, math.Inf(1))
+		res := o.exhaustive(&cache, math.Inf(1))
 		return cache, res
 	}
 	bCache, bRes := run(m)
 	sCache, sRes := run(treeWalkModel(t))
 
 	sameClimbResult(t, "pre-seeded", bRes, sRes)
-	if bRes.Evals != space.Size() {
-		t.Fatalf("evals = %d with a pre-seeded fail-safe, want %d (seeded entry must not recount)",
-			bRes.Evals, space.Size())
+	if bRes.Evals != space.Size() || bCache.evals != space.Size() {
+		t.Fatalf("evals = %d (record %d) with a pre-seeded fail-safe, want %d (seeded configuration must not recount)",
+			bRes.Evals, bCache.evals, space.Size())
 	}
-	if len(bCache.seen) != len(sCache.seen) {
-		t.Fatalf("batched cache holds %d entries, serial %d", len(bCache.seen), len(sCache.seen))
+	var all evalCache
+	for _, c := range space.Configs() {
+		all.mark(c)
 	}
-	for c, sv := range sCache.seen {
-		bv, ok := bCache.seen[c]
-		if !ok {
-			t.Fatalf("config %+v missing from batched cache", c)
-		}
-		if math.Float64bits(bv.e) != math.Float64bits(sv.e) ||
-			math.Float64bits(bv.est.TimeMS) != math.Float64bits(sv.est.TimeMS) ||
-			math.Float64bits(bv.est.GPUPowerW) != math.Float64bits(sv.est.GPUPowerW) {
-			t.Fatalf("config %+v: batched cache %+v != serial %+v", c, bv, sv)
-		}
+	if bCache.seen != all.seen || sCache.seen != all.seen {
+		t.Fatal("a sweep's record does not hold exactly the space's configurations")
 	}
 }
 
@@ -168,83 +161,48 @@ func TestExhaustiveBatchedDeclinesScalarModels(t *testing.T) {
 	}
 }
 
-// TestEvalCacheHitZeroAlloc pins the warm decision-cache path at zero
-// allocations: within one decision, re-evaluating a seen configuration
-// is a map hit and nothing else.
+// TestEvalCacheHitZeroAlloc pins eval at zero allocations over a model
+// that allocates nothing, on a first visit and on a revisit: marking a
+// configuration priced sets a bit in the record's fixed-size set.
 func TestEvalCacheHitZeroAlloc(t *testing.T) {
-	k := kernel.NewBalanced("b", 1)
-	o := NewOptimizer(oracleFor(k), hw.DefaultSpace())
-	cache := newEvalCache(o, k.Counters())
-	cfg := o.failSafe
-	cache.eval(cfg) // miss once
-	if allocs := testing.AllocsPerRun(200, func() { cache.eval(cfg) }); allocs != 0 {
-		t.Fatalf("warm evalCache.eval allocates %v times per call, want 0", allocs)
-	}
-}
-
-// TestEvalCachePoolWarmZeroAlloc pins the pooled decision-cache
-// lifecycle at zero allocations in steady state: once a pooled cache's
-// map has grown to sweep size, a full acquire / evaluate / release
-// cycle reuses it without touching the allocator (clear() keeps the
-// buckets). This is the per-window-kernel cost OptimizeWindow pays on
-// every receding-horizon step.
-func TestEvalCachePoolWarmZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops 1 in 4 Puts under -race, so pooled reuse cannot be pinned at 0 allocs")
-	}
-	m := batchedModel(t)
-	o := NewOptimizer(m, hw.DefaultSpace())
-	cs := kernel.NewBalanced("b", 1).Counters()
-
-	// Grow one pooled cache to full-sweep size, then return it.
-	warm := acquireEvalCache(o, cs)
-	o.Space.ForEach(func(cfg hw.Config) { warm.eval(cfg) })
-	releaseEvalCache(warm)
-
-	cfg := o.failSafe
+	o := NewOptimizer(constModel{est: predict.Estimate{TimeMS: 1, GPUPowerW: 10}}, hw.DefaultSpace())
+	i := 0
 	if allocs := testing.AllocsPerRun(200, func() {
-		c := acquireEvalCache(o, cs)
-		c.eval(cfg)
-		releaseEvalCache(c)
+		cache := evalCache{o: o}
+		cfg := o.Space.At(i % o.Space.Size())
+		cache.eval(cfg)
+		cache.eval(cfg)
+		i++
 	}); allocs != 0 {
-		t.Fatalf("warm pooled evalCache cycle allocates %v times, want 0", allocs)
+		t.Fatalf("evalCache.eval allocates %v times per visit and revisit, want 0", allocs)
 	}
 }
 
-// TestEvalCachePoolResetOnRelease pins the per-kernel isolation of the
-// pool: a released cache comes back empty (no other kernel's entries,
-// zero eval count) even though its map storage is reused.
-func TestEvalCachePoolResetOnRelease(t *testing.T) {
-	k := kernel.NewBalanced("b", 1)
-	o := NewOptimizer(oracleFor(k), hw.DefaultSpace())
-	c := acquireEvalCache(o, k.Counters())
-	c.eval(o.failSafe)
-	if c.evals != 1 || len(c.seen) != 1 {
-		t.Fatalf("fresh cache after one miss: evals=%d entries=%d", c.evals, len(c.seen))
+// TestConfigBitIsFullSpaceIndex checks the decision record's bit
+// layout: every configuration's bit is its index in the full hardware
+// space, so no two configurations share one.
+func TestConfigBitIsFullSpaceIndex(t *testing.T) {
+	full := hw.FullSpace()
+	if full.Size() != numConfigs {
+		t.Fatalf("full space has %d configurations, the record %d bits", full.Size(), numConfigs)
 	}
-	releaseEvalCache(c)
-	c2 := acquireEvalCache(o, k.Counters())
-	defer releaseEvalCache(c2)
-	if c2.evals != 0 || len(c2.seen) != 0 {
-		t.Fatalf("pooled cache not reset: evals=%d entries=%d", c2.evals, len(c2.seen))
+	for i, c := range full.Configs() {
+		if got := configBit(c); got != i {
+			t.Fatalf("configBit(%v) = %d, want %d", c, got, i)
+		}
 	}
 }
 
-// TestExhaustiveBatchedSweepZeroAllocSteadyState pins the whole batched
-// sweep reduction (minus the per-decision cache, which each decision
-// owns) at a bounded steady state: after the first sweep builds the
-// optimizer's sweep buffers and the model's plan, a sweep's only
-// allocations are the decision cache's own map growth.
+// TestExhaustiveBatchedSweepZeroAllocSteadyState pins the whole
+// batched sweep at zero allocations in steady state: after the first
+// sweep builds the optimizer's sweep buffers and the model's plan, a
+// sweep with its own fresh decision record allocates nothing.
 func TestExhaustiveBatchedSweepZeroAllocSteadyState(t *testing.T) {
 	m := batchedModel(t)
-	space := hw.DefaultSpace()
 	cs := kernel.NewPeak("pk", 1).Counters()
-	o := NewOptimizer(m, space)
-	o.exhaustive(newEvalCache(o, cs), math.Inf(1)) // warm up the sweep buffers and plan
-
-	cache := newEvalCache(o, cs)
-	o.exhaustive(cache, math.Inf(1)) // fill this decision's cache
-	if allocs := testing.AllocsPerRun(20, func() { o.exhaustive(cache, math.Inf(1)) }); allocs != 0 {
+	o := NewOptimizer(m, hw.DefaultSpace())
+	o.ExhaustiveSearch(cs, math.Inf(1)) // warm up the sweep buffers and plan
+	if allocs := testing.AllocsPerRun(20, func() { o.ExhaustiveSearch(cs, math.Inf(1)) }); allocs != 0 {
 		t.Fatalf("warm batched exhaustive allocates %v times per sweep, want 0", allocs)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/hw"
@@ -34,8 +33,8 @@ type Optimizer struct {
 	// Exhaustive-sweep arena, built lazily on the first sweep: the
 	// space's configurations in At order and the estimate slice the
 	// sweep fills, so steady-state sweeps allocate nothing. Optimizer
-	// methods are not safe for concurrent use (they never were — the
-	// per-decision eval cache is shared state).
+	// methods are not safe for concurrent use: the arena and the window
+	// scratch below are shared state.
 	sweepSpace hw.Space
 	sweepCfgs  []hw.Config
 	sweepEsts  []predict.Estimate
@@ -48,10 +47,10 @@ type Optimizer struct {
 	slotScratch []windowSlot
 }
 
-// windowSlot is one ordered window kernel's decision cache and
+// windowSlot is one ordered window kernel's decision record and
 // fail-safe time deficit.
 type windowSlot struct {
-	cache   *evalCache
+	cache   evalCache
 	deficit float64
 }
 
@@ -72,69 +71,51 @@ type climbResult struct {
 	Feasible bool
 }
 
-// evalCache memoizes predictor calls within one decision; each distinct
-// configuration costs one model evaluation, as a real runtime would
-// cache.
+// evalCache records which configurations one decision priced for one
+// kernel: a bit per configuration of the full hardware space, and the
+// count of distinct ones, which the search reports as Evals. The
+// overhead model charges one model evaluation per distinct
+// configuration, as a runtime that cached its estimates would pay. The
+// record keeps no estimates: eval asks the model on every call, and a
+// steady-state MPC's run-scoped memo (predict.Calibrated.BeginRun)
+// answers a revisit.
 type evalCache struct {
 	o     *Optimizer
 	cs    counters.Set
-	seen  map[hw.Config]cachedEval
+	seen  [(numConfigs + 63) / 64]uint64
 	evals int
 }
 
-type cachedEval struct {
-	est predict.Estimate
-	e   float64
+// numConfigs is the size of the full hardware space (hw.FullSpace),
+// which holds every configuration any Space can.
+const numConfigs = hw.NumCPUStates * hw.NumNBStates * hw.NumGPUStates * hw.NumCUs
+
+// configBit returns cfg's position in hw.FullSpace's At order.
+func configBit(cfg hw.Config) int {
+	return ((int(cfg.CPU)*hw.NumNBStates+int(cfg.NB))*hw.NumGPUStates+int(cfg.GPU))*hw.NumCUs +
+		int(cfg.CUs-hw.MinCUs)/hw.CUStep
 }
 
-func newEvalCache(o *Optimizer, cs counters.Set) *evalCache {
-	return &evalCache{o: o, cs: cs, seen: make(map[hw.Config]cachedEval, 24)}
-}
-
-// evalCachePool recycles decision caches across searches: every
-// OptimizeWindow step used to allocate one evalCache (map included) per
-// window kernel — per-decision garbage that a serving process makes at
-// every request. Pooled caches keep their grown map buckets, so a warm
-// acquire/eval/release cycle allocates nothing (pinned by
-// TestEvalCachePoolWarmZeroAlloc).
-var evalCachePool = sync.Pool{New: func() any { return newEvalCache(nil, counters.Set{}) }}
-
-// acquireEvalCache returns an empty evalCache bound to (o, cs), reusing
-// a pooled one when available. Contents are always per-kernel: caches
-// come back empty because releaseEvalCache clears them.
-func acquireEvalCache(o *Optimizer, cs counters.Set) *evalCache {
-	c := evalCachePool.Get().(*evalCache)
-	c.o, c.cs, c.evals = o, cs, 0
-	return c
-}
-
-// releaseEvalCache resets c and returns it to the pool. The map is
-// cleared (buckets retained) so no kernel's evaluations can leak into
-// another decision, and the optimizer pointer is dropped.
-func releaseEvalCache(c *evalCache) {
-	clear(c.seen)
-	c.o, c.cs, c.evals = nil, counters.Set{}, 0
-	evalCachePool.Put(c)
-}
-
-// eval returns the model estimate and energy for cfg, consulting the
-// per-decision cache first. The warm path (a cache hit) is pinned at
-// zero allocations.
-//
-//mpclint:hotpath warm hit pinned at 0 allocs/op by TestEvalCacheHitZeroAlloc
-func (c *evalCache) eval(cfg hw.Config) (predict.Estimate, float64) {
-	if v, ok := c.seen[cfg]; ok {
-		return v.est, v.e
+// mark records cfg as priced, counting it the first time.
+func (c *evalCache) mark(cfg hw.Config) {
+	i := configBit(cfg)
+	if bit := uint64(1) << (i % 64); c.seen[i/64]&bit == 0 {
+		c.seen[i/64] |= bit
+		c.evals++
 	}
-	c.evals++
+}
+
+// eval marks cfg as priced and returns the model's estimate and energy
+// for it. Over a model that does not allocate, it allocates nothing.
+//
+//mpclint:hotpath pinned at 0 allocs/op over a non-allocating model by TestEvalCacheHitZeroAlloc
+func (c *evalCache) eval(cfg hw.Config) (predict.Estimate, float64) {
+	c.mark(cfg)
 	t0 := c.o.Trace.StartPhase()
 	//mpclint:ignore hotpath-alloc in a policy the Model is *predict.Calibrated (NewMPC and NewPPK wrap theirs), whose PredictKernel carries its own hotpath proof; other implementations are test doubles and the backtracking experiment's bare oracle
 	est := c.o.Model.PredictKernel(c.cs, cfg)
 	c.o.Trace.EndPhase(telemetry.SpanForestEval, t0)
-	e := predict.EnergyMJ(est, cfg)
-	//mpclint:ignore hotpath-alloc miss-path insert; the pinned warm path is a pure map hit, and the pooled cache retains its buckets across decisions
-	c.seen[cfg] = cachedEval{est, e}
-	return est, e
+	return est, predict.EnergyMJ(est, cfg)
 }
 
 // HillClimb finds a low-energy configuration for a kernel with counters
@@ -148,13 +129,12 @@ func (c *evalCache) eval(cfg hw.Config) (predict.Estimate, float64) {
 // configuration cannot meet the headroom, it returns the fail-safe with
 // Feasible=false, the paper's constraint-failure behaviour.
 func (o *Optimizer) HillClimb(cs counters.Set, headroomMS float64) climbResult {
-	cache := acquireEvalCache(o, cs)
-	defer releaseEvalCache(cache)
-	return o.hillClimb(cache, headroomMS, true, 0)
+	cache := evalCache{o: o, cs: cs}
+	return o.hillClimb(&cache, headroomMS, true, 0)
 }
 
-// hillClimb runs the search against an existing evaluation cache; Evals
-// in the result reports the cache's cumulative count. When recover is
+// hillClimb runs the search against an existing decision record; Evals
+// in the result reports its cumulative count. When recover is
 // true and the fail-safe start misses the headroom, the search first
 // descends on predicted time to regain feasibility — for peak kernels
 // the fastest configuration is NOT the largest one, so this walk can
@@ -238,22 +218,20 @@ func (o *Optimizer) hillClimb(cache *evalCache, headroomMS float64, recover bool
 // per-kernel search PPK and the search-cost ablation use. Evals equals
 // the space size.
 func (o *Optimizer) ExhaustiveSearch(cs counters.Set, headroomMS float64) climbResult {
-	cache := acquireEvalCache(o, cs)
-	defer releaseEvalCache(cache)
-	return o.exhaustive(cache, headroomMS)
+	cache := evalCache{o: o, cs: cs}
+	return o.exhaustive(&cache, headroomMS)
 }
 
 // exhaustive is the one O(M) sweep. It fills the At-order estimate
 // slice in one of two ways, which produce identical bytes (the
 // predict.SpaceEvaluator contract): through the model's batched path
 // when it has one and accepts the call, else per configuration through
-// the decision cache. One At-order reduce then merges every estimate
-// into the cache and picks the argmin: strictly smaller energy wins, so
-// ties keep the lower Space.At index. Pre-seeded cache entries (e.g.
-// the fail-safe from OptimizeWindow) are reused and not recounted, so
-// Evals and the cache contents come out the same under either fill.
-// When no configuration meets the headroom, the result is the fail-safe
-// with Feasible=false.
+// eval. One At-order reduce then marks every configuration priced and
+// picks the argmin: strictly smaller energy wins, so ties keep the
+// lower Space.At index. A configuration the decision already priced
+// (e.g. the fail-safe OptimizeWindow seeds) is not counted again, so
+// Evals comes out the same under either fill. When no configuration
+// meets the headroom, the result is the fail-safe with Feasible=false.
 func (o *Optimizer) exhaustive(cache *evalCache, headroomMS float64) climbResult {
 	if o.sweepCfgs == nil || !o.sweepSpace.Equal(o.Space) {
 		o.sweepSpace = o.Space
@@ -268,28 +246,20 @@ func (o *Optimizer) exhaustive(cache *evalCache, headroomMS float64) climbResult
 	best := climbResult{Config: o.failSafe, Feasible: false}
 	bestE := 0.0
 	for i, c := range o.sweepCfgs {
+		cache.mark(c)
 		est := o.sweepEsts[i]
-		var e float64
-		if v, hit := cache.seen[c]; hit {
-			est, e = v.est, v.e
-		} else {
-			e = predict.EnergyMJ(est, c)
-			cache.seen[c] = cachedEval{est, e}
-			cache.evals++
-		}
 		if est.TimeMS > headroomMS {
 			continue
 		}
-		if !best.Feasible || e < bestE {
+		if e := predict.EnergyMJ(est, c); !best.Feasible || e < bestE {
 			best = climbResult{Config: c, Est: est, Feasible: true}
 			bestE = e
 		}
 	}
-	best.Evals = cache.evals
 	if !best.Feasible {
-		est, _ := cache.eval(o.failSafe)
-		best.Config, best.Est, best.Evals = o.failSafe, est, cache.evals
+		best.Est = o.sweepEsts[o.Space.Index(o.failSafe)]
 	}
+	best.Evals = cache.evals
 	return best
 }
 
@@ -385,13 +355,13 @@ func (o *Optimizer) OptimizeWindow(win []WindowKernel, tr *Tracker) (hw.Config, 
 		}
 	}
 
-	// Per-kernel evaluation caches and fail-safe deficits, in reused
-	// scratch; the caches are pooled and returned before this step ends.
+	// Per-kernel decision records and fail-safe deficits, in reused
+	// scratch.
 	tp := tr.TargetThroughput()
 	slots := o.slotScratch[:0]
 	remaining := 0.0
 	for _, w := range ordered {
-		cache := acquireEvalCache(o, w.Rec.Counters)
+		cache := evalCache{o: o, cs: w.Rec.Counters}
 		fsEst, _ := cache.eval(o.failSafe)
 		d := 0.0
 		if tp > 0 {
@@ -404,7 +374,6 @@ func (o *Optimizer) OptimizeWindow(win []WindowKernel, tr *Tracker) (hw.Config, 
 		remaining += d
 	}
 	o.slotScratch = slots
-	defer releaseWindowCaches(slots)
 
 	spec := *tr // speculative copy: the real tracker advances only on measurements
 	evals := 0
@@ -416,9 +385,9 @@ func (o *Optimizer) OptimizeWindow(win []WindowKernel, tr *Tracker) (hw.Config, 
 		var res climbResult
 		if o.UseExhaustive {
 			//mpclint:ignore hotpath-alloc exhaustive-ablation sweep (WithExhaustiveSearch), off the deployed steady-state path TestMPCSteadyStateRunZeroAlloc pins
-			res = o.exhaustive(slots[i].cache, head)
+			res = o.exhaustive(&slots[i].cache, head)
 		} else {
-			res = o.hillClimb(slots[i].cache, head, w.ExecIndex == cur.ExecIndex, w.Rec.TimeMS)
+			res = o.hillClimb(&slots[i].cache, head, w.ExecIndex == cur.ExecIndex, w.Rec.TimeMS)
 		}
 		evals += res.Evals
 		spec.Add(w.ExpInsts, res.Est.TimeMS)
@@ -428,14 +397,4 @@ func (o *Optimizer) OptimizeWindow(win []WindowKernel, tr *Tracker) (hw.Config, 
 		}
 	}
 	return curChoice.Config, curChoice.Est, evals
-}
-
-// releaseWindowCaches returns a window step's caches to the pool and
-// clears their scratch slots, so no stale cache pointer outlives the
-// step.
-func releaseWindowCaches(slots []windowSlot) {
-	for i := range slots {
-		releaseEvalCache(slots[i].cache)
-		slots[i].cache = nil
-	}
 }

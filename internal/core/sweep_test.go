@@ -69,20 +69,21 @@ func (c *countingModel) PredictKernel(cs counters.Set, cfg hw.Config) predict.Es
 	return c.inner.PredictKernel(cs, cfg)
 }
 
-// TestExhaustiveScalarFillReusesSeed checks the scalar fill's cache
-// semantics: a pre-seeded fail-safe (as OptimizeWindow seeds it) is
-// neither evaluated again nor counted again.
+// TestExhaustiveScalarFillReusesSeed checks the scalar fill's decision
+// record: a pre-seeded fail-safe (as OptimizeWindow seeds it) is counted
+// once, and the sweep asks the model for every configuration, the seed
+// included, because the record keeps no estimates: n+1 calls in all.
 // (TestExhaustiveBatchedCacheSemantics covers the batched fill.)
 func TestExhaustiveScalarFillReusesSeed(t *testing.T) {
 	k := kernel.NewMemoryBound("mb", 1)
 	m := &countingModel{inner: oracleFor(k)}
 	o := NewOptimizer(m, hw.DefaultSpace())
-	cache := newEvalCache(o, k.Counters())
+	cache := evalCache{o: o, cs: k.Counters()}
 	cache.eval(o.failSafe)
-	res := o.exhaustive(cache, math.Inf(1))
+	res := o.exhaustive(&cache, math.Inf(1))
 	n := o.Space.Size()
-	if m.calls != n || res.Evals != n || len(cache.seen) != n {
-		t.Fatalf("pre-seeded scalar sweep: %d model calls, %d evals, %d cache entries; want %d each",
-			m.calls, res.Evals, len(cache.seen), n)
+	if m.calls != n+1 || res.Evals != n || cache.evals != n {
+		t.Fatalf("pre-seeded scalar sweep: %d model calls, %d evals (record %d); want %d calls and %d evals",
+			m.calls, res.Evals, cache.evals, n+1, n)
 	}
 }

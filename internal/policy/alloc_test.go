@@ -40,9 +40,6 @@ func (r *recorder) Observe(o sim.Observation) {
 // straight into the policy, because the engine's per-run Result is not
 // the policy's to pin.
 func TestMPCSteadyStateRunZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops 1 in 4 Puts under -race, so the pooled decision caches cannot be pinned at 0 allocs")
-	}
 	f, err := os.Open("../../testdata/golden/model.bin")
 	if err != nil {
 		t.Fatal(err)

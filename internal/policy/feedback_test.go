@@ -24,25 +24,31 @@ func (c *countingModel) PredictKernel(cs counters.Set, cfg hw.Config) predict.Es
 }
 
 // observeCounter wraps a policy and records how many predictions each
-// Observe made.
+// Observe made, and whether the policy's run kept a memo (MPC's
+// steady-state runs do; PPK's and MPC's profiling runs do not).
 type observeCounter struct {
 	sim.Policy
 	m      *countingModel
 	perObs []int
+	memo   []bool
 }
 
 func (o *observeCounter) SetObserver(ob obs.Observer) { o.Policy.(obs.Instrumentable).SetObserver(ob) }
 
 func (o *observeCounter) Observe(ob sim.Observation) {
+	mpc, ok := o.Policy.(*MPC)
+	o.memo = append(o.memo, ok && !mpc.Profiling())
 	before := o.m.calls
 	o.Policy.Observe(ob)
 	o.perObs = append(o.perObs, o.m.calls-before)
 }
 
 // TestObserveOnePredictionPerObservation pins the single model-error
-// computation: an observation costs MPC and PPK exactly one predictor
-// evaluation — the feedback's — with or without an observer attached,
-// because the reported model error is the estimate Feedback returns.
+// computation: without a memo an observation costs MPC and PPK exactly
+// one predictor evaluation, the feedback's, and with one at most one,
+// because the feedback's query is usually one its decision priced. The
+// bound holds with or without an observer attached, because the
+// reported model error is the estimate Feedback returns.
 func TestObserveOnePredictionPerObservation(t *testing.T) {
 	f := newFixture(t, "Spmv")
 	for _, observer := range []obs.Observer{nil, obs.NewMetrics(metrics.New())} {
@@ -56,10 +62,19 @@ func TestObserveOnePredictionPerObservation(t *testing.T) {
 			if _, err := f.eng.RunRepeated(&f.app, p, f.target, 2); err != nil {
 				t.Fatal(err)
 			}
+			answered := 0
 			for i, n := range p.perObs {
-				if n != 1 {
-					t.Fatalf("%s, observer %T: observation %d made %d predictions, want 1", p.Name(), observer, i, n)
+				switch {
+				case !p.memo[i] && n != 1:
+					t.Fatalf("%s, observer %T: observation %d made %d predictions without a memo, want 1", p.Name(), observer, i, n)
+				case p.memo[i] && n > 1:
+					t.Fatalf("%s, observer %T: observation %d made %d predictions with a memo, want at most 1", p.Name(), observer, i, n)
+				case p.memo[i] && n == 0:
+					answered++
 				}
+			}
+			if p.Name() == "mpc" && answered == 0 {
+				t.Fatalf("observer %T: the memo answered no steady-state feedback", observer)
 			}
 		}
 	}

@@ -206,7 +206,7 @@ func (m *MPC) Profiling() bool { return m.profiling }
 // Decide implements sim.Policy.
 func (m *MPC) Decide(i int) sim.Decision {
 	if m.profiling {
-		d := m.decidePPK()
+		d := decidePPK(m.opt, &m.tracker, m.tc, &m.last, m.haveObs)
 		// The profiling run is the §V-B PPK fallback while the pattern
 		// extractor learns; record it as such (the cold-start reason of
 		// the very first kernel takes precedence).
@@ -216,22 +216,6 @@ func (m *MPC) Decide(i int) sim.Decision {
 		return d
 	}
 	return m.decideMPC(i)
-}
-
-// decidePPK is the profiling-run behaviour: plain PPK while the extractor
-// learns the pattern (§V-B).
-func (m *MPC) decidePPK() sim.Decision {
-	if !m.haveObs {
-		return sim.Decision{Config: m.opt.FailSafe(), Evals: 0, Fallback: obs.FallbackColdStart}
-	}
-	head := m.tracker.HeadroomMS(m.last.Insts)
-	sp := m.tc.Start(telemetry.SpanSearch)
-	res := m.opt.ExhaustiveSearch(m.last.Counters, head)
-	sp.End()
-	return sim.Decision{
-		Config: res.Config, Evals: res.Evals, SearchIters: 1,
-		PredTimeMS: res.Est.TimeMS, PredGPUPowerW: res.Est.GPUPowerW,
-	}
 }
 
 // decideMPC is the steady-state behaviour: adaptive horizon, windowed
@@ -287,7 +271,7 @@ func (m *MPC) decideMPC(i int) sim.Decision {
 		// Pattern knowledge ran out (e.g. the app diverged from its
 		// recorded sequence): fall back to history-based behaviour.
 		//mpclint:ignore hotpath-alloc pattern-divergence fallback: an exhaustive PPK sweep through the model interface, off the steady state TestMPCSteadyStateRunZeroAlloc pins
-		d := m.decidePPK()
+		d := decidePPK(m.opt, &m.tracker, m.tc, &m.last, m.haveObs)
 		d.Evals += extraEvals
 		d.Horizon = h
 		d.Fallback = obs.FallbackPatternDivergence

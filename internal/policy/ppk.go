@@ -25,7 +25,7 @@ import (
 type PPK struct {
 	opt     *core.Optimizer
 	calib   *predict.Calibrated
-	tracker *core.Tracker
+	tracker core.Tracker
 	space   hw.Space
 
 	appName string
@@ -65,19 +65,28 @@ func (p *PPK) SetTraceContext(tc *telemetry.Context) {
 // Begin implements sim.Policy.
 func (p *PPK) Begin(info sim.RunInfo) {
 	p.appName = info.AppName
-	p.tracker = core.NewTracker(info.Target.Throughput())
+	p.tracker.Reset(info.Target.Throughput())
 	p.haveObs = false
 }
 
-// Decide implements sim.Policy. The very first kernel runs at fail-safe
-// since no performance counters exist to predict it (§V-B).
+// Decide implements sim.Policy.
 func (p *PPK) Decide(i int) sim.Decision {
-	if !p.haveObs {
-		return sim.Decision{Config: p.opt.FailSafe(), Evals: 0, Fallback: obs.FallbackColdStart}
+	return decidePPK(p.opt, &p.tracker, p.tc, &p.last, p.haveObs)
+}
+
+// decidePPK is the PPK decision, which PPK makes for every kernel and
+// MPC for its profiling run (§V-B): it assumes the last observed kernel
+// repeats and picks, with one exhaustive sweep, the lowest-energy
+// configuration for it that meets the tracker's headroom. The very
+// first kernel (no observation yet) runs at fail-safe, since no
+// performance counters exist to predict it.
+func decidePPK(opt *core.Optimizer, tr *core.Tracker, tc *telemetry.Context, last *sim.Observation, haveObs bool) sim.Decision {
+	if !haveObs {
+		return sim.Decision{Config: opt.FailSafe(), Evals: 0, Fallback: obs.FallbackColdStart}
 	}
-	head := p.tracker.HeadroomMS(p.last.Insts)
-	sp := p.tc.Start(telemetry.SpanSearch)
-	res := p.opt.ExhaustiveSearch(p.last.Counters, head)
+	head := tr.HeadroomMS(last.Insts)
+	sp := tc.Start(telemetry.SpanSearch)
+	res := opt.ExhaustiveSearch(last.Counters, head)
 	sp.End()
 	return sim.Decision{
 		Config: res.Config, Evals: res.Evals, SearchIters: 1,
@@ -97,7 +106,7 @@ func (p *PPK) Observe(o sim.Observation) {
 // predictor and, when a real observer is attached, reports the model
 // error Feedback returns: its estimate for the executed configuration
 // from before the update, against the measurement. The estimate is a
-// by-product of the feedback's own forest walk, so reporting costs no
+// by-product of the feedback's own lookup, so reporting costs no
 // predictor evaluation.
 func feedback(o obs.Observer, calib *predict.Calibrated, policy, app string, ob sim.Observation) {
 	est := calib.Feedback(ob.Counters, ob.Config, ob.TimeMS, ob.GPUPowerW)

@@ -75,15 +75,15 @@ func NewCalibrated(inner Model) *Calibrated {
 	return &Calibrated{inner: inner, ratios: map[counters.Signature]*calibRatio{}}
 }
 
-// BeginRun starts a run. With memo true, PredictKernel answers a
-// repeated query from a memo of the inner model's raw estimates, which
-// BeginRun empties here (allocating it on first use): a steady-state
-// MPC re-prices the same expected kernels at the same configurations
-// decision after decision. With memo false the Calibrated keeps no
-// memo. Correction ratios are never memoized, so every answer is
-// bit-identical to one without a memo; that rests on the inner model
-// being a pure function of its query (Model). Feedback always asks the
-// inner model: it is one call per executed kernel.
+// BeginRun starts a run. With memo true, PredictKernel and Feedback
+// answer a repeated query from a memo of the inner model's raw
+// estimates, which BeginRun empties here (allocating it on first use):
+// a steady-state MPC re-prices the same expected kernels at the same
+// configurations decision after decision, and the executed kernel's
+// feedback asks a query its decision priced. With memo false the
+// Calibrated keeps no memo. Correction ratios are never memoized, so
+// every answer is bit-identical to one without a memo; that rests on
+// the inner model being a pure function of its query (Model).
 func (c *Calibrated) BeginRun(memo bool) {
 	switch {
 	case !memo:
@@ -99,12 +99,24 @@ func (c *Calibrated) BeginRun(memo bool) {
 func (c *Calibrated) Name() string { return c.inner.Name() + "+feedback" }
 
 // PredictKernel implements Model, applying the kernel's learned
-// correction ratio when one exists. With a memo, a repeated query takes
-// the inner model's raw estimate and the counters' signature from it,
-// and a miss replaces the query's entry.
+// correction ratio when one exists.
 //
 //mpclint:hotpath warm memo pinned at 0 allocs/op by TestCalibratedPredictKernelZeroAlloc
 func (c *Calibrated) PredictKernel(cs counters.Set, cfg hw.Config) Estimate {
+	e, sig := c.raw(cs, cfg)
+	if r, ok := c.ratios[sig]; ok {
+		e.TimeMS *= r.time
+		e.GPUPowerW *= r.power
+	}
+	return e
+}
+
+// raw returns the inner model's estimate for a query and the signature
+// its counters bin to. With a memo, a repeated query takes both from
+// the memo, and a miss replaces the query's entry.
+//
+//mpclint:hotpath PredictKernel's lookup, pinned with it at 0 allocs/op by TestCalibratedPredictKernelZeroAlloc
+func (c *Calibrated) raw(cs counters.Set, cfg hw.Config) (Estimate, counters.Signature) {
 	var key memoKey
 	var slot *memoEntry
 	if c.memo != nil {
@@ -113,24 +125,17 @@ func (c *Calibrated) PredictKernel(cs counters.Set, cfg hw.Config) Estimate {
 			key.bits[i] = math.Float64bits(v)
 		}
 		slot = &c.memo[key.slot()]
-	}
-	var e Estimate
-	var sig counters.Signature
-	if slot != nil && slot.key == key {
-		e, sig = slot.raw, slot.sig
-	} else {
-		//mpclint:ignore hotpath-alloc a memo miss, or a run without a memo: the deployed inner model is predict.RandomForest, whose PredictKernel carries its own hotpath proof; other inner models are ablation and reference predictors and test doubles
-		e = c.inner.PredictKernel(cs, cfg)
-		sig = counters.SignatureOf(cs)
-		if slot != nil {
-			*slot = memoEntry{key: key, raw: e, sig: sig}
+		if slot.key == key {
+			return slot.raw, slot.sig
 		}
 	}
-	if r, ok := c.ratios[sig]; ok {
-		e.TimeMS *= r.time
-		e.GPUPowerW *= r.power
+	//mpclint:ignore hotpath-alloc a memo miss, or a run without a memo: the deployed inner model is predict.RandomForest, whose PredictKernel carries its own hotpath proof; other inner models are ablation and reference predictors and test doubles
+	e := c.inner.PredictKernel(cs, cfg)
+	sig := counters.SignatureOf(cs)
+	if slot != nil {
+		*slot = memoEntry{key: key, raw: e, sig: sig}
 	}
-	return e
+	return e, sig
 }
 
 // PredictSpace implements SpaceEvaluator by forwarding to the wrapped
@@ -183,8 +188,7 @@ func (c *Calibrated) applyRatio(cs counters.Set, dst []Estimate) {
 // Against the measurement, that estimate is the model error the Fig. 6
 // loop absorbs; this is the one place it is computed.
 func (c *Calibrated) Feedback(cs counters.Set, cfg hw.Config, measuredTimeMS, measuredGPUPowerW float64) Estimate {
-	raw := c.inner.PredictKernel(cs, cfg)
-	sig := counters.SignatureOf(cs)
+	raw, sig := c.raw(cs, cfg)
 	r, ok := c.ratios[sig]
 	est := raw
 	if ok {

@@ -237,8 +237,10 @@ func TestCalibratedMemoMatchesInner(t *testing.T) {
 }
 
 // TestCalibratedMemoCollisionsAndSignedZero forces queries onto one
-// memo entry. Two distinct queries that share an entry evict each
-// other and are both answered by the inner model, every time. A −0 and
+// memo entry. A Feedback fills its query's entry, and a Feedback on a
+// query the memo holds reaches no inner model. Two distinct queries
+// that share an entry evict each other and are both answered by the
+// inner model, every time. A −0 and
 // a +0 query that share an entry must stay apart, because the error
 // model answers them differently: a memo that compared keys with ==
 // would hand the +0 answer to the −0 query. A NaN query finds its own
@@ -285,13 +287,16 @@ func TestCalibratedMemoCollisionsAndSignedZero(t *testing.T) {
 			t.Fatalf("%v at %v reached the inner model %d times, want %d", cs, cfg, n, wantCalls)
 		}
 	}
-	check(a, cfg, 1)
-	check(a, cfg, 0)
+	check(a, cfg, 0) // the feedback filled a's entry
 	for i := 0; i < 3; i++ {
 		check(b, cfg, 1) // evicts a
 		check(a, cfg, 1) // evicts b
 	}
+	before := inner.calls
 	c.Feedback(a, cfg, 2*we.PredictKernel(a, cfg).TimeMS, 45)
+	if inner.calls != before {
+		t.Fatal("a feedback on a query the memo holds reached the inner model")
+	}
 	check(a, cfg, 0) // a hit shows the ratio the feedback just moved
 
 	// −0 and +0 in one counter, on one entry.
