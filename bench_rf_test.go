@@ -24,6 +24,7 @@ package mpcdvfs_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpcdvfs/internal/core"
@@ -147,17 +148,54 @@ func BenchmarkRFSpaceEvalParallel(b *testing.B) {
 
 // benchRFExhaustiveSweep measures the full per-decision inner loop —
 // Optimizer.ExhaustiveSearch over the 336-configuration space,
-// including the decision record and argmin reduction — in both modes.
+// including the decision record and argmin reduction — in both modes,
+// at headroom +Inf: every configuration is feasible, the bounded
+// sweep's worst case, in which it prices every power as the unbounded
+// sweep does.
 func benchRFExhaustiveSweep(b *testing.B, compiled bool) {
-	m := benchRF(b, compiled)
+	benchRFExhaustiveSweepAt(b, benchRF(b, compiled), math.Inf(1))
+}
+
+func benchRFExhaustiveSweepAt(b *testing.B, m predict.Model, headroomMS float64) {
 	cs := kernel.NewBalanced("bench", 1).Counters()
 	opt := core.NewOptimizer(m, hw.DefaultSpace())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = opt.ExhaustiveSearch(cs, math.Inf(1))
+		_ = opt.ExhaustiveSearch(cs, headroomMS)
 	}
 }
 
 func BenchmarkRFExhaustiveSweepTreeWalk(b *testing.B) { benchRFExhaustiveSweep(b, false) }
 func BenchmarkRFExhaustiveSweepCompiled(b *testing.B) { benchRFExhaustiveSweep(b, true) }
+
+// benchRFExhaustiveSweepFeasible runs the compiled sweep at the
+// headroom that exactly `feasible` of the kernel's predicted times meet
+// (0: half the fastest time, which none meets). A profiling sweep of
+// the suite meets its headroom at about 50 configurations on average,
+// and at none in more than half of the sweeps (DESIGN §10).
+func benchRFExhaustiveSweepFeasible(b *testing.B, feasible int) {
+	m := benchRF(b, true)
+	space := hw.DefaultSpace()
+	est := make([]predict.Estimate, space.Size())
+	if !m.(predict.SpaceEvaluator).PredictSpace(kernel.NewBalanced("bench", 1).Counters(), space, est) {
+		b.Fatal("PredictSpace declined on a compiled model")
+	}
+	times := make([]float64, len(est))
+	for i := range est {
+		times[i] = est[i].TimeMS
+	}
+	slices.Sort(times)
+	head := times[0] / 2
+	if feasible > 0 {
+		head = times[feasible-1]
+	}
+	benchRFExhaustiveSweepAt(b, m, head)
+}
+
+func BenchmarkRFExhaustiveSweepCompiledNoneFeasible(b *testing.B) {
+	benchRFExhaustiveSweepFeasible(b, 0)
+}
+func BenchmarkRFExhaustiveSweepCompiled50Feasible(b *testing.B) {
+	benchRFExhaustiveSweepFeasible(b, 50)
+}

@@ -4,7 +4,7 @@
 // Regenerate the numbers behind BENCH_serve.json with:
 //
 //	go test . -run '^$' -bench '^BenchmarkServe' -benchmem
-//	go run ./cmd/loadgen -levels 1,2,4,8,16 -replays 3 -zipf 1.2 -cpus 1,2 -trace-sample 8 -out BENCH_serve.json
+//	go run ./cmd/loadgen -levels 1,2,4,8,16 -replays 500 -zipf 1.2 -cpus 1,2 -trace-sample 8 -out BENCH_serve.json
 //
 // On a single-CPU host the parallel variants measure coordination
 // overhead, not speedup — concurrent sessions time-share one core, so

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/hw"
 	"mpcdvfs/internal/kernel"
 	"mpcdvfs/internal/predict"
+	"mpcdvfs/internal/telemetry"
 )
 
 var (
@@ -91,6 +95,81 @@ func TestExhaustiveBatchedMatchesSerial(t *testing.T) {
 	}
 }
 
+// unboundedOnly gives the optimizer a model's unbounded traced sweep as
+// its bounded one, pricing every row as the sweep did before it was
+// bounded (the bounded contract allows it).
+type unboundedOnly struct{ predict.Model }
+
+func (u unboundedOnly) PredictSpaceWithin(cs counters.Set, space hw.Space, dst []predict.Estimate, _ predict.SweepBound, tc *telemetry.Context) bool {
+	return u.Model.(predict.TracedSpaceEvaluator).PredictSpaceTraced(cs, space, dst, tc)
+}
+
+// TestExhaustiveBoundedMatchesScalarAndUnbounded is the bounded
+// sweep's decision property: over random kernels and a kernel with
+// every counter at 1e308 (its times are +Inf, and NaN once a ratio of 0
+// multiplies them), at headrooms 0, ±Inf, NaN, a PPK headroom just
+// above the fail-safe's time and the median time, bare and through a
+// Calibrated with a ratio installed, the sweep that prices power only
+// on the feasible product returns the Config, the Est bits, Evals and
+// Feasible of the per-configuration scalar fill and of the unbounded
+// sweep.
+func TestExhaustiveBoundedMatchesScalarAndUnbounded(t *testing.T) {
+	m := batchedModel(t)
+	space := hw.DefaultSpace()
+	fs := space.Clamp(hw.FailSafe())
+	rng := rand.New(rand.NewSource(28))
+	var sets []counters.Set
+	for i := 0; i < 12; i++ {
+		sets = append(sets, kernel.Random("r", rng).Counters())
+	}
+	var huge counters.Set
+	for i := range huge {
+		huge[i] = 1e308
+	}
+	sets = append(sets, huge)
+	est := make([]predict.Estimate, space.Size())
+	for i, cs := range sets {
+		fsEst := m.PredictKernel(cs, fs)
+		// calibrated returns the policy stack over inner with a ratio
+		// for cs's signature: for the 1e308 kernel a finite measured
+		// time over an infinite prediction makes the time ratio 0.
+		calibrated := func(inner predict.Model) *predict.Calibrated {
+			cal := predict.NewCalibrated(inner)
+			cal.Feedback(cs, fs, math.Min(fsEst.TimeMS*0.8, 1e6)+rng.Float64(), fsEst.GPUPowerW*1.15)
+			return cal
+		}
+		m.PredictSpace(cs, space, est)
+		times := make([]float64, len(est))
+		for r := range est {
+			times[r] = est[r].TimeMS
+		}
+		slices.Sort(times)
+		heads := []float64{0, fsEst.TimeMS * 1.05, times[len(times)/2], math.Inf(1), math.Inf(-1), math.NaN()}
+		for _, ratio := range []bool{false, true} {
+			seed := rng.Int63()
+			stack := func(inner predict.Model) predict.Model {
+				rng.Seed(seed) // the same feedback for every stack
+				if !ratio {
+					return inner
+				}
+				return calibrated(inner)
+			}
+			bounded := NewOptimizer(stack(m), space)
+			unbounded := NewOptimizer(unboundedOnly{stack(m)}, space)
+			scalar := NewOptimizer(scalarOnly{stack(m)}, space)
+			for _, head := range heads {
+				label := fmt.Sprintf("set %d ratio=%v headroom %v", i, ratio, head)
+				got := bounded.ExhaustiveSearch(cs, head)
+				sameClimbResult(t, label+" vs unbounded", got, unbounded.ExhaustiveSearch(cs, head))
+				sameClimbResult(t, label+" vs scalar", got, scalar.ExhaustiveSearch(cs, head))
+				if got.Evals != space.Size() {
+					t.Fatalf("%s: %d evals, want %d", label, got.Evals, space.Size())
+				}
+			}
+		}
+	}
+}
+
 // TestExhaustiveBatchedThroughCalibrated checks the batched path
 // through the full policy model stack (Calibrated over
 // RandomForest, with a feedback ratio installed) against the
@@ -152,8 +231,8 @@ func TestExhaustiveBatchedCacheSemantics(t *testing.T) {
 func TestExhaustiveBatchedDeclinesScalarModels(t *testing.T) {
 	k := kernel.NewBalanced("b", 1)
 	o := NewOptimizer(oracleFor(k), hw.DefaultSpace())
-	if o.fillBatched(k.Counters()) {
-		t.Fatal("batched fill accepted a model with no SpaceEvaluator")
+	if o.fillBatched(k.Counters(), math.Inf(1)) {
+		t.Fatal("batched fill accepted a model with no BoundedSpaceEvaluator")
 	}
 	res := o.ExhaustiveSearch(k.Counters(), math.Inf(1))
 	if !res.Feasible || res.Evals != o.Space.Size() {

@@ -31,13 +31,15 @@ type Optimizer struct {
 	failSafe hw.Config
 
 	// Exhaustive-sweep arena, built lazily on the first sweep: the
-	// space's configurations in At order and the estimate slice the
-	// sweep fills, so steady-state sweeps allocate nothing. Optimizer
-	// methods are not safe for concurrent use: the arena and the window
-	// scratch below are shared state.
-	sweepSpace hw.Space
-	sweepCfgs  []hw.Config
-	sweepEsts  []predict.Estimate
+	// space's configurations in At order, the fail-safe's index among
+	// them and the estimate slice the sweep fills, so steady-state
+	// sweeps allocate nothing. Optimizer methods are not safe for
+	// concurrent use: the arena and the window scratch below are shared
+	// state.
+	sweepSpace    hw.Space
+	sweepCfgs     []hw.Config
+	sweepFailSafe int
+	sweepEsts     []predict.Estimate
 
 	// Window scratch, reused across OptimizeWindow/BruteForceWindow
 	// steps so the receding-horizon hot loop stops re-allocating the
@@ -223,22 +225,26 @@ func (o *Optimizer) ExhaustiveSearch(cs counters.Set, headroomMS float64) climbR
 }
 
 // exhaustive is the one O(M) sweep. It fills the At-order estimate
-// slice in one of two ways, which produce identical bytes (the
-// predict.SpaceEvaluator contract): through the model's batched path
-// when it has one and accepts the call, else per configuration through
-// eval. One At-order reduce then marks every configuration priced and
-// picks the argmin: strictly smaller energy wins, so ties keep the
-// lower Space.At index. A configuration the decision already priced
-// (e.g. the fail-safe OptimizeWindow seeds) is not counted again, so
-// Evals comes out the same under either fill. When no configuration
-// meets the headroom, the result is the fail-safe with Feasible=false.
+// slice in one of two ways, which give the reduce identical bytes:
+// through the model's bounded sweep when it has one and accepts the
+// call, else per configuration through eval. The bounded sweep prices
+// every configuration's time but the power only where the reduce reads
+// it: on the configurations that meet the headroom, or on the fail-safe
+// when none does (predict.BoundedSpaceEvaluator). One At-order reduce
+// then marks every configuration priced and picks the argmin: strictly
+// smaller energy wins, so ties keep the lower Space.At index. A
+// configuration the decision already priced (e.g. the fail-safe
+// OptimizeWindow seeds) is not counted again, so Evals comes out the
+// same under either fill. When no configuration meets the headroom, the
+// result is the fail-safe with Feasible=false.
 func (o *Optimizer) exhaustive(cache *evalCache, headroomMS float64) climbResult {
 	if o.sweepCfgs == nil || !o.sweepSpace.Equal(o.Space) {
 		o.sweepSpace = o.Space
 		o.sweepCfgs = o.Space.Configs()
+		o.sweepFailSafe = o.Space.Index(o.failSafe)
 		o.sweepEsts = make([]predict.Estimate, len(o.sweepCfgs))
 	}
-	if !o.fillBatched(cache.cs) {
+	if !o.fillBatched(cache.cs, headroomMS) {
 		for i, c := range o.sweepCfgs {
 			o.sweepEsts[i], _ = cache.eval(c)
 		}
@@ -257,25 +263,20 @@ func (o *Optimizer) exhaustive(cache *evalCache, headroomMS float64) climbResult
 		}
 	}
 	if !best.Feasible {
-		best.Est = o.sweepEsts[o.Space.Index(o.failSafe)]
+		best.Est = o.sweepEsts[o.sweepFailSafe]
 	}
 	best.Evals = cache.evals
 	return best
 }
 
 // fillBatched fills the sweep's estimate slice with one call to the
-// model's batched path, preferring the trace-aware form so the sweep's
-// featurize and forest-eval time lands in the active trace. It reports
-// false, with the slice untouched, when the model has no batched path
-// or declines the call.
-func (o *Optimizer) fillBatched(cs counters.Set) bool {
-	if tse, ok := o.Model.(predict.TracedSpaceEvaluator); ok {
-		return tse.PredictSpaceTraced(cs, o.Space, o.sweepEsts, o.Trace)
-	}
-	if se, ok := o.Model.(predict.SpaceEvaluator); ok {
-		return se.PredictSpace(cs, o.Space, o.sweepEsts)
-	}
-	return false
+// model's bounded sweep, whose featurize and forest-eval time lands in
+// the active trace. It reports false, with the slice untouched, when
+// the model has no bounded sweep or declines the call.
+func (o *Optimizer) fillBatched(cs counters.Set, headroomMS float64) bool {
+	bse, ok := o.Model.(predict.BoundedSpaceEvaluator)
+	return ok && bse.PredictSpaceWithin(cs, o.Space, o.sweepEsts,
+		predict.SweepBound{HeadroomMS: headroomMS, FailSafe: o.sweepFailSafe}, o.Trace)
 }
 
 // fastestNeighbor returns the single-knob neighbour of cur with the

@@ -8,6 +8,7 @@ import (
 	"mpcdvfs/internal/hw"
 	"mpcdvfs/internal/kernel"
 	"mpcdvfs/internal/predict"
+	"mpcdvfs/internal/telemetry"
 )
 
 // constModel predicts the same estimate for every configuration, so
@@ -20,10 +21,11 @@ func (m constModel) PredictKernel(counters.Set, hw.Config) predict.Estimate {
 	return m.est
 }
 
-// constSpaceModel is constModel with a batched path.
+// constSpaceModel is constModel with a bounded sweep that prices every
+// row, which the bounded contract allows.
 type constSpaceModel struct{ constModel }
 
-func (m constSpaceModel) PredictSpace(_ counters.Set, _ hw.Space, dst []predict.Estimate) bool {
+func (m constSpaceModel) PredictSpaceWithin(_ counters.Set, _ hw.Space, dst []predict.Estimate, _ predict.SweepBound, _ *telemetry.Context) bool {
 	for i := range dst {
 		dst[i] = m.est
 	}

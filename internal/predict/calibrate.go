@@ -169,6 +169,45 @@ func (c *Calibrated) PredictSpaceTraced(cs counters.Set, space hw.Space, dst []E
 	return true
 }
 
+// PredictSpaceWithin implements BoundedSpaceEvaluator by forwarding to
+// the wrapped model's bounded sweep with the kernel's time ratio in the
+// bound, so the model applies it between its phases and tests the
+// calibrated times against the headroom, and by then applying the power
+// ratio to every estimate: the same two multiplications the scalar path
+// performs. It falls back to PredictSpaceTraced, which prices every
+// row, when the wrapped model has no bounded sweep or b already carries
+// a ratio that would have to compound with the kernel's; b's own ratio
+// then multiplies the calibrated times. Over the compiled model it
+// allocates nothing once the model's plan is built
+// (TestPredictSpaceWithinZeroAllocThroughCalibrated).
+func (c *Calibrated) PredictSpaceWithin(cs counters.Set, space hw.Space, dst []Estimate, b SweepBound, tc *telemetry.Context) bool {
+	bse, ok := c.inner.(BoundedSpaceEvaluator)
+	r, scaled := c.ratios[counters.SignatureOf(cs)]
+	if !ok || scaled && b.HasRatio {
+		if !c.PredictSpaceTraced(cs, space, dst, tc) {
+			return false
+		}
+		if b.HasRatio {
+			for i := range dst {
+				dst[i].TimeMS *= b.TimeRatio
+			}
+		}
+		return true
+	}
+	if scaled {
+		b.TimeRatio, b.HasRatio = r.time, true
+	}
+	if !bse.PredictSpaceWithin(cs, space, dst, b, tc) {
+		return false
+	}
+	if scaled {
+		for i := range dst {
+			dst[i].GPUPowerW *= r.power
+		}
+	}
+	return true
+}
+
 // applyRatio applies the kernel's learned correction ratio to every
 // estimate of a batched sweep — the same two multiplications the
 // scalar path performs.

@@ -2,14 +2,17 @@ package predict
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/hw"
 	"mpcdvfs/internal/kernel"
+	"mpcdvfs/internal/telemetry"
 )
 
 // quickForest trains the small forest pair behind quickRF, once per
@@ -237,6 +240,198 @@ func TestPredictSpaceZeroAllocSteadyState(t *testing.T) {
 	m.PredictSpace(cs, space, dst) // warm up: builds the plan
 	if allocs := testing.AllocsPerRun(50, func() { m.PredictSpace(cs, space, dst) }); allocs != 0 {
 		t.Fatalf("warm PredictSpace allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestPredictSpaceWithinZeroAllocThroughCalibrated pins the bounded
+// sweep at zero allocations through the policy stack, a Calibrated with
+// a correction ratio installed over the compiled model, at headrooms
+// that leave some rows feasible, every row and none.
+func TestPredictSpaceWithinZeroAllocThroughCalibrated(t *testing.T) {
+	m := quickRF(t)
+	space := hw.DefaultSpace()
+	cs := kernel.NewPeak("pk", 1).Counters()
+	cal := NewCalibrated(m)
+	fs := space.Clamp(hw.FailSafe())
+	raw := m.PredictKernel(cs, fs)
+	cal.Feedback(cs, fs, raw.TimeMS*1.2, raw.GPUPowerW*0.9)
+	dst := make([]Estimate, space.Size())
+	b := SweepBound{HeadroomMS: raw.TimeMS, FailSafe: space.Index(fs)}
+	cal.PredictSpaceWithin(cs, space, dst, b, nil) // warm up: builds the plan
+	for _, head := range []float64{raw.TimeMS, math.Inf(1), math.Inf(-1)} {
+		b.HeadroomMS = head
+		if allocs := testing.AllocsPerRun(50, func() { cal.PredictSpaceWithin(cs, space, dst, b, nil) }); allocs != 0 {
+			t.Fatalf("warm Calibrated.PredictSpaceWithin at headroom %v allocates %v times per call, want 0", head, allocs)
+		}
+	}
+}
+
+// TestPredictSpaceWithinOwesOnlyTheFeasibleProduct checks the bounded
+// sweep against the unbounded one, bare and through a Calibrated with a
+// ratio installed: every time is the unbounded sweep's, the power is
+// the unbounded sweep's on every row of the smallest knob product that
+// holds the feasible rows (NaN times included), or on the fail-safe's
+// row alone when no row is feasible, and NaN on every other row. Each
+// sweep counts one plan lookup.
+func TestPredictSpaceWithinOwesOnlyTheFeasibleProduct(t *testing.T) {
+	m := quickRF(t)
+	rng := rand.New(rand.NewSource(28))
+	var sets []counters.Set
+	for i := 0; i < 4; i++ {
+		sets = append(sets, kernel.Random("bw", rng).Counters())
+	}
+	var huge counters.Set
+	for i := range huge {
+		huge[i] = 1e308
+	}
+	sets = append(sets, huge)
+	for _, space := range []hw.Space{hw.DefaultSpace(), hw.FullSpace()} {
+		n := space.Size()
+		_, nNB, nGPU, nCU := space.KnobStates()
+		fs := space.Index(space.Clamp(hw.FailSafe()))
+		full, dst := make([]Estimate, n), make([]Estimate, n)
+		for i, cs := range sets {
+			cal := NewCalibrated(m)
+			raw := m.PredictKernel(cs, space.At(fs))
+			cal.Feedback(cs, space.At(fs), 7.5, raw.GPUPowerW*1.1)
+			for _, model := range []BoundedSpaceEvaluator{m, cal} {
+				if !model.(SpaceEvaluator).PredictSpace(cs, space, full) {
+					t.Fatal("PredictSpace declined")
+				}
+				times := make([]float64, n)
+				for r := range full {
+					times[r] = full[r].TimeMS
+				}
+				slices.Sort(times)
+				for _, head := range []float64{times[n/2], times[n/7], times[0] - 1, 0, math.Inf(1), math.Inf(-1), math.NaN()} {
+					h0, m0 := m.ArenaPoolStats()
+					if !model.PredictSpaceWithin(cs, space, dst, SweepBound{HeadroomMS: head, FailSafe: fs}, nil) {
+						t.Fatal("PredictSpaceWithin declined")
+					}
+					if h, mi := m.ArenaPoolStats(); h+mi != h0+m0+1 {
+						t.Fatalf("one bounded sweep counted %d plan lookups, want 1", h+mi-h0-m0)
+					}
+					var cover [3]uint64 // CPU, (NB, GPU) and CU elements of the feasible rows
+					for r := range full {
+						if !(full[r].TimeMS > head) {
+							cover[0] |= 1 << (r / (nNB * nGPU * nCU))
+							cover[1] |= 1 << (r / nCU % (nNB * nGPU))
+							cover[2] |= 1 << (r % nCU)
+						}
+					}
+					for r := range full {
+						owed := cover[0]>>(r/(nNB*nGPU*nCU))&1 == 1 && cover[1]>>(r/nCU%(nNB*nGPU))&1 == 1 && cover[2]>>(r%nCU)&1 == 1
+						if cover[0] == 0 {
+							owed = r == fs
+						}
+						label := fmt.Sprintf("space %d set %d %s headroom %v row %d", n, i, model.(Model).Name(), head, r)
+						if math.Float64bits(dst[r].TimeMS) != math.Float64bits(full[r].TimeMS) {
+							t.Fatalf("%s: bounded time %v != unbounded %v", label, dst[r].TimeMS, full[r].TimeMS)
+						}
+						switch {
+						case owed && math.Float64bits(dst[r].GPUPowerW) != math.Float64bits(full[r].GPUPowerW):
+							t.Fatalf("%s: bounded power %v != unbounded %v", label, dst[r].GPUPowerW, full[r].GPUPowerW)
+						case !owed && !math.IsNaN(dst[r].GPUPowerW):
+							t.Fatalf("%s: power %v outside the feasible product, want NaN", label, dst[r].GPUPowerW)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// tracedOnly hides a model's bounded sweep, leaving its unbounded
+// traced one, as a wrapper that forwards only the unbounded methods
+// does.
+type tracedOnly struct{ *RandomForest }
+
+func (tracedOnly) PredictSpaceWithin() {} // shadows the bounded method
+
+// TestCalibratedPredictSpaceWithinFallsBack checks the Calibrated's
+// unbounded fallbacks: over an inner model with only the unbounded
+// traced sweep, and for a bound that carries a ratio of its own while
+// the kernel has one, every row comes out as the calibrated unbounded
+// sweep's, its time times the bound's ratio when there is one; over a
+// scalar-only inner model the call declines.
+func TestCalibratedPredictSpaceWithinFallsBack(t *testing.T) {
+	m := quickRF(t)
+	space := hw.DefaultSpace()
+	cs := kernel.NewMemoryBound("mb", 1).Counters()
+	calibrated := func(inner Model) *Calibrated {
+		cal := NewCalibrated(inner)
+		raw := m.PredictKernel(cs, space.At(0))
+		cal.Feedback(cs, space.At(0), raw.TimeMS*1.3, raw.GPUPowerW*0.7)
+		return cal
+	}
+	want := make([]Estimate, space.Size())
+	if !calibrated(m).PredictSpace(cs, space, want) {
+		t.Fatal("Calibrated.PredictSpace declined")
+	}
+	if _, ok := Model(tracedOnly{m}).(BoundedSpaceEvaluator); ok {
+		t.Fatal("tracedOnly still has a bounded sweep")
+	}
+	dst := make([]Estimate, space.Size())
+	for _, tc := range []struct {
+		name  string
+		inner Model
+		b     SweepBound
+	}{
+		{"traced-only inner", tracedOnly{m}, SweepBound{HeadroomMS: math.Inf(-1)}},
+		{"bound with a ratio", m, SweepBound{HeadroomMS: math.Inf(-1), TimeRatio: 0.5, HasRatio: true}},
+	} {
+		if !calibrated(tc.inner).PredictSpaceWithin(cs, space, dst, tc.b, nil) {
+			t.Fatalf("%s: PredictSpaceWithin declined", tc.name)
+		}
+		for r := range dst {
+			w := want[r]
+			if tc.b.HasRatio {
+				w.TimeMS *= tc.b.TimeRatio
+			}
+			if math.Float64bits(dst[r].TimeMS) != math.Float64bits(w.TimeMS) ||
+				math.Float64bits(dst[r].GPUPowerW) != math.Float64bits(w.GPUPowerW) {
+				t.Fatalf("%s row %d: %+v, want %+v", tc.name, r, dst[r], w)
+			}
+		}
+	}
+	if calibrated(treeWalkOf(t, m)).PredictSpaceWithin(cs, space, dst, SweepBound{}, nil) {
+		t.Fatal("Calibrated.PredictSpaceWithin accepted a scalar-only inner model")
+	}
+}
+
+// TestPredictSpaceWithinSpans checks that a traced bounded sweep emits
+// exactly the child spans of a traced unbounded one: one featurize and
+// one forest-eval span under the caller's span.
+func TestPredictSpaceWithinSpans(t *testing.T) {
+	m := quickRF(t)
+	space := hw.DefaultSpace()
+	cs := kernel.NewComputeBound("cb", 1).Counters()
+	dst := make([]Estimate, space.Size())
+	names := func(sweep func(tc *telemetry.Context)) map[string]int {
+		tr := telemetry.NewTracer(64, 1)
+		tc := tr.NewContext("s")
+		root := tc.StartRoot(telemetry.SpanDecide, 0)
+		sweep(tc)
+		root.End()
+		got := map[string]int{}
+		for _, rec := range tr.Snapshot(nil) {
+			if rec.Name != telemetry.SpanDecide {
+				got[rec.Name]++
+			}
+		}
+		return got
+	}
+	want := names(func(tc *telemetry.Context) { m.PredictSpaceTraced(cs, space, dst, tc) })
+	if want[telemetry.SpanFeaturize] != 1 || want[telemetry.SpanForestEval] != 1 || len(want) != 2 {
+		t.Fatalf("traced unbounded sweep spans %v, want one featurize and one forest-eval", want)
+	}
+	for _, head := range []float64{math.Inf(-1), 0, math.Inf(1)} {
+		got := names(func(tc *telemetry.Context) {
+			NewCalibrated(m).PredictSpaceWithin(cs, space, dst, SweepBound{HeadroomMS: head, FailSafe: 0}, tc)
+		})
+		if !maps.Equal(got, want) {
+			t.Fatalf("bounded sweep at headroom %v spans %v, want %v", head, got, want)
+		}
 	}
 }
 

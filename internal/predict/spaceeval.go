@@ -20,8 +20,9 @@ import (
 // The contract is strict bit-exactness: dst[i] must equal
 // PredictKernel(cs, space.At(i)) bit for bit, so callers may use either
 // path interchangeably without perturbing replays. The optimizer's
-// exhaustive sweep type-asserts for this interface and fills its sweep
-// per configuration when the assertion or the call fails.
+// exhaustive sweep prices only what its reduce reads, through
+// BoundedSpaceEvaluator; a Calibrated falls back to its inner model's
+// PredictSpace when that model has no bounded sweep.
 type SpaceEvaluator interface {
 	PredictSpace(cs counters.Set, space hw.Space, dst []Estimate) bool
 }
@@ -36,6 +37,38 @@ type SpaceEvaluator interface {
 type TracedSpaceEvaluator interface {
 	SpaceEvaluator
 	PredictSpaceTraced(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool
+}
+
+// BoundedSpaceEvaluator is the constraint-first form of the traced
+// batched sweep, for a caller that reads a row's power only where the
+// row meets a throughput headroom. PredictSpaceWithin fills dst (which
+// must hold space.Size() estimates) in hw.Space.At order, with the same
+// featurize and forest-eval spans and the same false-and-untouched
+// answer as PredictSpaceTraced, but it owes fewer values:
+//
+//   - TimeMS on every row, multiplied by b.TimeRatio when b.HasRatio;
+//   - GPUPowerW on every row of the smallest CPU × (NB, GPU) × CU
+//     product that holds each feasible row — a row is feasible unless
+//     its TimeMS is above b.HeadroomMS, so a NaN time is feasible — or
+//     on row b.FailSafe alone when no row is feasible.
+//
+// Every value it owes is bit-identical to PredictSpace's (times the
+// ratio); it may fill more rows than it owes, and the unbounded sweep
+// is a valid implementation. RandomForest writes NaN to the power of
+// the rows it does not owe.
+type BoundedSpaceEvaluator interface {
+	PredictSpaceWithin(cs counters.Set, space hw.Space, dst []Estimate, b SweepBound, tc *telemetry.Context) bool
+}
+
+// SweepBound is what a bounded sweep needs to skip work: the headroom
+// that makes a row feasible, the row priced in full when none is, and
+// the correction, if any, that turns the model's time into the time the
+// headroom is held against (a Calibrated supplies its kernel's ratio).
+type SweepBound struct {
+	HeadroomMS float64
+	FailSafe   int // a row of the space, in At order
+	TimeRatio  float64
+	HasRatio   bool
 }
 
 // A configuration space sweeps as the product of three factors: its CPU
@@ -166,14 +199,15 @@ func (m *RandomForest) countArena(hit bool) {
 // estimate is assembled with exactly the scalar path's final operations
 // (math.Exp(t)·insts, p). Returns false — leaving dst untouched — when
 // the space has more than maxSweepRows configurations or is no grid
-// (see sweepGrid).
+// (see sweepGrid). It is the bounded sweep at an infinite headroom,
+// which every row meets.
 //
 // PredictSpace is safe for concurrent use: sweeps share the model's
 // immutable plan and keep their accumulators on their own stacks.
 //
 //mpclint:hotpath warm sweep pinned at 0 allocs/op by TestPredictSpaceZeroAllocSteadyState
 func (m *RandomForest) PredictSpace(cs counters.Set, space hw.Space, dst []Estimate) bool {
-	return m.predictSpace(cs, space, dst, nil)
+	return m.PredictSpaceWithin(cs, space, dst, SweepBound{HeadroomMS: math.Inf(1)}, nil)
 }
 
 // PredictSpaceTraced implements TracedSpaceEvaluator: the same sweep
@@ -181,15 +215,20 @@ func (m *RandomForest) PredictSpace(cs counters.Set, space hw.Space, dst []Estim
 //
 //mpclint:hotpath warm sweep pinned at 0 allocs/op by TestPredictSpaceZeroAllocSteadyState; spans add nothing when unsampled
 func (m *RandomForest) PredictSpaceTraced(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool {
-	return m.predictSpace(cs, space, dst, tc)
+	return m.PredictSpaceWithin(cs, space, dst, SweepBound{HeadroomMS: math.Inf(1)}, tc)
 }
 
-// predictSpace is the shared batched sweep: the traced and untraced
-// entry points differ only in whether span bookkeeping runs — every
-// value written to dst is computed identically.
+// PredictSpaceWithin implements BoundedSpaceEvaluator in two phases:
+// the time forest's grid descent over every row, then the power
+// forest's over the product Grid.Cover finds for the feasible rows, or
+// over the fail-safe's row when that product is empty. Every row
+// outside the second phase's product gets NaN power. The plan lookup,
+// the spans and the plan counters are those of one sweep, bounded or
+// not; the traced and untraced entry points differ only in whether span
+// bookkeeping runs.
 //
 //mpclint:hotpath warm sweep pinned at 0 allocs/op by TestPredictSpaceZeroAllocSteadyState; the plan build is a reasoned slow path
-func (m *RandomForest) predictSpace(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool {
+func (m *RandomForest) PredictSpaceWithin(cs counters.Set, space hw.Space, dst []Estimate, b SweepBound, tc *telemetry.Context) bool {
 	n := space.Size()
 	if len(dst) != n {
 		panic(fmt.Sprintf("predict: PredictSpace dst holds %d estimates, space has %d configurations", len(dst), n))
@@ -215,9 +254,20 @@ func (m *RandomForest) predictSpace(cs counters.Set, space hw.Space, dst []Estim
 	var acc [maxSweepRows]float64
 	insts := instsOf(cs)
 	for r, t := range m.timeCompiled.PredictGridInto(acc[:n], x[:], plan.grid) {
-		dst[r].TimeMS = math.Exp(t) * insts
+		t = math.Exp(t) * insts
+		if b.HasRatio {
+			t *= b.TimeRatio
+		}
+		dst[r].TimeMS, acc[r] = t, t
 	}
-	for r, p := range m.powerCompiled.PredictGridInto(acc[:n], x[:], plan.grid) {
+	s := plan.grid.Cover(acc[:n], b.HeadroomMS)
+	if s == 0 {
+		s = plan.grid.Row(b.FailSafe)
+	}
+	for r := range acc[:n] {
+		acc[r] = math.NaN()
+	}
+	for r, p := range m.powerCompiled.PredictProductInto(acc[:n], x[:], plan.grid, s) {
 		dst[r].GPUPowerW = p
 	}
 	sp.End()
@@ -226,8 +276,10 @@ func (m *RandomForest) predictSpace(cs counters.Set, space hw.Space, dst []Estim
 
 // Compile-time interface checks for the batched path.
 var (
-	_ SpaceEvaluator       = (*RandomForest)(nil)
-	_ SpaceEvaluator       = (*Calibrated)(nil)
-	_ TracedSpaceEvaluator = (*RandomForest)(nil)
-	_ TracedSpaceEvaluator = (*Calibrated)(nil)
+	_ SpaceEvaluator        = (*RandomForest)(nil)
+	_ SpaceEvaluator        = (*Calibrated)(nil)
+	_ TracedSpaceEvaluator  = (*RandomForest)(nil)
+	_ TracedSpaceEvaluator  = (*Calibrated)(nil)
+	_ BoundedSpaceEvaluator = (*RandomForest)(nil)
+	_ BoundedSpaceEvaluator = (*Calibrated)(nil)
 )

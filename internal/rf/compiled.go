@@ -437,30 +437,86 @@ func NewGrid(nFeat int, dims [GridFactors]int, feats []GridFeature) (*Grid, erro
 // factor sizes.
 func (g *Grid) Rows() int { return g.rows }
 
+// Cover returns the smallest sub-product of g that holds every row r
+// with !(vals[r] > limit) — a NaN value or a NaN limit counts as
+// within — as a word PredictProductInto takes; it is 0 when no row is
+// within. The product's factor-k subset is the set of factor-k elements
+// of those rows, so it may also hold rows that are not within. It
+// panics when vals does not hold g's rows.
+//
+//mpclint:hotpath pinned at 0 allocs/op by TestCompiledZeroAlloc
+func (g *Grid) Cover(vals []float64, limit float64) uint64 {
+	if len(vals) != g.rows {
+		panic(fmt.Sprintf("rf: Cover over %d rows, vals holds %d", g.rows, len(vals)))
+	}
+	var m0, m1, m2 uint64
+	r := 0
+	for e0 := 0; e0 < g.dims[0]; e0++ {
+		for e1 := 0; e1 < g.dims[1]; e1++ {
+			for e2 := 0; e2 < g.dims[2]; e2++ {
+				if !(vals[r] > limit) {
+					m0 |= 1 << e0
+					m1 |= 1 << e1
+					m2 |= 1 << e2
+				}
+				r++
+			}
+		}
+	}
+	if m0 == 0 {
+		return 0
+	}
+	return m0<<g.shift[0] | m1<<g.shift[1] | m2<<g.shift[2]
+}
+
+// Row returns the sub-product of g that holds row r alone. It panics
+// when r is not a row of g.
+func (g *Grid) Row(r int) uint64 {
+	if r < 0 || r >= g.rows {
+		panic(fmt.Sprintf("rf: Row %d of a %d-row grid", r, g.rows))
+	}
+	n12 := g.dims[1] * g.dims[2]
+	return 1<<(g.shift[0]+uint(r/n12)) | 1<<(g.shift[1]+uint(r%n12/g.dims[2])) | 1<<(g.shift[2]+uint(r%g.dims[2]))
+}
+
 // PredictGridInto evaluates every row of g, writing row r's prediction
 // into dst[r]; it returns dst. Row r is x with each factor-dependent
 // feature of g replaced by its value on that row (x's own value of such
-// a feature is ignored).
+// a feature is ignored). It is PredictProductInto over the whole grid.
 //
-// Each tree descends once for the whole grid, depth first, carrying the
-// rows that reach a node as a product word. A split on a shared feature
-// sends the whole set one way with one key compare; a split on a
-// factor-dependent feature divides its factor's subset with the mask at
-// its threshold's rank, and an empty half is pruned. At a leaf every
+//mpclint:hotpath pinned at 0 allocs/op by TestCompiledZeroAlloc
+func (c *CompiledForest) PredictGridInto(dst, x []float64, g *Grid) []float64 {
+	return c.PredictProductInto(dst, x, g, g.all)
+}
+
+// PredictProductInto evaluates the rows of the sub-product s of g (a
+// word from Cover or Row, or their union over each factor), writing row
+// r's prediction into dst[r] and leaving every other slot of dst as it
+// is; it returns dst. A word with an empty factor holds no rows.
+//
+// Each tree descends once for the whole product, depth first, carrying
+// the rows that reach a node as a product word. A split on a shared
+// feature sends the whole set one way with one key compare; a split on
+// a factor-dependent feature divides its factor's subset with the mask
+// at its threshold's rank, and an empty half is pruned. At a leaf every
 // row of the product adds the leaf's value. Trees run outermost and in
 // order, so each row adds exactly the leaves the scalar descent would,
 // in the same order, and divides once: results are bit-identical to
 // calling Predict row by row. It panics when x or g has another
-// dimensionality than the forest or dst does not hold g's rows.
+// dimensionality than the forest, dst does not hold g's rows, or s has
+// a bit outside g.
 //
 //mpclint:hotpath pinned at 0 allocs/op by TestCompiledZeroAlloc
-func (c *CompiledForest) PredictGridInto(dst, x []float64, g *Grid) []float64 {
+func (c *CompiledForest) PredictProductInto(dst, x []float64, g *Grid, s uint64) []float64 {
 	if len(x) != c.nFeat || g.nFeat != c.nFeat {
-		panic(fmt.Sprintf("rf: PredictGridInto with %d features and a %d-feature grid, compiled for %d",
+		panic(fmt.Sprintf("rf: PredictProductInto with %d features and a %d-feature grid, compiled for %d",
 			len(x), g.nFeat, c.nFeat))
 	}
 	if len(dst) != g.rows {
-		panic(fmt.Sprintf("rf: PredictGridInto over %d rows, dst holds %d", g.rows, len(dst)))
+		panic(fmt.Sprintf("rf: PredictProductInto over %d rows, dst holds %d", g.rows, len(dst)))
+	}
+	if s&^g.all != 0 {
+		panic(fmt.Sprintf("rf: PredictProductInto word %#x has bits outside the grid's %#x", s, g.all))
 	}
 	w := gridWalk{
 		nodes:   c.nodes,
@@ -473,19 +529,17 @@ func (c *CompiledForest) PredictGridInto(dst, x []float64, g *Grid) []float64 {
 		n2:      g.dims[2],
 		stride0: g.dims[1] * g.dims[2],
 	}
+	if s&w.mask0 == 0 || s>>w.shift1&w.mask1 == 0 || s>>w.shift2 == 0 {
+		return dst // an empty factor: no rows
+	}
 	for i, v := range x {
 		w.kx[i] = keyOf(v)
 	}
-	for r := range dst {
-		dst[r] = 0
-	}
+	w.rows(s, true, 0)
 	for _, root := range c.roots {
-		w.descend(root, g.all)
+		w.descend(root, s)
 	}
-	div := float64(c.nTrees)
-	for r := range dst {
-		dst[r] /= div
-	}
+	w.rows(s, false, float64(c.nTrees))
 	return dst
 }
 
@@ -500,6 +554,28 @@ type gridWalk struct {
 	n2             int // factor 2's size: factor 1's row stride
 	stride0        int // factor 0's row stride
 	kx             [maxCompiledFeatures]uint64
+}
+
+// rows opens or closes a descent on the rows of the product s: it
+// zeroes each row's accumulator when open is set, and otherwise divides
+// each by n, the tree count.
+//
+//mpclint:hotpath pinned transitively under the PredictProductInto pin
+func (w *gridWalk) rows(s uint64, open bool, n float64) {
+	a0, a2 := s&w.mask0, s>>w.shift2
+	for a1 := s >> w.shift1 & w.mask1; a1 != 0; a1 &= a1 - 1 {
+		r1 := bits.TrailingZeros64(a1) * w.n2
+		for b2 := a2; b2 != 0; b2 &= b2 - 1 {
+			r := r1 + bits.TrailingZeros64(b2)
+			for b0 := a0; b0 != 0; b0 &= b0 - 1 {
+				if open {
+					w.acc[r+bits.TrailingZeros64(b0)*w.stride0] = 0
+				} else {
+					w.acc[r+bits.TrailingZeros64(b0)*w.stride0] /= n
+				}
+			}
+		}
+	}
 }
 
 // descend walks the subtree at node i with the product s (never empty).

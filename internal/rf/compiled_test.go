@@ -81,13 +81,13 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 				for j := range factorOf {
 					factorOf[j] = j % GridFactors
 				}
-				checkGridChunks(t, name, f, c, rows, [GridFactors]int{5, 8, 5}, factorOf)
+				checkGridChunks(t, name, f, c, rows, [GridFactors]int{5, 8, 5}, factorOf, rng.Uint64())
 				for j := range factorOf {
 					if (j+int(seed))%2 == 0 {
 						factorOf[j] = -1
 					}
 				}
-				checkGridChunks(t, name, f, c, rows, [GridFactors]int{5, 8, 5}, factorOf)
+				checkGridChunks(t, name, f, c, rows, [GridFactors]int{5, 8, 5}, factorOf, rng.Uint64())
 			}
 		}
 	}
@@ -152,6 +152,58 @@ func TestCompiledBatchPanics(t *testing.T) {
 	expectPanic("PredictGridInto grid of another width", func() { c.PredictGridInto(make([]float64, 6), x, wide) })
 	expectPanic("PredictGridInto short dst", func() { c.PredictGridInto(make([]float64, 5), x, g) })
 	expectPanic("PredictGridInto long dst", func() { c.PredictGridInto(make([]float64, 7), x, g) })
+	expectPanic("PredictProductInto word outside the grid", func() { c.PredictProductInto(make([]float64, 6), x, g, 1<<6) })
+	expectPanic("Cover short vals", func() { g.Cover(make([]float64, 5), 0) })
+	expectPanic("Row past the grid", func() { g.Row(6) })
+	expectPanic("Row negative", func() { g.Row(-1) })
+}
+
+// TestGridCover checks Cover and Row against their definitions on
+// grids with infinite and NaN values: Row(r) holds exactly row r's
+// element of each factor, and Cover is the union of Row over the rows
+// whose value is not above the limit (NaN values and a NaN limit
+// included), or 0 when there is none.
+func TestGridCover(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, 1}
+	for _, dims := range [][GridFactors]int{{1, 1, 1}, {7, 12, 4}, {2, 3, 5}, {21, 21, 22}} {
+		g, err := NewGrid(1, dims, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.Rows()
+		for r := 0; r < n; r++ {
+			w := g.Row(r)
+			at := [GridFactors]int{r / (dims[1] * dims[2]), r / dims[2] % dims[1], r % dims[2]}
+			var want uint64
+			for k, e := range at {
+				want |= 1 << (g.shift[k] + uint(e))
+			}
+			if w != want {
+				t.Fatalf("grid %v: Row(%d) = %#x, want %#x", dims, r, w, want)
+			}
+		}
+		vals := make([]float64, n)
+		for trial := 0; trial < 20; trial++ {
+			for r := range vals {
+				vals[r] = rng.NormFloat64()
+				if rng.Intn(8) == 0 {
+					vals[r] = special[rng.Intn(len(special))]
+				}
+			}
+			for _, limit := range []float64{rng.NormFloat64() - 1.5, rng.NormFloat64(), 0, math.Inf(1), math.Inf(-1), math.NaN()} {
+				var want uint64
+				for r, v := range vals {
+					if !(v > limit) {
+						want |= g.Row(r)
+					}
+				}
+				if got := g.Cover(vals, limit); got != want {
+					t.Fatalf("grid %v limit %v: Cover = %#x, want %#x", dims, limit, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestCompiledZeroAlloc pins the steady-state compiled inference paths
@@ -179,14 +231,22 @@ func TestCompiledZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() { c.PredictGridInto(dst, x, g) }); allocs != 0 {
 		t.Fatalf("CompiledForest.PredictGridInto allocates %v times per call, want 0", allocs)
 	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		c.PredictProductInto(dst, x, g, g.Cover(dst, dst[0]))
+	}); allocs != 0 {
+		t.Fatalf("Grid.Cover and CompiledForest.PredictProductInto allocate %v times per call, want 0", allocs)
+	}
 }
 
 // checkGridDescent runs one grid descent over the product of factors of
 // dims elements, x's features shared except those feats names, and
 // requires each row's result to match the tree walk on that row bit for
-// bit. The destination sits inside a larger buffer whose other slots
-// must stay untouched.
-func checkGridDescent(tb testing.TB, name string, f *Forest, c *CompiledForest, x []float64, dims [GridFactors]int, feats []GridFeature) {
+// bit; then a descent from the sub-product sub (masked to the grid's
+// bits), which must match the tree walk on each row of that product and
+// write no other row (a sub equal to the whole grid checks the full
+// descent twice). Each destination sits inside a larger buffer
+// whose other slots must stay untouched.
+func checkGridDescent(tb testing.TB, name string, f *Forest, c *CompiledForest, x []float64, dims [GridFactors]int, feats []GridFeature, sub uint64) {
 	tb.Helper()
 	g, err := NewGrid(f.NumFeatures(), dims, feats)
 	if err != nil {
@@ -196,28 +256,51 @@ func checkGridDescent(tb testing.TB, name string, f *Forest, c *CompiledForest, 
 	if n != dims[0]*dims[1]*dims[2] {
 		tb.Fatalf("%s: grid %v holds %d rows", name, dims, n)
 	}
+	sub &= g.all
+	var parts [GridFactors]uint64
+	for k, d := range dims {
+		parts[k] = sub >> g.shift[k] & (1<<d - 1)
+	}
 	const pad = 3
 	sentinel := math.Float64frombits(0x7ff8dead0000beef)
-	buf := make([]float64, n+2*pad)
-	for i := range buf {
-		buf[i] = sentinel
-	}
-	dst := c.PredictGridInto(buf[pad:pad+n], x, g)
 	row := make([]float64, len(x))
-	for r := 0; r < n; r++ {
-		at := [GridFactors]int{r / (dims[1] * dims[2]), r / dims[2] % dims[1], r % dims[2]}
-		copy(row, x)
-		for _, gf := range feats {
-			row[gf.Feature] = gf.Vals[at[gf.Factor]]
+	for _, s := range []uint64{g.all, sub} {
+		buf := make([]float64, n+2*pad)
+		for i := range buf {
+			buf[i] = sentinel
 		}
-		if want := f.Predict(row); !bitsEqual(dst[r], want) {
-			tb.Fatalf("%s grid %v row %d (%v): grid %v (bits %#x) != tree-walk %v (bits %#x)",
-				name, dims, r, row, dst[r], math.Float64bits(dst[r]), want, math.Float64bits(want))
+		dst := buf[pad : pad+n]
+		if s == g.all {
+			c.PredictGridInto(dst, x, g)
+		} else {
+			c.PredictProductInto(dst, x, g, s)
 		}
-	}
-	for i := range buf {
-		if (i < pad || i >= pad+n) && math.Float64bits(buf[i]) != math.Float64bits(sentinel) {
-			tb.Fatalf("%s: grid descent over %d rows wrote slot %d outside dst", name, n, i-pad)
+		for r := 0; r < n; r++ {
+			at := [GridFactors]int{r / (dims[1] * dims[2]), r / dims[2] % dims[1], r % dims[2]}
+			in := true
+			for k, e := range at {
+				in = in && s>>(g.shift[k]+uint(e))&1 == 1
+			}
+			if !in {
+				if !bitsEqual(dst[r], sentinel) {
+					tb.Fatalf("%s grid %v: descent from product %#x (factors %b) wrote row %d outside it",
+						name, dims, s, parts, r)
+				}
+				continue
+			}
+			copy(row, x)
+			for _, gf := range feats {
+				row[gf.Feature] = gf.Vals[at[gf.Factor]]
+			}
+			if want := f.Predict(row); !bitsEqual(dst[r], want) {
+				tb.Fatalf("%s grid %v product %#x row %d (%v): grid %v (bits %#x) != tree-walk %v (bits %#x)",
+					name, dims, s, r, row, dst[r], math.Float64bits(dst[r]), want, math.Float64bits(want))
+			}
+		}
+		for i := range buf {
+			if (i < pad || i >= pad+n) && !bitsEqual(buf[i], sentinel) {
+				tb.Fatalf("%s: grid descent over %d rows wrote slot %d outside dst", name, n, i-pad)
+			}
 		}
 	}
 }
@@ -226,8 +309,9 @@ func checkGridDescent(tb testing.TB, name string, f *Forest, c *CompiledForest, 
 // of dims elements: feature j depends on factor factorOf[j], or is
 // shared when that is negative. Each grid takes its shared values from
 // one row and its element values from that row and the rows after it,
-// one row per element, and the grids step through every row.
-func checkGridChunks(tb testing.TB, name string, f *Forest, c *CompiledForest, rows [][]float64, dims [GridFactors]int, factorOf []int) {
+// one row per element, and the grids step through every row. Each grid
+// also descends from the sub-product sub (see checkGridDescent).
+func checkGridChunks(tb testing.TB, name string, f *Forest, c *CompiledForest, rows [][]float64, dims [GridFactors]int, factorOf []int, sub uint64) {
 	tb.Helper()
 	var off [GridFactors + 1]int
 	for k, n := range dims {
@@ -245,7 +329,7 @@ func checkGridChunks(tb testing.TB, name string, f *Forest, c *CompiledForest, r
 			}
 			feats = append(feats, GridFeature{Feature: j, Factor: k, Vals: vals})
 		}
-		checkGridDescent(tb, fmt.Sprintf("%s rows from %d", name, s0), f, c, rows[s0], dims, feats)
+		checkGridDescent(tb, fmt.Sprintf("%s rows from %d", name, s0), f, c, rows[s0], dims, feats, sub)
 	}
 }
 
@@ -285,7 +369,7 @@ func TestPredictSetRowCounts(t *testing.T) {
 				}
 				feats = append(feats, GridFeature{Feature: j, Factor: k, Vals: vals})
 			}
-			checkGridDescent(t, fmt.Sprintf("distinct=%v", distinct), f, c, x, dims, feats)
+			checkGridDescent(t, fmt.Sprintf("distinct=%v", distinct), f, c, x, dims, feats, rng.Uint64())
 		}
 	}
 }
@@ -471,8 +555,8 @@ func TestCompiledLayoutEdgeCases(t *testing.T) {
 		// drives the mask partition down every spine, sharing it the
 		// whole-set compare.
 		name := fmt.Sprintf("nTrees=%d", nTrees)
-		checkGridChunks(t, name, f, c, rows, [GridFactors]int{4, 9, 3}, []int{1, 0, 2})
-		checkGridChunks(t, name, f, c, rows, [GridFactors]int{4, 9, 3}, []int{-1, 1, -1})
+		checkGridChunks(t, name, f, c, rows, [GridFactors]int{4, 9, 3}, []int{1, 0, 2}, 0x5a5a5a5a)
+		checkGridChunks(t, name, f, c, rows, [GridFactors]int{4, 9, 3}, []int{-1, 1, -1}, 0x0f0f0f0f)
 		if err := c.SelfCheck(f, 256, int64(nTrees)*7+1); err != nil {
 			t.Fatalf("nTrees=%d: self-check failed: %v", nTrees, err)
 		}
@@ -598,6 +682,8 @@ func FuzzCompiledEquivalence(f *testing.F) {
 		// pick the shared features, whose keys come from the first
 		// row's raw bytes, and the bits above them each other
 		// feature's factor. Each factor element takes one row's value.
+		// The raw bytes after the rows' values pick the sub-product a
+		// second descent starts from; an empty factor leaves it no rows.
 		set := make([][]float64, 8)
 		factorOf := make([]int, d)
 		for r := range set {
@@ -609,6 +695,10 @@ func FuzzCompiledEquivalence(f *testing.F) {
 				factorOf[j] = -1
 			}
 		}
-		checkGridChunks(t, "fuzz", forest, c, set, [GridFactors]int{2, 4, 2}, factorOf)
+		var sub [8]byte
+		for k := range sub {
+			sub[k] = raw[(8*d*8+k)%len(raw)]
+		}
+		checkGridChunks(t, "fuzz", forest, c, set, [GridFactors]int{2, 4, 2}, factorOf, binary.LittleEndian.Uint64(sub[:]))
 	})
 }
