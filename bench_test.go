@@ -105,16 +105,21 @@ func BenchmarkHillClimb(b *testing.B) {
 }
 
 // BenchmarkExhaustiveSearch measures the O(M)=336-evaluation sweep the
-// greedy search replaces.
+// greedy search replaces, as PPK and every profiling run make it: over
+// the compiled forest behind predict.Calibrated, at a headroom of the
+// fail-safe's own predicted time, so the bounded sweep prices power
+// only on the configurations that can meet it.
 func BenchmarkExhaustiveSearch(b *testing.B) {
-	k := kernel.NewBalanced("bench", 1)
-	o := predict.NewOracle()
-	o.Register(k)
-	opt := core.NewOptimizer(o, hw.DefaultSpace())
-	cs := k.Counters()
+	rf, err := experiments.Shared().RF()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := core.NewOptimizer(predict.NewCalibrated(rf), hw.DefaultSpace())
+	cs := kernel.NewBalanced("bench", 1).Counters()
+	head := rf.PredictKernel(cs, opt.FailSafe()).TimeMS
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = opt.ExhaustiveSearch(cs, math.Inf(1))
+		_ = opt.ExhaustiveSearch(cs, head)
 	}
 }
 
@@ -137,6 +142,21 @@ func BenchmarkRFPredict(b *testing.B) {
 // receding-horizon decisions with pattern lookup and tracker updates.
 func BenchmarkMPCDecision(b *testing.B) { benchSteadyMPC(b, experiments.Shared().Engine) }
 
+// BenchmarkMPCDecisionRF measures one steady-state MPC run of
+// hybridsort over the deployed predictor, the compiled forest behind
+// predict.Calibrated, where BenchmarkMPCDecision runs Spmv over the
+// oracle. hybridsort's climbs often miss the run-scoped memo (about 225
+// forest queries per run), so each op times forest descents as well as
+// the search around them.
+func BenchmarkMPCDecisionRF(b *testing.B) {
+	f := experiments.Shared()
+	rf, err := f.RF()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSteadyRun(b, f.Engine, "hybridsort", rf)
+}
+
 // benchSteadyMPC builds one MPC over the oracle and makes its profiling
 // run of Spmv on eng before the timer starts, so that each op is one
 // steady-state Engine.Run.
@@ -144,8 +164,18 @@ func benchSteadyMPC(b *testing.B, eng *sim.Engine) {
 	b.Helper()
 	f := experiments.Shared()
 	app := f.App("Spmv")
+	benchSteadyRun(b, eng, app.Name, f.Oracle(app))
+}
+
+// benchSteadyRun builds one MPC over model and makes its profiling run
+// of the named app on eng before the timer starts, so that each op is
+// one steady-state Engine.Run.
+func benchSteadyRun(b *testing.B, eng *sim.Engine, name string, model predict.Model) {
+	b.Helper()
+	f := experiments.Shared()
+	app := f.App(name)
 	_, target := f.Baseline(app)
-	m := policy.NewMPC(f.Oracle(app), f.Space)
+	m := policy.NewMPC(model, f.Space)
 	if _, err := eng.Run(app, m, target, true); err != nil {
 		b.Fatal(err)
 	}

@@ -3,11 +3,13 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -166,6 +168,71 @@ func TestRoutes(t *testing.T) {
 
 	_, lts := newTestServer(t, "-model", goldenModel, "-learn")
 	mustGet(t, lts, "/debug/learn")
+}
+
+// postJSON posts body to path and returns the status and reply.
+func postJSON(t *testing.T, ts *httptest.Server, path, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, reply
+}
+
+// TestReloadCorruptModelKeepsServing: /reload re-reads -model, and a
+// file that no longer holds a model — garbage, cut short or empty —
+// gets a 500 with no panic; the serving generation stays 1 and a
+// session opened afterwards decides on it. Once the file is restored,
+// /reload installs generation 2.
+func TestReloadCorruptModelKeepsServing(t *testing.T) {
+	good, err := os.ReadFile(goldenModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := os.WriteFile(path, good, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, "-model", path)
+	for _, bad := range [][]byte{[]byte(strings.Repeat("not a model\x00\xff", 64)), good[:len(good)/2], nil} {
+		if err := os.WriteFile(path, bad, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if code, reply := postJSON(t, ts, "/reload", "{}"); code != http.StatusInternalServerError {
+			t.Fatalf("/reload of a %d-byte corrupt model: %d %s, want 500", len(bad), code, reply)
+		}
+		if gen := s.decider.CurrentSnapshot().Gen; gen != 1 {
+			t.Fatalf("after a failed reload the server serves generation %d, want 1", gen)
+		}
+		code, reply := postJSON(t, ts, "/v1/session", `{"app":"Spmv","num_kernels":3,"first_run":true,"target":{"total_insts":1e9,"total_time_ms":10}}`)
+		if code != http.StatusOK {
+			t.Fatalf("session after a failed reload: %d %s", code, reply)
+		}
+		var sess serve.SessionResponse
+		if err := json.Unmarshal(reply, &sess); err != nil {
+			t.Fatal(err)
+		}
+		if sess.SnapshotGen != 1 {
+			t.Fatalf("session after a failed reload pinned generation %d, want 1", sess.SnapshotGen)
+		}
+		if code, reply := postJSON(t, ts, "/v1/decide", `{"session_id":"`+sess.SessionID+`","index":0}`); code != http.StatusOK {
+			t.Fatalf("decide after a failed reload: %d %s", code, reply)
+		}
+	}
+	if err := os.WriteFile(path, good, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	code, reply := postJSON(t, ts, "/reload", "{}")
+	var r serve.ReloadResponse
+	if code != http.StatusOK || json.Unmarshal(reply, &r) != nil || r.SnapshotGen != 2 {
+		t.Fatalf("/reload of the restored model: %d %s, want 200 and generation 2", code, reply)
+	}
 }
 
 // TestServeDrainsOnCancel: the serve loop starts the trainer and the

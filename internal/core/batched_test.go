@@ -23,7 +23,7 @@ var (
 
 // batchedModel trains one small Random Forest shared across the batched-
 // sweep tests (the batched path only exists for compiled-forest models).
-func batchedModel(t *testing.T) *predict.RandomForest {
+func batchedModel(t testing.TB) *predict.RandomForest {
 	t.Helper()
 	batchedRFOnce.Do(func() {
 		opt := predict.DefaultTrainOptions(31)
@@ -48,8 +48,10 @@ func treeWalkModel(t *testing.T) predict.Model {
 	return walk
 }
 
-// scalarOnly hides a model's batched path, so an optimizer over it
-// fills every sweep per configuration through the same engine.
+// scalarOnly hides a model's batched path and its split form, so an
+// optimizer over it fills every sweep per configuration through the
+// same engine, and a Calibrated over it prices both forests on every
+// scalar query.
 type scalarOnly struct{ predict.Model }
 
 func sameClimbResult(t *testing.T, label string, got, want climbResult) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"mpcdvfs/internal/counters"
@@ -13,6 +14,9 @@ import (
 // §IV-A1a over one kernel, and the windowed MPC optimization over a
 // horizon of kernels.
 type Optimizer struct {
+	// Model is the predictor the search prices configurations with.
+	// NewOptimizer resolves its bounded form once, so replace it only by
+	// building a new Optimizer.
 	Model predict.Model
 	Space hw.Space
 	// UseExhaustive replaces the greedy hill climb with a full O(M)
@@ -29,6 +33,9 @@ type Optimizer struct {
 	Trace *telemetry.Context
 	// failSafe is the guard configuration, clamped into Space.
 	failSafe hw.Config
+	// bounded is Model's bounded scalar form, nil when it has none; the
+	// scalar search then prices every power (see evalCache.evalWithin).
+	bounded predict.BoundedEvaluator
 
 	// Exhaustive-sweep arena, built lazily on the first sweep: the
 	// space's configurations in At order, the fail-safe's index among
@@ -58,7 +65,8 @@ type windowSlot struct {
 
 // NewOptimizer returns an optimizer over the given model and space.
 func NewOptimizer(m predict.Model, space hw.Space) *Optimizer {
-	return &Optimizer{Model: m, Space: space, failSafe: space.Clamp(hw.FailSafe())}
+	bounded, _ := m.(predict.BoundedEvaluator)
+	return &Optimizer{Model: m, Space: space, failSafe: space.Clamp(hw.FailSafe()), bounded: bounded}
 }
 
 // FailSafe returns the fail-safe configuration used on constraint
@@ -77,8 +85,9 @@ type climbResult struct {
 // kernel: a bit per configuration of the full hardware space, and the
 // count of distinct ones, which the search reports as Evals. The
 // overhead model charges one model evaluation per distinct
-// configuration, as a runtime that cached its estimates would pay. The
-// record keeps no estimates: eval asks the model on every call, and a
+// configuration, as a runtime that cached its estimates would pay,
+// whether the search read the configuration's power or only its time.
+// The record keeps no estimates: every call asks the model, and a
 // steady-state MPC's run-scoped memo (predict.Calibrated.BeginRun)
 // answers a revisit.
 type evalCache struct {
@@ -107,15 +116,46 @@ func (c *evalCache) mark(cfg hw.Config) {
 	}
 }
 
-// eval marks cfg as priced and returns the model's estimate and energy
-// for it. Over a model that does not allocate, it allocates nothing.
+// Headrooms for evalWithin: every time is within +Inf, so the model
+// prices every power, and no time but NaN or −Inf is within −Inf.
+var (
+	everyTime = math.Inf(1)
+	noTime    = math.Inf(-1)
+)
+
+// eval marks cfg as priced and returns the model's full estimate and
+// energy for it.
+func (c *evalCache) eval(cfg hw.Config) (predict.Estimate, float64) {
+	return c.evalWithin(cfg, everyTime)
+}
+
+// evalTime marks cfg as priced and returns the model's estimate for a
+// caller that reads only its time: the power, and so the energy, may
+// be NaN.
+func (c *evalCache) evalTime(cfg hw.Config) predict.Estimate {
+	est, _ := c.evalWithin(cfg, noTime)
+	return est
+}
+
+// evalWithin marks cfg as priced and returns the model's estimate and
+// energy for it, for a caller that reads the energy only where the
+// time is not above headroomMS: over a bounded model (predict.
+// BoundedEvaluator) the power, and so the energy, may be NaN elsewhere.
+// Any other model prices both. Over a model that does not allocate, it
+// allocates nothing.
 //
 //mpclint:hotpath pinned at 0 allocs/op over a non-allocating model by TestEvalCacheHitZeroAlloc
-func (c *evalCache) eval(cfg hw.Config) (predict.Estimate, float64) {
+func (c *evalCache) evalWithin(cfg hw.Config, headroomMS float64) (predict.Estimate, float64) {
 	c.mark(cfg)
 	t0 := c.o.Trace.StartPhase()
-	//mpclint:ignore hotpath-alloc in a policy the Model is *predict.Calibrated (NewMPC and NewPPK wrap theirs), whose PredictKernel carries its own hotpath proof; other implementations are test doubles and the backtracking experiment's bare oracle
-	est := c.o.Model.PredictKernel(c.cs, cfg)
+	var est predict.Estimate
+	if c.o.bounded != nil {
+		//mpclint:ignore hotpath-alloc in a policy the bounded model is *predict.Calibrated (NewMPC and NewPPK wrap theirs), whose PredictKernelWithin carries its own hotpath proof; other implementations are test doubles
+		est = c.o.bounded.PredictKernelWithin(c.cs, cfg, headroomMS)
+	} else {
+		//mpclint:ignore hotpath-alloc a model without the bounded form: test doubles, reference predictors and the backtracking experiment's bare oracle; a policy's Calibrated takes the branch above
+		est = c.o.Model.PredictKernel(c.cs, cfg)
+	}
 	c.o.Trace.EndPhase(telemetry.SpanForestEval, t0)
 	return est, predict.EnergyMJ(est, cfg)
 }
@@ -151,9 +191,16 @@ func (o *Optimizer) HillClimb(cs counters.Set, headroomMS float64) climbResult {
 // decision built on one would blow the very constraint recovery is
 // trying to save — runtime measurements are the only trustworthy anchor
 // (the same feedback principle as §IV-A1b).
+//
+// The search reads a configuration's energy only where its time meets
+// the headroom, so it asks the model for the power only there
+// (evalWithin); fastestNeighbor reads times alone. Every result carries
+// a full estimate but one: a speculative search that misses the
+// headroom hands on the fail-safe's time alone, since OptimizeWindow
+// reads nothing else of it, and its power may be NaN.
 func (o *Optimizer) hillClimb(cache *evalCache, headroomMS float64, recover bool, refTimeMS float64) climbResult {
 	cur := o.failSafe
-	curEst, curE := cache.eval(cur)
+	curEst, curE := cache.evalWithin(cur, headroomMS)
 	if curEst.TimeMS > headroomMS {
 		if !recover {
 			return climbResult{Config: cur, Est: curEst, Evals: cache.evals, Feasible: false}
@@ -162,6 +209,7 @@ func (o *Optimizer) hillClimb(cache *evalCache, headroomMS float64, recover bool
 		for curEst.TimeMS > headroomMS {
 			next, nextEst, nextE, ok := o.fastestNeighbor(cache, cur, curEst.TimeMS, trustFloor)
 			if !ok {
+				curEst, _ = cache.eval(cur)
 				return climbResult{Config: o.failSafe, Est: curEst, Evals: cache.evals, Feasible: false}
 			}
 			cur, curEst, curE = next, nextEst, nextE
@@ -184,7 +232,7 @@ func (o *Optimizer) hillClimb(cache *evalCache, headroomMS float64, recover bool
 			if !ok {
 				continue
 			}
-			est, e := cache.eval(nb)
+			est, e := cache.evalWithin(nb, headroomMS)
 			if est.TimeMS <= headroomMS && curE-e > best.sens {
 				best.sens = curE - e
 				best.dir = dir
@@ -203,10 +251,10 @@ func (o *Optimizer) hillClimb(cache *evalCache, headroomMS float64, recover bool
 			if !ok {
 				break
 			}
-			est, e := cache.eval(nb)
-			// The search stops once the energy increases (or the move
-			// would violate the performance headroom).
-			if e >= curE || est.TimeMS > headroomMS {
+			est, e := cache.evalWithin(nb, headroomMS)
+			// The search stops once the move would violate the
+			// performance headroom or the energy increases.
+			if est.TimeMS > headroomMS || e >= curE {
 				break
 			}
 			cur, curEst, curE = nb, est, e
@@ -281,11 +329,11 @@ func (o *Optimizer) fillBatched(cs counters.Set, headroomMS float64) bool {
 
 // fastestNeighbor returns the single-knob neighbour of cur with the
 // smallest predicted time, provided it improves on curTime and stays at
-// or above the trust floor.
+// or above the trust floor, with its full estimate and energy. It reads
+// every neighbour's time and prices the power of the one it returns.
 func (o *Optimizer) fastestNeighbor(cache *evalCache, cur hw.Config, curTime, floor float64) (hw.Config, predict.Estimate, float64, bool) {
 	var best hw.Config
-	var bestEst predict.Estimate
-	bestE := 0.0
+	bestTime := 0.0
 	found := false
 	for _, k := range hw.Knobs() {
 		for _, dir := range [2]int{+1, -1} {
@@ -293,13 +341,17 @@ func (o *Optimizer) fastestNeighbor(cache *evalCache, cur hw.Config, curTime, fl
 			if !ok {
 				continue
 			}
-			est, e := cache.eval(nb)
-			if est.TimeMS < curTime && est.TimeMS >= floor && (!found || est.TimeMS < bestEst.TimeMS) {
-				best, bestEst, bestE, found = nb, est, e, true
+			t := cache.evalTime(nb).TimeMS
+			if t < curTime && t >= floor && (!found || t < bestTime) {
+				best, bestTime, found = nb, t, true
 			}
 		}
 	}
-	return best, bestEst, bestE, found
+	if !found {
+		return best, predict.Estimate{}, 0, false
+	}
+	bestEst, bestE := cache.eval(best)
+	return best, bestEst, bestE, true
 }
 
 // byRank and byExecIndex order window kernels for the two window
@@ -363,10 +415,10 @@ func (o *Optimizer) OptimizeWindow(win []WindowKernel, tr *Tracker) (hw.Config, 
 	remaining := 0.0
 	for _, w := range ordered {
 		cache := evalCache{o: o, cs: w.Rec.Counters}
-		fsEst, _ := cache.eval(o.failSafe)
+		fsTime := cache.evalTime(o.failSafe).TimeMS
 		d := 0.0
 		if tp > 0 {
-			if fd := fsEst.TimeMS - w.ExpInsts/tp; fd > 0 {
+			if fd := fsTime - w.ExpInsts/tp; fd > 0 {
 				d = fd
 			}
 		}

@@ -13,8 +13,10 @@ import (
 	"mpcdvfs/internal/workload"
 )
 
-// countingForest counts the scalar calls that reach a forest; its
-// batched sweeps pass through uncounted.
+// countingForest counts the scalar queries that reach a forest; its
+// batched sweeps pass through uncounted. A calibrated model prices a
+// query's time first, so PredictTime counts each query once, and
+// PredictPower only adds the power of a query already counted.
 type countingForest struct {
 	*predict.RandomForest
 	calls int
@@ -23,6 +25,11 @@ type countingForest struct {
 func (c *countingForest) PredictKernel(cs counters.Set, cfg hw.Config) predict.Estimate {
 	c.calls++
 	return c.RandomForest.PredictKernel(cs, cfg)
+}
+
+func (c *countingForest) PredictTime(cs counters.Set, cfg hw.Config) float64 {
+	c.calls++
+	return c.RandomForest.PredictTime(cs, cfg)
 }
 
 // TestSteadyStateMemoHalvesForestCalls replays the golden Spmv runs (a

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"mpcdvfs/internal/core"
@@ -225,7 +226,6 @@ func (m *MPC) Decide(i int) sim.Decision {
 func (m *MPC) decideMPC(i int) sim.Decision {
 	extraEvals := 0
 	if len(m.suffixDeficit) == 0 {
-		//mpclint:ignore hotpath-alloc once per run: computeDeficits prices each expected kernel through the model interface into the buffer Begin sized; TestMPCSteadyStateRunZeroAlloc pins the whole run at 0 allocs
 		extraEvals = m.computeDeficits()
 	}
 
@@ -298,7 +298,7 @@ func (m *MPC) decideMPC(i int) sim.Decision {
 // computeDeficits fills suffixDeficit from the pattern extractor's
 // expected kernels: deficit_j = max(0, E[T_j at fail-safe] − E[I_j]/target).
 // One predictor evaluation per kernel, charged to the decision that
-// triggered it.
+// triggered it; it reads only the time, so it prices no power.
 func (m *MPC) computeDeficits() (evals int) {
 	def := m.suffixDeficit[:m.n+1]
 	clear(def)
@@ -308,11 +308,11 @@ func (m *MPC) computeDeficits() (evals int) {
 		if !ok {
 			continue
 		}
-		est := m.opt.Model.PredictKernel(rec.Counters, m.opt.FailSafe())
+		t := m.calib.PredictKernelWithin(rec.Counters, m.opt.FailSafe(), math.Inf(-1)).TimeMS
 		evals++
 		if tp > 0 {
 			allowance := pattern.ExpectedInsts(rec) / tp
-			if d := est.TimeMS - allowance; d > 0 {
+			if d := t - allowance; d > 0 {
 				def[j] = d
 			}
 		}

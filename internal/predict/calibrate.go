@@ -23,7 +23,10 @@ const calibWeight = 0.5
 // goroutine at a time uses it. Its ratios and its memo (BeginRun) are
 // unsynchronized; the inner model may be shared.
 type Calibrated struct {
-	inner  Model
+	inner Model
+	// split is inner's time-first form, resolved once by NewCalibrated;
+	// nil when inner has none.
+	split  SplitEvaluator
 	ratios map[counters.Signature]*calibRatio
 	// memo holds the inner model's raw answers for the current run; nil
 	// when the run keeps none (see BeginRun).
@@ -34,8 +37,8 @@ type calibRatio struct {
 	time, power float64
 }
 
-// memoBits sizes the memo: 1<<memoBits direct-mapped entries of 96
-// bytes, 24 KiB per memo.
+// memoBits sizes the memo: 1<<memoBits direct-mapped entries of 104
+// bytes, 26 KiB per memo.
 const memoBits = 8
 
 // memoKey is one query to the inner model by the exact bits of its
@@ -48,11 +51,14 @@ type memoKey struct {
 }
 
 // memoEntry is one memoized inner-model answer, with the signature the
-// counters bin to.
+// counters bin to. Over a split inner model an entry holds the time
+// first, and the power from the first call that reads it: until then
+// priced is false and raw.GPUPowerW is NaN.
 type memoEntry struct {
-	key memoKey
-	raw Estimate
-	sig counters.Signature
+	key    memoKey
+	raw    Estimate
+	sig    counters.Signature
+	priced bool
 }
 
 // slot maps a key to its memo entry's index. A multiply carries a bit
@@ -72,7 +78,8 @@ func (k *memoKey) slot() uint64 {
 
 // NewCalibrated wraps inner with an empty feedback store and no memo.
 func NewCalibrated(inner Model) *Calibrated {
-	return &Calibrated{inner: inner, ratios: map[counters.Signature]*calibRatio{}}
+	split, _ := inner.(SplitEvaluator)
+	return &Calibrated{inner: inner, split: split, ratios: map[counters.Signature]*calibRatio{}}
 }
 
 // BeginRun starts a run. With memo true, PredictKernel and Feedback
@@ -99,43 +106,88 @@ func (c *Calibrated) BeginRun(memo bool) {
 func (c *Calibrated) Name() string { return c.inner.Name() + "+feedback" }
 
 // PredictKernel implements Model, applying the kernel's learned
-// correction ratio when one exists.
+// correction ratio when one exists. It is the bounded call at an
+// infinite headroom, which owes every power.
 //
 //mpclint:hotpath warm memo pinned at 0 allocs/op by TestCalibratedPredictKernelZeroAlloc
 func (c *Calibrated) PredictKernel(cs counters.Set, cfg hw.Config) Estimate {
-	e, sig := c.raw(cs, cfg)
-	if r, ok := c.ratios[sig]; ok {
+	return c.PredictKernelWithin(cs, cfg, math.Inf(1))
+}
+
+// PredictKernelWithin implements BoundedEvaluator: the calibrated
+// estimate, whose power is priced only where the calibrated time is not
+// above headroomMS (NaN is within), or returned when an earlier call of
+// the run priced it. Over an inner model without the split form every
+// miss prices both, as PredictKernel always did.
+//
+//mpclint:hotpath warm memo pinned at 0 allocs/op by TestCalibratedPredictKernelZeroAlloc
+func (c *Calibrated) PredictKernelWithin(cs counters.Set, cfg hw.Config, headroomMS float64) Estimate {
+	e, _, r := c.raw(&cs, cfg, headroomMS)
+	if r != nil {
 		e.TimeMS *= r.time
 		e.GPUPowerW *= r.power
 	}
 	return e
 }
 
-// raw returns the inner model's estimate for a query and the signature
-// its counters bin to. With a memo, a repeated query takes both from
-// the memo, and a miss replaces the query's entry.
+// raw returns the inner model's estimate for a query, the signature its
+// counters bin to and the kernel's correction ratio (nil when it has
+// none). The power is priced where the calibrated time — raw time
+// times the ratio — is not above headroomMS, and NaN elsewhere unless
+// an earlier call priced it. With a memo, a repeated query takes all
+// of it from the memo, pricing only a power the memo still lacks, and
+// a miss replaces the query's entry.
 //
-//mpclint:hotpath PredictKernel's lookup, pinned with it at 0 allocs/op by TestCalibratedPredictKernelZeroAlloc
-func (c *Calibrated) raw(cs counters.Set, cfg hw.Config) (Estimate, counters.Signature) {
-	var key memoKey
-	var slot *memoEntry
+//mpclint:hotpath PredictKernelWithin's lookup, pinned with it at 0 allocs/op by TestCalibratedPredictKernelZeroAlloc
+func (c *Calibrated) raw(cs *counters.Set, cfg hw.Config, headroomMS float64) (Estimate, counters.Signature, *calibRatio) {
+	var ent *memoEntry
 	if c.memo != nil {
+		var key memoKey
 		key.cfg, key.used = cfg, true
 		for i, v := range cs {
 			key.bits[i] = math.Float64bits(v)
 		}
-		slot = &c.memo[key.slot()]
-		if slot.key == key {
-			return slot.raw, slot.sig
+		ent = &c.memo[key.slot()]
+		if ent.key != key {
+			ent.key = key
+			c.fill(ent, cs, cfg)
+		}
+	} else {
+		var scratch memoEntry
+		ent = &scratch
+		c.fill(ent, cs, cfg)
+	}
+	r := c.ratios[ent.sig]
+	if !ent.priced {
+		t := ent.raw.TimeMS
+		if r != nil {
+			t *= r.time
+		}
+		if !(t > headroomMS) {
+			//mpclint:ignore hotpath-alloc the first read of a query's power: the split inner model is predict.RandomForest, whose PredictPower carries its own hotpath proof
+			ent.raw.GPUPowerW = c.split.PredictPower(*cs, cfg)
+			ent.priced = true
 		}
 	}
-	//mpclint:ignore hotpath-alloc a memo miss, or a run without a memo: the deployed inner model is predict.RandomForest, whose PredictKernel carries its own hotpath proof; other inner models are ablation and reference predictors and test doubles
-	e := c.inner.PredictKernel(cs, cfg)
-	sig := counters.SignatureOf(cs)
-	if slot != nil {
-		*slot = memoEntry{key: key, raw: e, sig: sig}
+	return ent.raw, ent.sig, r
+}
+
+// fill prices a query the memo does not hold into ent: its signature
+// and its time, with the power left NaN and unpriced over a split inner
+// model, and priced with the time over any other.
+//
+//mpclint:hotpath raw's miss path, pinned with it at 0 allocs/op by TestCalibratedPredictKernelZeroAlloc
+func (c *Calibrated) fill(ent *memoEntry, cs *counters.Set, cfg hw.Config) {
+	ent.sig = counters.SignatureOf(*cs)
+	if c.split != nil {
+		//mpclint:ignore hotpath-alloc a memo miss, or a run without a memo: the split inner model is predict.RandomForest, whose PredictTime carries its own hotpath proof
+		ent.raw = Estimate{TimeMS: c.split.PredictTime(*cs, cfg), GPUPowerW: math.NaN()}
+		ent.priced = false
+		return
 	}
-	return e, sig
+	//mpclint:ignore hotpath-alloc a memo miss, or a run without a memo, over an inner model without the split form: ablation and reference predictors, test doubles and the benchmark's traced wrapper
+	ent.raw = c.inner.PredictKernel(*cs, cfg)
+	ent.priced = true
 }
 
 // PredictSpace implements SpaceEvaluator by forwarding to the wrapped
@@ -221,25 +273,30 @@ func (c *Calibrated) applyRatio(cs counters.Set, dst []Estimate) {
 }
 
 // Feedback records the measured outcome of one executed kernel, updates
-// its correction ratio (non-positive measurements or predictions leave
-// it untouched), and returns the calibrated estimate from before the
-// update — raw times old ratio, exactly what PredictKernel returned.
-// Against the measurement, that estimate is the model error the Fig. 6
-// loop absorbs; this is the one place it is computed.
+// its correction ratio, and returns the calibrated estimate from before
+// the update — raw times old ratio, exactly what PredictKernel
+// returned. Against the measurement, that estimate is the model error
+// the Fig. 6 loop absorbs; this is the one place it is computed.
+//
+// The ratio moves only when both measured/raw quotients are finite and
+// positive. A non-positive measurement or prediction leaves it
+// untouched, and so does a non-finite one: a kernel whose counters
+// overflow its work volume (VALUInsts × GlobalWorkSize) is priced at
+// +Inf, and a time ratio of measured/+Inf = 0 would turn every later
+// time of the kernel into NaN, which meets any headroom.
 func (c *Calibrated) Feedback(cs counters.Set, cfg hw.Config, measuredTimeMS, measuredGPUPowerW float64) Estimate {
-	raw, sig := c.raw(cs, cfg)
-	r, ok := c.ratios[sig]
+	raw, sig, r := c.raw(&cs, cfg, math.Inf(1))
 	est := raw
-	if ok {
+	if r != nil {
 		est.TimeMS *= r.time
 		est.GPUPowerW *= r.power
 	}
-	if raw.TimeMS <= 0 || raw.GPUPowerW <= 0 || measuredTimeMS <= 0 || measuredGPUPowerW <= 0 {
-		return est
-	}
 	rt := measuredTimeMS / raw.TimeMS
 	rp := measuredGPUPowerW / raw.GPUPowerW
-	if ok {
+	if !usableRatio(rt) || !usableRatio(rp) {
+		return est
+	}
+	if r != nil {
 		r.time = (1-calibWeight)*r.time + calibWeight*rt
 		r.power = (1-calibWeight)*r.power + calibWeight*rp
 	} else {
@@ -248,5 +305,15 @@ func (c *Calibrated) Feedback(cs counters.Set, cfg hw.Config, measuredTimeMS, me
 	return est
 }
 
+// usableRatio reports whether a measured/raw quotient may enter a
+// correction ratio: finite and positive (NaN fails the comparison).
+func usableRatio(q float64) bool { return q > 0 && q <= math.MaxFloat64 }
+
 // KnownKernels returns the number of signatures with feedback state.
 func (c *Calibrated) KnownKernels() int { return len(c.ratios) }
+
+// Compile-time interface checks for the time-first scalar path.
+var (
+	_ SplitEvaluator   = (*RandomForest)(nil)
+	_ BoundedEvaluator = (*Calibrated)(nil)
+)

@@ -83,6 +83,11 @@ func TestCalibratedRatioIsPerKernel(t *testing.T) {
 	}
 }
 
+// TestCalibratedIgnoresDegenerateFeedback covers feedback that must
+// leave no ratio: non-positive measurements, and a kernel whose work
+// volume overflows, which the forest prices at +Inf. A time ratio of
+// measured/+Inf = 0 would turn the kernel's later times into
+// +Inf × 0 = NaN, which meets every headroom; they must stay +Inf.
 func TestCalibratedIgnoresDegenerateFeedback(t *testing.T) {
 	k := kernel.NewBalanced("b", 1)
 	o := NewOracle()
@@ -96,6 +101,33 @@ func TestCalibratedIgnoresDegenerateFeedback(t *testing.T) {
 	}
 	if c.Name() != "oracle+feedback" {
 		t.Errorf("name = %q", c.Name())
+	}
+
+	m := quickRF(t)
+	var huge counters.Set
+	for i := range huge {
+		huge[i] = 1e308
+	}
+	wide := k.Counters()
+	wide[counters.VALUInsts], wide[counters.GlobalWorkSize] = 1e200, 1e200
+	for _, cs := range []counters.Set{huge, wide} {
+		c := NewCalibrated(m)
+		c.BeginRun(true)
+		if raw := m.PredictKernel(cs, cfg); !math.IsInf(raw.TimeMS, 1) {
+			t.Fatalf("%v: raw time %v, want +Inf", cs, raw.TimeMS)
+		}
+		c.Feedback(cs, cfg, 5, 30)
+		if n := c.KnownKernels(); n != 0 {
+			t.Fatalf("%v: feedback on a +Inf estimate installed %d ratios", cs, n)
+		}
+		if got := c.PredictKernel(cs, hw.DefaultSpace().At(0)); !math.IsInf(got.TimeMS, 1) {
+			t.Fatalf("%v: time after feedback %v, want +Inf", cs, got.TimeMS)
+		}
+	}
+	c = NewCalibrated(m)
+	c.Feedback(k.Counters(), cfg, 5, 30)
+	if c.KnownKernels() != 1 {
+		t.Fatal("feedback on a finite forest estimate installed no ratio")
 	}
 }
 
@@ -371,7 +403,9 @@ func TestCalibratedWithoutMemo(t *testing.T) {
 
 // TestCalibratedPredictKernelZeroAlloc pins the hotpath-annotated
 // PredictKernel at zero allocations on a warm memo with a ratio
-// installed, and on its miss path over the forest.
+// installed, and on its miss path over the forest; and the bounded
+// PredictKernelWithin on a time-only miss, the later read that prices
+// the power, and a hit.
 func TestCalibratedPredictKernelZeroAlloc(t *testing.T) {
 	m := quickRF(t)
 	c := NewCalibrated(m)
@@ -397,5 +431,15 @@ func TestCalibratedPredictKernelZeroAlloc(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Fatalf("memo miss: PredictKernel allocates %v times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		c.BeginRun(true)
+		cfg := space.At(i % space.Size())
+		_ = c.PredictKernelWithin(cs, cfg, math.Inf(-1))
+		_ = c.PredictKernelWithin(cs, cfg, math.Inf(1))
+		_ = c.PredictKernelWithin(cs, cfg, 0)
+		i++
+	}); allocs != 0 {
+		t.Fatalf("PredictKernelWithin allocates %v times per time-only miss, power fill and hit, want 0", allocs)
 	}
 }

@@ -120,14 +120,36 @@ func (m *RandomForest) PredictKernel(cs counters.Set, c hw.Config) Estimate {
 	return estimate(cs, m.timeCompiled.Predict(buf[:]), m.powerCompiled.Predict(buf[:]))
 }
 
+// PredictTime implements SplitEvaluator with the time forest alone:
+// PredictKernel's TimeMS, bit for bit.
+//
+//mpclint:hotpath pinned at 0 allocs/op by TestPredictKernelZeroAlloc
+func (m *RandomForest) PredictTime(cs counters.Set, c hw.Config) float64 {
+	var buf [numRFFeatures]float64
+	featurizeInto(buf[:], cs, c)
+	return timeMS(cs, m.timeCompiled.Predict(buf[:]))
+}
+
+// PredictPower implements SplitEvaluator with the power forest alone:
+// PredictKernel's GPUPowerW, bit for bit.
+//
+//mpclint:hotpath pinned at 0 allocs/op by TestPredictKernelZeroAlloc
+func (m *RandomForest) PredictPower(cs counters.Set, c hw.Config) float64 {
+	var buf [numRFFeatures]float64
+	featurizeInto(buf[:], cs, c)
+	return m.powerCompiled.Predict(buf[:])
+}
+
 // estimate assembles a prediction from the two forests' outputs for a
-// kernel with counters cs: the time forest's log time per instruction
-// scaled back to milliseconds, and the power forest's watts.
+// kernel with counters cs.
 func estimate(cs counters.Set, logTimePerInst, powerW float64) Estimate {
-	return Estimate{
-		TimeMS:    math.Exp(logTimePerInst) * instsOf(cs),
-		GPUPowerW: powerW,
-	}
+	return Estimate{TimeMS: timeMS(cs, logTimePerInst), GPUPowerW: powerW}
+}
+
+// timeMS scales the time forest's log time per instruction back to
+// milliseconds for a kernel with counters cs.
+func timeMS(cs counters.Set, logTimePerInst float64) float64 {
+	return math.Exp(logTimePerInst) * instsOf(cs)
 }
 
 // CompiledForests exposes the compiled forests every prediction runs

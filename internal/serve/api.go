@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/hw"
@@ -58,8 +59,47 @@ func (w ConfigWire) config() hw.Config {
 // EstimateWire is the predictor's estimate for the chosen
 // configuration.
 type EstimateWire struct {
-	TimeMS    float64 `json:"time_ms"`
-	GPUPowerW float64 `json:"gpu_power_w"`
+	TimeMS    Float `json:"time_ms"`
+	GPUPowerW Float `json:"gpu_power_w"`
+}
+
+// finite reports whether both values fit a JSON number (NaN fails the
+// comparison).
+func (e EstimateWire) finite() bool {
+	return math.Abs(float64(e.TimeMS)) <= math.MaxFloat64 && math.Abs(float64(e.GPUPowerW)) <= math.MaxFloat64
+}
+
+// Float is an estimate value on the wire. encoding/json writes a finite
+// one as a JSON number, so a reply whose estimate is finite keeps the
+// bytes it always had. A JSON number cannot hold NaN or ±Inf, which the
+// model can predict — a kernel whose counters overflow its work volume
+// is priced at +Inf — so a reply whose estimate holds one writes both
+// values as strings strconv.FormatFloat makes ("+Inf", "NaN", "41.25";
+// DESIGN §11). UnmarshalJSON reads either form.
+type Float float64
+
+// UnmarshalJSON implements json.Unmarshaler: a JSON number, or a string
+// strconv.ParseFloat reads. A null leaves f as it is, as it leaves a
+// float64.
+func (f *Float) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	if n := len(b); n >= 2 && b[0] == '"' && b[n-1] == '"' {
+		b = b[1 : n-1]
+	}
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return fmt.Errorf("estimate value %s: %w", b, err)
+	}
+	*f = Float(v)
+	return nil
+}
+
+// estimateText is EstimateWire with both values as strings.
+type estimateText struct {
+	TimeMS    string `json:"time_ms"`
+	GPUPowerW string `json:"gpu_power_w"`
 }
 
 // DecideRequest asks for the configuration decision of kernel
@@ -85,7 +125,7 @@ type DecideResponse struct {
 func toDecideResponse(d sim.Decision, gen uint64) DecideResponse {
 	return DecideResponse{
 		Config:      toConfigWire(d.Config),
-		Est:         EstimateWire{TimeMS: d.PredTimeMS, GPUPowerW: d.PredGPUPowerW},
+		Est:         EstimateWire{TimeMS: Float(d.PredTimeMS), GPUPowerW: Float(d.PredGPUPowerW)},
 		Evals:       d.Evals,
 		SearchIters: d.SearchIters,
 		Horizon:     d.Horizon,
@@ -101,9 +141,23 @@ func (r DecideResponse) decision() sim.Decision {
 		SearchIters:   r.SearchIters,
 		Horizon:       r.Horizon,
 		Fallback:      r.Fallback,
-		PredTimeMS:    r.Est.TimeMS,
-		PredGPUPowerW: r.Est.GPUPowerW,
+		PredTimeMS:    float64(r.Est.TimeMS),
+		PredGPUPowerW: float64(r.Est.GPUPowerW),
 	}
+}
+
+// wire returns r as it goes on the wire: r itself when its estimate is
+// finite, and otherwise r with the estimate's values as strings (see
+// Float), which its Est field shadows.
+func (r DecideResponse) wire() any {
+	if r.Est.finite() {
+		return r
+	}
+	text := func(v Float) string { return strconv.FormatFloat(float64(v), 'g', -1, 64) }
+	return struct {
+		DecideResponse
+		Est estimateText `json:"est"`
+	}{r, estimateText{TimeMS: text(r.Est.TimeMS), GPUPowerW: text(r.Est.GPUPowerW)}}
 }
 
 // ObservationWire is sim.Observation on the wire — the measured outcome

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
 
 	"mpcdvfs"
+	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/hw"
 	"mpcdvfs/internal/metrics"
 	"mpcdvfs/internal/serve"
@@ -33,12 +35,19 @@ func openSession(t testing.TB, base string, app *mpcdvfs.App, target mpcdvfs.Tar
 	return resp.SessionID
 }
 
-// mustDecide asks the session for decision index and requires a 200.
-func mustDecide(t testing.TB, base, id string, index int) {
+// mustDecide asks the session for decision index and requires a 200
+// whose body decodes to a decision.
+func mustDecide(t testing.TB, base, id string, index int) serve.DecideResponse {
 	t.Helper()
-	if code, _, body := post(t, base, "/v1/decide", serve.DecideRequest{SessionID: id, Index: index}); code != http.StatusOK {
+	code, _, body := post(t, base, "/v1/decide", serve.DecideRequest{SessionID: id, Index: index})
+	if code != http.StatusOK {
 		t.Fatalf("decide %d on session %s: %d %s", index, id, code, body)
 	}
+	var d serve.DecideResponse
+	if err := json.Unmarshal(body, &d); err != nil {
+		t.Fatalf("decide %d on session %s: reply %q does not decode: %v", index, id, body, err)
+	}
+	return d
 }
 
 // validObservation is a well-formed measurement of kernel 0 of app at
@@ -134,6 +143,49 @@ func TestObserveRejectsInvalid(t *testing.T) {
 		}
 	}
 	mustDecide(t, ts.URL, id, 3)
+}
+
+// TestOverflowingObservationDecidesFailSafe posts, through the real mux
+// over the committed forest, observations whose VALUInsts ×
+// GlobalWorkSize overflows — every counter at 1e308, or just those two
+// at 1e200 — so the forest prices the kernel at +Inf. Calibration must
+// not turn that into a ratio of 0 and NaN times, which meet every
+// headroom: the next decide is a 200 whose body decodes to the
+// fail-safe configuration with the +Inf time, and the session keeps
+// serving.
+func TestOverflowingObservationDecidesFailSafe(t *testing.T) {
+	sys, app, target, _ := testStack(t)
+	_, ts := newTestServer(t, sys, loadGoldenModel(t), serve.Config{})
+	fs := hw.DefaultSpace().Clamp(hw.FailSafe())
+	for _, tc := range []struct {
+		name string
+		edit func([]float64)
+	}{
+		{"every counter 1e308", func(cs []float64) {
+			for i := range cs {
+				cs[i] = 1e308
+			}
+		}},
+		{"work volume 1e200 × 1e200", func(cs []float64) {
+			cs[counters.VALUInsts], cs[counters.GlobalWorkSize] = 1e200, 1e200
+		}},
+	} {
+		id := openSession(t, ts.URL, app, target)
+		mustDecide(t, ts.URL, id, 0)
+		o := validObservation(app)
+		tc.edit(o.Counters)
+		if code, _, body := post(t, ts.URL, "/v1/observe", serve.ObserveRequest{SessionID: id, Observation: o}); code != http.StatusOK {
+			t.Fatalf("%s: observe: %d %s", tc.name, code, body)
+		}
+		d := mustDecide(t, ts.URL, id, 1)
+		if got := d.Config; got != (serve.ConfigWire{CPU: int8(fs.CPU), NB: int8(fs.NB), GPU: int8(fs.GPU), CUs: fs.CUs}) {
+			t.Fatalf("%s: decided %+v, want the fail-safe %v", tc.name, got, fs)
+		}
+		if tm := float64(d.Est.TimeMS); !math.IsInf(tm, 1) {
+			t.Fatalf("%s: decided time %v, want +Inf", tc.name, tm)
+		}
+		mustDecide(t, ts.URL, id, 2)
+	}
 }
 
 // FuzzObserveHandler posts fuzzer-built observation bodies to a live

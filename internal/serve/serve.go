@@ -229,14 +229,26 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON encodes v with the given status. Encode errors mean the
-// client went away mid-response; nothing useful remains to be done with
-// the connection, so they are dropped deliberately.
+// writeJSON encodes v and writes it with the given status. It encodes
+// before it writes the status, so a value encoding/json refuses gets a
+// 500 with an error body, not the status meant for v over an empty one.
+// Write errors mean the client went away mid-response; nothing useful
+// remains to be done with the connection, so they are dropped
+// deliberately.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = json.Marshal(ErrorResponse{Error: "encode reply: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(b)
+	_, _ = w.Write(newline)
 }
+
+// newline ends every JSON reply, as json.Encoder ends what it encodes.
+var newline = []byte{'\n'}
 
 func (s *Server) count(endpoint string, status int) {
 	if m := s.m.Load(); m != nil {
@@ -417,7 +429,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		m.latency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	}
 	s.count("decide", http.StatusOK)
-	writeJSON(w, http.StatusOK, toDecideResponse(d, sess.snap.Gen))
+	writeJSON(w, http.StatusOK, toDecideResponse(d, sess.snap.Gen).wire())
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
