@@ -76,7 +76,7 @@ func BenchmarkParExhaustiveSerial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := core.NewOptimizer(m, hw.DefaultSpace())
+	opt := core.NewOptimizer(predict.NewCalibrated(m), hw.DefaultSpace())
 	cs := kernel.NewBalanced("bench", 1).Counters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

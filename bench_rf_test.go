@@ -158,7 +158,7 @@ func benchRFExhaustiveSweep(b *testing.B, compiled bool) {
 
 func benchRFExhaustiveSweepAt(b *testing.B, m predict.Model, headroomMS float64) {
 	cs := kernel.NewBalanced("bench", 1).Counters()
-	opt := core.NewOptimizer(m, hw.DefaultSpace())
+	opt := core.NewOptimizer(predict.NewCalibrated(m), hw.DefaultSpace())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

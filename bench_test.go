@@ -96,7 +96,7 @@ func BenchmarkHillClimb(b *testing.B) {
 	k := kernel.NewBalanced("bench", 1)
 	o := predict.NewOracle()
 	o.Register(k)
-	opt := core.NewOptimizer(o, hw.DefaultSpace())
+	opt := core.NewOptimizer(predict.NewCalibrated(o), hw.DefaultSpace())
 	cs := k.Counters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

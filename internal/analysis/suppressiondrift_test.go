@@ -22,14 +22,13 @@ func TestNoSuppressionDrift(t *testing.T) {
 		// rf.go grows trees with bit-exact split decisions; its three
 		// float-eq suppressions are the byte-identical-forest guarantee.
 		filepath.Join("internal", "rf", "rf.go"): 3,
-		// hotpath-alloc: evalWithin's two model calls (in a policy, the
-		// deployed Calibrated's bounded call, proven on its own; else a
-		// model without the bounded form); OptimizeWindow's empty-window
-		// model call and exhaustive-ablation sweep, both off the
-		// steady-state path; and the window and slot scratch appends,
-		// capacity-bounded by the longest window.
+		// hotpath-alloc: OptimizeWindow's exhaustive-ablation sweep,
+		// off the steady-state path, and the window and slot scratch
+		// appends, capacity-bounded by the longest window. The search
+		// prices through predict.Calibrated's hotpath-proven methods
+		// and needs none for them.
 		// TestMPCSteadyStateRunZeroAlloc pins the window path.
-		filepath.Join("internal", "core", "climb.go"): 6,
+		filepath.Join("internal", "core", "climb.go"): 3,
 		// hotpath-alloc: decideMPC's horizon-change observer call, its
 		// window append within the capacity Begin reserves, and the
 		// pattern-divergence PPK fallback. The once-per-run deficit

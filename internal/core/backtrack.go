@@ -48,7 +48,7 @@ func (o *Optimizer) BruteForceWindow(win []WindowKernel, tr *Tracker) BruteForce
 	}
 
 	// Price every kernel/config pair once.
-	cfgs := o.Space.Configs()
+	cfgs := o.space.Configs()
 	times := make([][]float64, len(ordered))
 	energies := make([][]float64, len(ordered))
 	evals := 0

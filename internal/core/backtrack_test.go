@@ -42,7 +42,7 @@ func TestBruteForceFindsFeasibleOptimum(t *testing.T) {
 		kernel.NewComputeBound("a", 1),
 		kernel.NewMemoryBound("b", 1),
 	)
-	opt := NewOptimizer(o, space)
+	opt := NewOptimizer(predict.NewCalibrated(o), space)
 	// Loose budget: the optimum is each kernel's unconstrained minimum.
 	res := opt.BruteForceWindow(win, NewTracker(0))
 	if !res.Feasible {
@@ -76,7 +76,7 @@ func TestBruteForceRespectsBudget(t *testing.T) {
 	a := kernel.NewComputeBound("a", 1)
 	b := kernel.NewMemoryBound("b", 1)
 	win, o := windowOf(a, b)
-	opt := NewOptimizer(o, space)
+	opt := NewOptimizer(predict.NewCalibrated(o), space)
 
 	// Budget = exactly the fastest achievable times: only the fastest
 	// plan fits.
@@ -118,7 +118,7 @@ func TestBruteForceRespectsBudget(t *testing.T) {
 func TestBruteForceEmptyWindow(t *testing.T) {
 	o := predict.NewOracle()
 	o.Register(kernel.NewBalanced("b", 1))
-	opt := NewOptimizer(o, tinySpace())
+	opt := NewOptimizer(predict.NewCalibrated(o), tinySpace())
 	res := opt.BruteForceWindow(nil, NewTracker(1))
 	if res.Feasible || res.Evals != 0 {
 		t.Errorf("empty window: %+v", res)
@@ -134,7 +134,7 @@ func TestGreedyNearBruteForce(t *testing.T) {
 		kernel.NewUnscalable("b", 1),
 		kernel.NewMemoryBound("c", 1),
 	)
-	opt := NewOptimizer(o, space)
+	opt := NewOptimizer(predict.NewCalibrated(o), space)
 	// A moderate budget: 15% slack over the fastest plan.
 	sumFast := 0.0
 	for _, w := range win {

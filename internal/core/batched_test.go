@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -85,9 +86,9 @@ func TestExhaustiveBatchedMatchesSerial(t *testing.T) {
 		// fail-safe's own predicted time), and impossible.
 		fsTime := m.PredictKernel(cs, space.Clamp(hw.FailSafe())).TimeMS
 		for _, head := range []float64{math.Inf(1), fsTime * 1.05, fsTime * 0.5, -1} {
-			batched := NewOptimizer(m, space).ExhaustiveSearch(cs, head)
+			batched := NewOptimizer(predict.NewCalibrated(m), space).ExhaustiveSearch(cs, head)
 			for _, serial := range []predict.Model{scalarOnly{m}, walk} {
-				want := NewOptimizer(serial, space).ExhaustiveSearch(cs, head)
+				want := NewOptimizer(predict.NewCalibrated(serial), space).ExhaustiveSearch(cs, head)
 				sameClimbResult(t, k.Name(), batched, want)
 				if want.Evals < space.Size() {
 					t.Fatalf("%s: serial sweep reports %d evals, want >= %d", k.Name(), want.Evals, space.Size())
@@ -97,24 +98,44 @@ func TestExhaustiveBatchedMatchesSerial(t *testing.T) {
 	}
 }
 
-// unboundedOnly gives the optimizer a model's unbounded traced sweep as
-// its bounded one, pricing every row as the sweep did before it was
-// bounded (the bounded contract allows it).
-type unboundedOnly struct{ predict.Model }
+// tracedOnly has the shape of the benchmark's model wrapper: it
+// forwards a forest's scalar call and its unbounded sweeps, and has
+// neither the bounded sweep nor the split form, so a Calibrated over it
+// fills every sweep from the traced one and prices both forests on
+// every scalar query.
+type tracedOnly struct{ m *predict.RandomForest }
 
-func (u unboundedOnly) PredictSpaceWithin(cs counters.Set, space hw.Space, dst []predict.Estimate, _ predict.SweepBound, tc *telemetry.Context) bool {
-	return u.Model.(predict.TracedSpaceEvaluator).PredictSpaceTraced(cs, space, dst, tc)
+func (w tracedOnly) Name() string { return w.m.Name() }
+func (w tracedOnly) PredictKernel(cs counters.Set, c hw.Config) predict.Estimate {
+	return w.m.PredictKernel(cs, c)
+}
+func (w tracedOnly) PredictSpace(cs counters.Set, space hw.Space, dst []predict.Estimate) bool {
+	return w.m.PredictSpace(cs, space, dst)
+}
+func (w tracedOnly) PredictSpaceTraced(cs counters.Set, space hw.Space, dst []predict.Estimate, tc *telemetry.Context) bool {
+	return w.m.PredictSpaceTraced(cs, space, dst, tc)
 }
 
-// TestExhaustiveBoundedMatchesScalarAndUnbounded is the bounded
-// sweep's decision property: over random kernels and a kernel with
-// every counter at 1e308 (its times are +Inf, and NaN once a ratio of 0
-// multiplies them), at headrooms 0, ±Inf, NaN, a PPK headroom just
-// above the fail-safe's time and the median time, bare and through a
-// Calibrated with a ratio installed, the sweep that prices power only
-// on the feasible product returns the Config, the Est bits, Evals and
-// Feasible of the per-configuration scalar fill and of the unbounded
-// sweep.
+// declinesBounded has a bounded sweep that declines every call and no
+// other sweep, so a Calibrated over it fills every sweep per
+// configuration.
+type declinesBounded struct{ predict.Model }
+
+func (declinesBounded) PredictSpaceWithin(counters.Set, hw.Space, []predict.Estimate, predict.SweepBound, *telemetry.Context) bool {
+	return false
+}
+
+// TestExhaustiveBoundedMatchesScalarAndUnbounded is the one fill's
+// decision property. Over random kernels and a kernel with every
+// counter at 1e308 (its times are +Inf, from which Feedback installs
+// no ratio), at headrooms 0, ±Inf, NaN, a PPK headroom just above the
+// fail-safe's time and the median time, with and without a ratio
+// installed, optimizers over a Calibrated whose inner model is the
+// forest (its bounded sweep prices power only on the feasible
+// product), a traced-only wrapper (its unbounded sweep prices every
+// row), a scalar-only model or a bounded sweep that declines (both
+// filled per configuration) return the same Config, Est bits, Evals
+// and Feasible.
 func TestExhaustiveBoundedMatchesScalarAndUnbounded(t *testing.T) {
 	m := batchedModel(t)
 	space := hw.DefaultSpace()
@@ -129,17 +150,10 @@ func TestExhaustiveBoundedMatchesScalarAndUnbounded(t *testing.T) {
 		huge[i] = 1e308
 	}
 	sets = append(sets, huge)
+	inners := []predict.Model{m, tracedOnly{m}, scalarOnly{m}, declinesBounded{m}}
 	est := make([]predict.Estimate, space.Size())
 	for i, cs := range sets {
 		fsEst := m.PredictKernel(cs, fs)
-		// calibrated returns the policy stack over inner with a ratio
-		// for cs's signature: for the 1e308 kernel a finite measured
-		// time over an infinite prediction makes the time ratio 0.
-		calibrated := func(inner predict.Model) *predict.Calibrated {
-			cal := predict.NewCalibrated(inner)
-			cal.Feedback(cs, fs, math.Min(fsEst.TimeMS*0.8, 1e6)+rng.Float64(), fsEst.GPUPowerW*1.15)
-			return cal
-		}
 		m.PredictSpace(cs, space, est)
 		times := make([]float64, len(est))
 		for r := range est {
@@ -147,25 +161,27 @@ func TestExhaustiveBoundedMatchesScalarAndUnbounded(t *testing.T) {
 		}
 		slices.Sort(times)
 		heads := []float64{0, fsEst.TimeMS * 1.05, times[len(times)/2], math.Inf(1), math.Inf(-1), math.NaN()}
+		measTimeMS, measPowerW := math.Min(fsEst.TimeMS*0.8, 1e6)+rng.Float64(), fsEst.GPUPowerW*1.15
 		for _, ratio := range []bool{false, true} {
-			seed := rng.Int63()
-			stack := func(inner predict.Model) predict.Model {
-				rng.Seed(seed) // the same feedback for every stack
-				if !ratio {
-					return inner
+			opts := make([]*Optimizer, len(inners))
+			for j, inner := range inners {
+				cal := predict.NewCalibrated(inner)
+				if ratio {
+					cal.Feedback(cs, fs, measTimeMS, measPowerW)
+					if cs != huge && cal.KnownKernels() != 1 {
+						t.Fatalf("set %d: feedback installed no ratio", i)
+					}
 				}
-				return calibrated(inner)
+				opts[j] = NewOptimizer(cal, space)
 			}
-			bounded := NewOptimizer(stack(m), space)
-			unbounded := NewOptimizer(unboundedOnly{stack(m)}, space)
-			scalar := NewOptimizer(scalarOnly{stack(m)}, space)
 			for _, head := range heads {
-				label := fmt.Sprintf("set %d ratio=%v headroom %v", i, ratio, head)
-				got := bounded.ExhaustiveSearch(cs, head)
-				sameClimbResult(t, label+" vs unbounded", got, unbounded.ExhaustiveSearch(cs, head))
-				sameClimbResult(t, label+" vs scalar", got, scalar.ExhaustiveSearch(cs, head))
-				if got.Evals != space.Size() {
-					t.Fatalf("%s: %d evals, want %d", label, got.Evals, space.Size())
+				want := opts[0].ExhaustiveSearch(cs, head)
+				if want.Evals != space.Size() {
+					t.Fatalf("set %d ratio=%v headroom %v: %d evals, want %d", i, ratio, head, want.Evals, space.Size())
+				}
+				for j, o := range opts[1:] {
+					label := fmt.Sprintf("set %d ratio=%v headroom %v over %T", i, ratio, head, inners[j+1])
+					sameClimbResult(t, label, o.ExhaustiveSearch(cs, head), want)
 				}
 			}
 		}
@@ -204,7 +220,7 @@ func TestExhaustiveBatchedCacheSemantics(t *testing.T) {
 	cs := kernel.NewComputeBound("cb", 1).Counters()
 
 	run := func(model predict.Model) (evalCache, climbResult) {
-		o := NewOptimizer(model, space)
+		o := NewOptimizer(predict.NewCalibrated(model), space)
 		cache := evalCache{o: o, cs: cs}
 		cache.eval(o.failSafe) // pre-seed, as OptimizeWindow does
 		res := o.exhaustive(&cache, math.Inf(1))
@@ -227,30 +243,15 @@ func TestExhaustiveBatchedCacheSemantics(t *testing.T) {
 	}
 }
 
-// TestExhaustiveBatchedDeclinesScalarModels checks the fallback: a
-// model without a batched path (the oracle) fills the sweep through the
-// scalar path.
-func TestExhaustiveBatchedDeclinesScalarModels(t *testing.T) {
-	k := kernel.NewBalanced("b", 1)
-	o := NewOptimizer(oracleFor(k), hw.DefaultSpace())
-	if o.fillBatched(k.Counters(), math.Inf(1)) {
-		t.Fatal("batched fill accepted a model with no BoundedSpaceEvaluator")
-	}
-	res := o.ExhaustiveSearch(k.Counters(), math.Inf(1))
-	if !res.Feasible || res.Evals != o.Space.Size() {
-		t.Fatalf("scalar fallback broken: %+v", res)
-	}
-}
-
 // TestEvalCacheHitZeroAlloc pins eval at zero allocations over a model
 // that allocates nothing, on a first visit and on a revisit: marking a
 // configuration priced sets a bit in the record's fixed-size set.
 func TestEvalCacheHitZeroAlloc(t *testing.T) {
-	o := NewOptimizer(constModel{est: predict.Estimate{TimeMS: 1, GPUPowerW: 10}}, hw.DefaultSpace())
+	o := NewOptimizer(predict.NewCalibrated(constModel{est: predict.Estimate{TimeMS: 1, GPUPowerW: 10}}), hw.DefaultSpace())
 	i := 0
 	if allocs := testing.AllocsPerRun(200, func() {
 		cache := evalCache{o: o}
-		cfg := o.Space.At(i % o.Space.Size())
+		cfg := o.space.At(i % o.space.Size())
 		cache.eval(cfg)
 		cache.eval(cfg)
 		i++
@@ -281,9 +282,54 @@ func TestConfigBitIsFullSpaceIndex(t *testing.T) {
 func TestExhaustiveBatchedSweepZeroAllocSteadyState(t *testing.T) {
 	m := batchedModel(t)
 	cs := kernel.NewPeak("pk", 1).Counters()
-	o := NewOptimizer(m, hw.DefaultSpace())
+	o := NewOptimizer(predict.NewCalibrated(m), hw.DefaultSpace())
 	o.ExhaustiveSearch(cs, math.Inf(1)) // warm up the sweep buffers and plan
 	if allocs := testing.AllocsPerRun(20, func() { o.ExhaustiveSearch(cs, math.Inf(1)) }); allocs != 0 {
 		t.Fatalf("warm batched exhaustive allocates %v times per sweep, want 0", allocs)
+	}
+}
+
+// TestExhaustiveSweepSpans pins a traced sweep's spans under the search
+// span: filled per configuration, one forest-eval span, not an
+// aggregate of one phase per configuration; through the forest's
+// bounded sweep, its one featurize and one forest-eval span.
+func TestExhaustiveSweepSpans(t *testing.T) {
+	m := batchedModel(t)
+	cs := kernel.NewComputeBound("cb", 1).Counters()
+	for _, tc := range []struct {
+		inner predict.Model
+		want  map[string]int
+	}{
+		{scalarOnly{m}, map[string]int{telemetry.SpanForestEval: 1}},
+		{m, map[string]int{telemetry.SpanFeaturize: 1, telemetry.SpanForestEval: 1}},
+	} {
+		tr := telemetry.NewTracer(64, 1)
+		o := NewOptimizer(predict.NewCalibrated(tc.inner), hw.DefaultSpace())
+		o.Trace = tr.NewContext("s")
+		root := o.Trace.StartRoot(telemetry.SpanDecide, 0)
+		search := o.Trace.Start(telemetry.SpanSearch)
+		o.ExhaustiveSearch(cs, math.Inf(1))
+		search.End()
+		root.End()
+		recs := tr.Snapshot(nil)
+		var searchID uint64
+		for _, r := range recs {
+			if r.Name == telemetry.SpanSearch {
+				searchID = r.SpanID
+			}
+		}
+		got := map[string]int{}
+		for _, r := range recs {
+			if r.Name == telemetry.SpanDecide || r.Name == telemetry.SpanSearch {
+				continue
+			}
+			if r.Agg || r.ParentID != searchID {
+				t.Fatalf("%T: span %+v, want a non-aggregate child of the search span", tc.inner, r)
+			}
+			got[r.Name]++
+		}
+		if !maps.Equal(got, tc.want) {
+			t.Fatalf("%T: sweep spans %v, want %v", tc.inner, got, tc.want)
+		}
 	}
 }

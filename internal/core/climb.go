@@ -14,28 +14,26 @@ import (
 // §IV-A1a over one kernel, and the windowed MPC optimization over a
 // horizon of kernels.
 type Optimizer struct {
-	// Model is the predictor the search prices configurations with.
-	// NewOptimizer resolves its bounded form once, so replace it only by
-	// building a new Optimizer.
-	Model predict.Model
-	Space hw.Space
 	// UseExhaustive replaces the greedy hill climb with a full O(M)
 	// sweep per kernel — the search-cost ablation. The result quality
 	// bound improves; the evaluation count explodes by the |S|/Σ|knob|
 	// factor the paper quotes as ~19×.
 	UseExhaustive bool
 	// Trace, when non-nil, receives the search's span decomposition:
-	// batched sweeps emit featurize/forest-eval child spans, scalar
-	// predictor calls accumulate into a forest-eval aggregate. Tracing
-	// is read-only with respect to decisions — every search returns the
-	// same bytes with Trace nil, unsampled, or active (pinned by the
-	// traced-replay golden test).
+	// batched sweeps emit featurize/forest-eval child spans, a sweep
+	// filled per configuration one forest-eval span, and the climb's
+	// scalar predictor calls accumulate into a forest-eval aggregate.
+	// Tracing is read-only with respect to decisions — every search
+	// returns the same bytes with Trace nil, unsampled, or active
+	// (pinned by the traced-replay golden test).
 	Trace *telemetry.Context
-	// failSafe is the guard configuration, clamped into Space.
+	// c is the calibrated predictor the search prices every
+	// configuration through, space the configuration space it walks and
+	// failSafe the guard configuration, clamped into space. All three
+	// are fixed at construction.
+	c        *predict.Calibrated
+	space    hw.Space
 	failSafe hw.Config
-	// bounded is Model's bounded scalar form, nil when it has none; the
-	// scalar search then prices every power (see evalCache.evalWithin).
-	bounded predict.BoundedEvaluator
 
 	// Exhaustive-sweep arena, built lazily on the first sweep: the
 	// space's configurations in At order, the fail-safe's index among
@@ -43,7 +41,6 @@ type Optimizer struct {
 	// sweeps allocate nothing. Optimizer methods are not safe for
 	// concurrent use: the arena and the window scratch below are shared
 	// state.
-	sweepSpace    hw.Space
 	sweepCfgs     []hw.Config
 	sweepFailSafe int
 	sweepEsts     []predict.Estimate
@@ -63,10 +60,10 @@ type windowSlot struct {
 	deficit float64
 }
 
-// NewOptimizer returns an optimizer over the given model and space.
-func NewOptimizer(m predict.Model, space hw.Space) *Optimizer {
-	bounded, _ := m.(predict.BoundedEvaluator)
-	return &Optimizer{Model: m, Space: space, failSafe: space.Clamp(hw.FailSafe()), bounded: bounded}
+// NewOptimizer returns an optimizer that searches space, pricing
+// configurations through c.
+func NewOptimizer(c *predict.Calibrated, space hw.Space) *Optimizer {
+	return &Optimizer{c: c, space: space, failSafe: space.Clamp(hw.FailSafe())}
 }
 
 // FailSafe returns the fail-safe configuration used on constraint
@@ -87,7 +84,7 @@ type climbResult struct {
 // overhead model charges one model evaluation per distinct
 // configuration, as a runtime that cached its estimates would pay,
 // whether the search read the configuration's power or only its time.
-// The record keeps no estimates: every call asks the model, and a
+// The record keeps no estimates: every call asks the predictor, and a
 // steady-state MPC's run-scoped memo (predict.Calibrated.BeginRun)
 // answers a revisit.
 type evalCache struct {
@@ -116,46 +113,37 @@ func (c *evalCache) mark(cfg hw.Config) {
 	}
 }
 
-// Headrooms for evalWithin: every time is within +Inf, so the model
-// prices every power, and no time but NaN or −Inf is within −Inf.
+// Headrooms for evalWithin: every time is within +Inf, so the
+// predictor prices every power, and no time but NaN or −Inf is within
+// −Inf.
 var (
 	everyTime = math.Inf(1)
 	noTime    = math.Inf(-1)
 )
 
-// eval marks cfg as priced and returns the model's full estimate and
-// energy for it.
+// eval marks cfg as priced and returns its full estimate and energy.
 func (c *evalCache) eval(cfg hw.Config) (predict.Estimate, float64) {
 	return c.evalWithin(cfg, everyTime)
 }
 
-// evalTime marks cfg as priced and returns the model's estimate for a
-// caller that reads only its time: the power, and so the energy, may
-// be NaN.
+// evalTime marks cfg as priced and returns its estimate for a caller
+// that reads only its time: the power, and so the energy, may be NaN.
 func (c *evalCache) evalTime(cfg hw.Config) predict.Estimate {
 	est, _ := c.evalWithin(cfg, noTime)
 	return est
 }
 
-// evalWithin marks cfg as priced and returns the model's estimate and
-// energy for it, for a caller that reads the energy only where the
-// time is not above headroomMS: over a bounded model (predict.
-// BoundedEvaluator) the power, and so the energy, may be NaN elsewhere.
-// Any other model prices both. Over a model that does not allocate, it
-// allocates nothing.
+// evalWithin marks cfg as priced and returns its calibrated estimate
+// and energy (predict.Calibrated.PredictKernelWithin), for a caller
+// that reads the energy only where the time is not above headroomMS:
+// elsewhere the power, and so the energy, may be NaN. Over an inner
+// model that does not allocate, it allocates nothing.
 //
 //mpclint:hotpath pinned at 0 allocs/op over a non-allocating model by TestEvalCacheHitZeroAlloc
 func (c *evalCache) evalWithin(cfg hw.Config, headroomMS float64) (predict.Estimate, float64) {
 	c.mark(cfg)
 	t0 := c.o.Trace.StartPhase()
-	var est predict.Estimate
-	if c.o.bounded != nil {
-		//mpclint:ignore hotpath-alloc in a policy the bounded model is *predict.Calibrated (NewMPC and NewPPK wrap theirs), whose PredictKernelWithin carries its own hotpath proof; other implementations are test doubles
-		est = c.o.bounded.PredictKernelWithin(c.cs, cfg, headroomMS)
-	} else {
-		//mpclint:ignore hotpath-alloc a model without the bounded form: test doubles, reference predictors and the backtracking experiment's bare oracle; a policy's Calibrated takes the branch above
-		est = c.o.Model.PredictKernel(c.cs, cfg)
-	}
+	est := c.o.c.PredictKernelWithin(c.cs, cfg, headroomMS)
 	c.o.Trace.EndPhase(telemetry.SpanForestEval, t0)
 	return est, predict.EnergyMJ(est, cfg)
 }
@@ -193,11 +181,11 @@ func (o *Optimizer) HillClimb(cs counters.Set, headroomMS float64) climbResult {
 // (the same feedback principle as §IV-A1b).
 //
 // The search reads a configuration's energy only where its time meets
-// the headroom, so it asks the model for the power only there
-// (evalWithin); fastestNeighbor reads times alone. Every result carries
-// a full estimate but one: a speculative search that misses the
-// headroom hands on the fail-safe's time alone, since OptimizeWindow
-// reads nothing else of it, and its power may be NaN.
+// the headroom, so it asks for the power only there (evalWithin);
+// fastestNeighbor reads times alone. Every result carries a full
+// estimate but one: a speculative search that misses the headroom
+// hands on the fail-safe's time alone, since OptimizeWindow reads
+// nothing else of it, and its power may be NaN.
 func (o *Optimizer) hillClimb(cache *evalCache, headroomMS float64, recover bool, refTimeMS float64) climbResult {
 	cur := o.failSafe
 	curEst, curE := cache.evalWithin(cur, headroomMS)
@@ -228,7 +216,7 @@ func (o *Optimizer) hillClimb(cache *evalCache, headroomMS float64, recover bool
 	for _, k := range hw.Knobs() {
 		best := knobSens{knob: k}
 		for _, dir := range [2]int{+1, -1} {
-			nb, ok := o.Space.Step(cur, k, dir)
+			nb, ok := o.space.Step(cur, k, dir)
 			if !ok {
 				continue
 			}
@@ -247,7 +235,7 @@ func (o *Optimizer) hillClimb(cache *evalCache, headroomMS float64, recover bool
 
 	for _, ks := range order[:n] {
 		for {
-			nb, ok := o.Space.Step(cur, ks.knob, ks.dir)
+			nb, ok := o.space.Step(cur, ks.knob, ks.dir)
 			if !ok {
 				break
 			}
@@ -272,31 +260,23 @@ func (o *Optimizer) ExhaustiveSearch(cs counters.Set, headroomMS float64) climbR
 	return o.exhaustive(&cache, headroomMS)
 }
 
-// exhaustive is the one O(M) sweep. It fills the At-order estimate
-// slice in one of two ways, which give the reduce identical bytes:
-// through the model's bounded sweep when it has one and accepts the
-// call, else per configuration through eval. The bounded sweep prices
-// every configuration's time but the power only where the reduce reads
-// it: on the configurations that meet the headroom, or on the fail-safe
-// when none does (predict.BoundedSpaceEvaluator). One At-order reduce
-// then marks every configuration priced and picks the argmin: strictly
-// smaller energy wins, so ties keep the lower Space.At index. A
-// configuration the decision already priced (e.g. the fail-safe
-// OptimizeWindow seeds) is not counted again, so Evals comes out the
-// same under either fill. When no configuration meets the headroom, the
-// result is the fail-safe with Feasible=false.
+// exhaustive is the one O(M) sweep. One call to the predictor fills
+// the At-order estimate slice (predict.Calibrated.PredictSpaceWithin):
+// every configuration's time, and the power wherever the reduce reads
+// it, on the configurations that meet the headroom, or on the fail-safe
+// when none does. One At-order reduce then marks every configuration
+// priced and picks the argmin: strictly smaller energy wins, so ties
+// keep the lower Space.At index. A configuration the decision already
+// priced (e.g. the fail-safe OptimizeWindow seeds) is not counted
+// again, so Evals is the space size. When no configuration meets the
+// headroom, the result is the fail-safe with Feasible=false.
 func (o *Optimizer) exhaustive(cache *evalCache, headroomMS float64) climbResult {
-	if o.sweepCfgs == nil || !o.sweepSpace.Equal(o.Space) {
-		o.sweepSpace = o.Space
-		o.sweepCfgs = o.Space.Configs()
-		o.sweepFailSafe = o.Space.Index(o.failSafe)
+	if o.sweepCfgs == nil {
+		o.sweepCfgs = o.space.Configs()
+		o.sweepFailSafe = o.space.Index(o.failSafe)
 		o.sweepEsts = make([]predict.Estimate, len(o.sweepCfgs))
 	}
-	if !o.fillBatched(cache.cs, headroomMS) {
-		for i, c := range o.sweepCfgs {
-			o.sweepEsts[i], _ = cache.eval(c)
-		}
-	}
+	o.c.PredictSpaceWithin(cache.cs, o.space, o.sweepEsts, headroomMS, o.sweepFailSafe, o.Trace)
 	best := climbResult{Config: o.failSafe, Feasible: false}
 	bestE := 0.0
 	for i, c := range o.sweepCfgs {
@@ -317,16 +297,6 @@ func (o *Optimizer) exhaustive(cache *evalCache, headroomMS float64) climbResult
 	return best
 }
 
-// fillBatched fills the sweep's estimate slice with one call to the
-// model's bounded sweep, whose featurize and forest-eval time lands in
-// the active trace. It reports false, with the slice untouched, when
-// the model has no bounded sweep or declines the call.
-func (o *Optimizer) fillBatched(cs counters.Set, headroomMS float64) bool {
-	bse, ok := o.Model.(predict.BoundedSpaceEvaluator)
-	return ok && bse.PredictSpaceWithin(cs, o.Space, o.sweepEsts,
-		predict.SweepBound{HeadroomMS: headroomMS, FailSafe: o.sweepFailSafe}, o.Trace)
-}
-
 // fastestNeighbor returns the single-knob neighbour of cur with the
 // smallest predicted time, provided it improves on curTime and stays at
 // or above the trust floor, with its full estimate and energy. It reads
@@ -337,7 +307,7 @@ func (o *Optimizer) fastestNeighbor(cache *evalCache, cur hw.Config, curTime, fl
 	found := false
 	for _, k := range hw.Knobs() {
 		for _, dir := range [2]int{+1, -1} {
-			nb, ok := o.Space.Step(cur, k, dir)
+			nb, ok := o.space.Step(cur, k, dir)
 			if !ok {
 				continue
 			}
@@ -389,9 +359,7 @@ type WindowKernel struct {
 //mpclint:hotpath steady-state MPC run pinned at 0 allocs by TestMPCSteadyStateRunZeroAlloc
 func (o *Optimizer) OptimizeWindow(win []WindowKernel, tr *Tracker) (hw.Config, predict.Estimate, int) {
 	if len(win) == 0 {
-		//mpclint:ignore hotpath-alloc model interface call on the empty-window guard; the steady-state MPC falls back before it optimizes an empty window, so TestMPCSteadyStateRunZeroAlloc never reaches it
-		est := o.Model.PredictKernel(counters.Set{}, o.failSafe)
-		return o.failSafe, est, 0
+		return o.failSafe, o.c.PredictKernel(counters.Set{}, o.failSafe), 0
 	}
 	// Order the window by search-order rank, in the reused scratch copy
 	// (stable sort of identical data: identical order every step,

@@ -21,14 +21,8 @@ func TestTrackerHeadroom(t *testing.T) {
 	if got := tr.HeadroomMS(100); math.Abs(got-15) > 1e-12 {
 		t.Errorf("headroom after fast kernel = %v, want 15", got)
 	}
-	if tr.BehindTarget() {
-		t.Error("tracker believes it is behind while ahead")
-	}
 	// Fall behind: headroom shrinks, can go negative.
 	tr.Add(100, 40) // now 200 insts / 45 ms < 10
-	if !tr.BehindTarget() {
-		t.Error("tracker believes it is ahead while behind")
-	}
 	if got := tr.HeadroomMS(10); got >= 0 {
 		t.Errorf("headroom while behind = %v, want negative", got)
 	}
@@ -38,20 +32,6 @@ func TestTrackerUnconstrained(t *testing.T) {
 	tr := NewTracker(0)
 	if !math.IsInf(tr.HeadroomMS(5), 1) {
 		t.Error("zero target should give infinite headroom")
-	}
-	if tr.BehindTarget() {
-		t.Error("unconstrained tracker behind target")
-	}
-}
-
-func TestTrackerClone(t *testing.T) {
-	tr := NewTracker(10)
-	tr.Add(100, 5)
-	c := tr.Clone()
-	c.Add(100, 100)
-	i, tm := tr.Totals()
-	if i != 100 || tm != 5 {
-		t.Error("clone mutation leaked into original")
 	}
 }
 
@@ -141,7 +121,7 @@ func TestHillClimbReducesEnergy(t *testing.T) {
 		kernel.NewComputeBound("c", 1), kernel.NewMemoryBound("m", 1),
 		kernel.NewPeak("p", 1), kernel.NewUnscalable("u", 1), kernel.NewBalanced("b", 1),
 	} {
-		opt := NewOptimizer(oracleFor(k), space)
+		opt := NewOptimizer(predict.NewCalibrated(oracleFor(k)), space)
 		res := opt.HillClimb(k.Counters(), math.Inf(1))
 		if !res.Feasible {
 			t.Fatalf("%s: unconstrained climb infeasible", k.Name())
@@ -166,7 +146,7 @@ func TestHillClimbEvalBudget(t *testing.T) {
 	for _, k := range []kernel.Kernel{
 		kernel.NewComputeBound("c", 1), kernel.NewMemoryBound("m", 1), kernel.NewBalanced("b", 1),
 	} {
-		opt := NewOptimizer(oracleFor(k), space)
+		opt := NewOptimizer(predict.NewCalibrated(oracleFor(k)), space)
 		res := opt.HillClimb(k.Counters(), math.Inf(1))
 		if res.Evals > budget {
 			t.Errorf("%s: %d evals, budget %d", k.Name(), res.Evals, budget)
@@ -185,7 +165,7 @@ func TestHillClimbNearExhaustiveQuality(t *testing.T) {
 		kernel.NewComputeBound("c", 1), kernel.NewMemoryBound("m", 1),
 		kernel.NewPeak("p", 1), kernel.NewUnscalable("u", 1), kernel.NewBalanced("b", 1),
 	} {
-		opt := NewOptimizer(oracleFor(k), space)
+		opt := NewOptimizer(predict.NewCalibrated(oracleFor(k)), space)
 		greedy := opt.HillClimb(k.Counters(), math.Inf(1))
 		exact := opt.ExhaustiveSearch(k.Counters(), math.Inf(1))
 		ge := k.EnergyMJ(greedy.Config)
@@ -202,7 +182,7 @@ func TestHillClimbNearExhaustiveQuality(t *testing.T) {
 func TestHillClimbHonorsHeadroom(t *testing.T) {
 	space := hw.DefaultSpace()
 	k := kernel.NewBalanced("b", 1)
-	opt := NewOptimizer(oracleFor(k), space)
+	opt := NewOptimizer(predict.NewCalibrated(oracleFor(k)), space)
 	// Headroom just above the fail-safe time: barely any slack.
 	fsTime := k.TimeMS(hw.FailSafe())
 	res := opt.HillClimb(k.Counters(), fsTime*1.02)
@@ -225,7 +205,7 @@ func TestHillClimbHonorsHeadroom(t *testing.T) {
 func TestHillClimbLooseningHeadroomNeverHurts(t *testing.T) {
 	space := hw.DefaultSpace()
 	k := kernel.NewMemoryBound("m", 1)
-	opt := NewOptimizer(oracleFor(k), space)
+	opt := NewOptimizer(predict.NewCalibrated(oracleFor(k)), space)
 	fsTime := k.TimeMS(hw.FailSafe())
 	prev := math.Inf(1)
 	for _, slack := range []float64{1.0, 1.3, 2, 4, 1000} {
@@ -251,7 +231,7 @@ func TestOptimizeWindowCarriesHeadroom(t *testing.T) {
 	fast := kernel.NewComputeBound("fast", 1)
 	slow := kernel.NewUnscalable("slow", 3)
 	o := oracleFor(fast, slow)
-	opt := NewOptimizer(o, space)
+	opt := NewOptimizer(predict.NewCalibrated(o), space)
 
 	// Target: aggregate throughput of both at fail-safe (achievable but
 	// tight).
@@ -300,7 +280,7 @@ func TestOptimizeWindowCarriesHeadroom(t *testing.T) {
 func TestOptimizeWindowEmpty(t *testing.T) {
 	space := hw.DefaultSpace()
 	k := kernel.NewBalanced("b", 1)
-	opt := NewOptimizer(oracleFor(k), space)
+	opt := NewOptimizer(predict.NewCalibrated(oracleFor(k)), space)
 	cfg, _, evals := opt.OptimizeWindow(nil, NewTracker(1))
 	if cfg != opt.FailSafe() || evals != 0 {
 		t.Errorf("empty window: cfg %v evals %d", cfg, evals)

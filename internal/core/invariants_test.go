@@ -40,7 +40,7 @@ func TestOptimizeWindowInvariantsQuick(t *testing.T) {
 	prop := func(seed int64, tpRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		win, o := randomWindow(rng)
-		opt := NewOptimizer(o, space)
+		opt := NewOptimizer(predict.NewCalibrated(o), space)
 		// Target between 0 (unconstrained) and aggressive.
 		sumI, sumT := 0.0, 0.0
 		for _, w := range win {
@@ -73,7 +73,7 @@ func TestClimbNeverWorseThanFeasibleFailSafeQuick(t *testing.T) {
 		k := kernel.Random("k", rng)
 		o := predict.NewOracle()
 		o.Register(k)
-		opt := NewOptimizer(o, space)
+		opt := NewOptimizer(predict.NewCalibrated(o), space)
 		slack := 1 + float64(slackRaw%100)/50 // 1..3x fail-safe time
 		head := k.TimeMS(hw.FailSafe()) * slack
 		res := opt.HillClimb(k.Counters(), head)
@@ -96,7 +96,7 @@ func TestClimbHonorsHeadroomQuick(t *testing.T) {
 		k := kernel.Random("k", rng)
 		o := predict.NewOracle()
 		o.Register(k)
-		opt := NewOptimizer(o, space)
+		opt := NewOptimizer(predict.NewCalibrated(o), space)
 		head := k.TimeMS(hw.FailSafe()) * (0.5 + float64(slackRaw)/128)
 		res := opt.HillClimb(k.Counters(), head)
 		if !res.Feasible {
@@ -173,7 +173,7 @@ func TestExhaustiveIsTrueOptimum(t *testing.T) {
 		k := kernel.Random("k", rng)
 		o := predict.NewOracle()
 		o.Register(k)
-		opt := NewOptimizer(o, space)
+		opt := NewOptimizer(predict.NewCalibrated(o), space)
 		head := k.TimeMS(hw.FailSafe()) * (0.8 + rng.Float64())
 		res := opt.ExhaustiveSearch(k.Counters(), head)
 

@@ -51,7 +51,7 @@ func TestExhaustiveTieBreak(t *testing.T) {
 		t.Fatalf("fixture has %d minimum-energy configurations, want a tie", ties)
 	}
 	for _, model := range []predict.Model{m, constSpaceModel{m}} {
-		got := NewOptimizer(model, space).ExhaustiveSearch(counters.Set{}, 2)
+		got := NewOptimizer(predict.NewCalibrated(model), space).ExhaustiveSearch(counters.Set{}, 2)
 		if !got.Feasible || got.Config != space.At(first) || got.Evals != space.Size() {
 			t.Fatalf("%T: got %+v, want config %v (At %d) with %d evals",
 				model, got, space.At(first), first, space.Size())
@@ -74,16 +74,17 @@ func (c *countingModel) PredictKernel(cs counters.Set, cfg hw.Config) predict.Es
 // TestExhaustiveScalarFillReusesSeed checks the scalar fill's decision
 // record: a pre-seeded fail-safe (as OptimizeWindow seeds it) is counted
 // once, and the sweep asks the model for every configuration, the seed
-// included, because the record keeps no estimates: n+1 calls in all.
-// (TestExhaustiveBatchedCacheSemantics covers the batched fill.)
+// included, because neither the record nor a Calibrated without a memo
+// keeps estimates: n+1 calls in all. (TestExhaustiveBatchedCacheSemantics
+// covers the batched fill.)
 func TestExhaustiveScalarFillReusesSeed(t *testing.T) {
 	k := kernel.NewMemoryBound("mb", 1)
 	m := &countingModel{inner: oracleFor(k)}
-	o := NewOptimizer(m, hw.DefaultSpace())
+	o := NewOptimizer(predict.NewCalibrated(m), hw.DefaultSpace())
 	cache := evalCache{o: o, cs: k.Counters()}
 	cache.eval(o.failSafe)
 	res := o.exhaustive(&cache, math.Inf(1))
-	n := o.Space.Size()
+	n := o.space.Size()
 	if m.calls != n+1 || res.Evals != n || cache.evals != n {
 		t.Fatalf("pre-seeded scalar sweep: %d model calls, %d evals (record %d); want %d calls and %d evals",
 			m.calls, res.Evals, cache.evals, n+1, n)

@@ -49,19 +49,3 @@ func (t *Tracker) HeadroomMS(expInsts float64) float64 {
 	}
 	return (t.sumInsts+expInsts)/t.targetTP - t.sumTimeMS
 }
-
-// Clone returns an independent copy, to speculate on while the real
-// tracker only advances on measured results.
-func (t *Tracker) Clone() *Tracker {
-	c := *t
-	return &c
-}
-
-// BehindTarget reports whether accumulated throughput is currently below
-// the target.
-func (t *Tracker) BehindTarget() bool {
-	if t.targetTP <= 0 || t.sumTimeMS == 0 {
-		return false
-	}
-	return t.sumInsts/t.sumTimeMS < t.targetTP
-}

@@ -95,7 +95,7 @@ func runBacktrack(f *Fixture) (*Table, error) {
 	for _, name := range []string{"XSBench", "Spmv", "hybridsort", "lulesh"} {
 		app := f.App(name)
 		oracle := f.Oracle(app)
-		opt := core.NewOptimizer(oracle, space)
+		opt := core.NewOptimizer(predict.NewCalibrated(oracle), space)
 
 		// Target throughput over the reduced space's fastest config.
 		fast := space.Clamp(hw.MaxPerf())
@@ -141,14 +141,14 @@ func runBacktrack(f *Fixture) (*Table, error) {
 // predicted energy of every kernel's chosen configuration.
 func windowPlanEnergy(opt *core.Optimizer, win []core.WindowKernel, tr *core.Tracker) float64 {
 	total := 0.0
-	spec := tr.Clone()
+	spec := *tr
 	// Greedy assigns kernels in rank order with headroom carry-over; we
 	// reproduce the plan by re-optimizing the shrinking window, applying
 	// one decision at a time in execution order (the receding realization
 	// of the plan).
 	remaining := append([]core.WindowKernel(nil), win...)
 	for len(remaining) > 0 {
-		cfg, est, _ := opt.OptimizeWindow(remaining, spec)
+		cfg, est, _ := opt.OptimizeWindow(remaining, &spec)
 		curIdx := 0
 		for i, w := range remaining {
 			if w.ExecIndex < remaining[curIdx].ExecIndex {

@@ -24,10 +24,13 @@ const calibWeight = 0.5
 // unsynchronized; the inner model may be shared.
 type Calibrated struct {
 	inner Model
-	// split is inner's time-first form, resolved once by NewCalibrated;
+	// split, bounded and traced are inner's time-first form, bounded
+	// sweep and traced sweep, resolved once by NewCalibrated; each is
 	// nil when inner has none.
-	split  SplitEvaluator
-	ratios map[counters.Signature]*calibRatio
+	split   SplitEvaluator
+	bounded BoundedSpaceEvaluator
+	traced  TracedSpaceEvaluator
+	ratios  map[counters.Signature]*calibRatio
 	// memo holds the inner model's raw answers for the current run; nil
 	// when the run keeps none (see BeginRun).
 	memo *[1 << memoBits]memoEntry
@@ -79,7 +82,10 @@ func (k *memoKey) slot() uint64 {
 // NewCalibrated wraps inner with an empty feedback store and no memo.
 func NewCalibrated(inner Model) *Calibrated {
 	split, _ := inner.(SplitEvaluator)
-	return &Calibrated{inner: inner, split: split, ratios: map[counters.Signature]*calibRatio{}}
+	bounded, _ := inner.(BoundedSpaceEvaluator)
+	traced, _ := inner.(TracedSpaceEvaluator)
+	return &Calibrated{inner: inner, split: split, bounded: bounded, traced: traced,
+		ratios: map[counters.Signature]*calibRatio{}}
 }
 
 // BeginRun starts a run. With memo true, PredictKernel and Feedback
@@ -114,11 +120,13 @@ func (c *Calibrated) PredictKernel(cs counters.Set, cfg hw.Config) Estimate {
 	return c.PredictKernelWithin(cs, cfg, math.Inf(1))
 }
 
-// PredictKernelWithin implements BoundedEvaluator: the calibrated
-// estimate, whose power is priced only where the calibrated time is not
-// above headroomMS (NaN is within), or returned when an earlier call of
-// the run priced it. Over an inner model without the split form every
-// miss prices both, as PredictKernel always did.
+// PredictKernelWithin returns the calibrated estimate for a search that
+// reads a configuration's power only where its time meets a headroom:
+// TimeMS is PredictKernel's bit for bit, and so is GPUPowerW where the
+// calibrated time is not above headroomMS (NaN is within) or an earlier
+// call of the run priced it; a power it did not price is NaN. Over an
+// inner model without the split form every miss prices both, as
+// PredictKernel always did.
 //
 //mpclint:hotpath warm memo pinned at 0 allocs/op by TestCalibratedPredictKernelZeroAlloc
 func (c *Calibrated) PredictKernelWithin(cs counters.Set, cfg hw.Config, headroomMS float64) Estimate {
@@ -190,85 +198,48 @@ func (c *Calibrated) fill(ent *memoEntry, cs *counters.Set, cfg hw.Config) {
 	ent.priced = true
 }
 
-// PredictSpace implements SpaceEvaluator by forwarding to the wrapped
-// model's batched path and applying the kernel's correction ratio to
-// every estimate — the same two multiplications the scalar path
-// performs, so batched and scalar calibrated predictions stay
-// bit-identical. Returns false when the inner model has no usable
-// batched path; the optimizer then fills its sweep per configuration.
-func (c *Calibrated) PredictSpace(cs counters.Set, space hw.Space, dst []Estimate) bool {
-	se, ok := c.inner.(SpaceEvaluator)
-	if !ok || !se.PredictSpace(cs, space, dst) {
-		return false
-	}
-	c.applyRatio(cs, dst)
-	return true
-}
-
-// PredictSpaceTraced implements TracedSpaceEvaluator by forwarding the
-// trace context to the wrapped model when it is trace-aware, falling
-// back to the untraced batched path otherwise (same estimates, no
-// featurize/forest-eval spans).
-func (c *Calibrated) PredictSpaceTraced(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool {
-	tse, ok := c.inner.(TracedSpaceEvaluator)
-	if !ok {
-		return c.PredictSpace(cs, space, dst)
-	}
-	if !tse.PredictSpaceTraced(cs, space, dst, tc) {
-		return false
-	}
-	c.applyRatio(cs, dst)
-	return true
-}
-
-// PredictSpaceWithin implements BoundedSpaceEvaluator by forwarding to
-// the wrapped model's bounded sweep with the kernel's time ratio in the
-// bound, so the model applies it between its phases and tests the
-// calibrated times against the headroom, and by then applying the power
-// ratio to every estimate: the same two multiplications the scalar path
-// performs. It falls back to PredictSpaceTraced, which prices every
-// row, when the wrapped model has no bounded sweep or b already carries
-// a ratio that would have to compound with the kernel's; b's own ratio
-// then multiplies the calibrated times. Over the compiled model it
-// allocates nothing once the model's plan is built
+// PredictSpaceWithin fills dst (which must hold space.Size() estimates)
+// with the calibrated estimate of every configuration of space, in
+// hw.Space.At order, for a sweep that reads a row's power only where
+// the row meets headroomMS. Every time is the calibrated PredictKernel's
+// bit for bit, and so is every power the bounded contract owes
+// (BoundedSpaceEvaluator), with row failSafe owed when no row meets the
+// headroom; a power it does not owe may be NaN. It fills dst from the
+// inner model's bounded sweep, with the kernel's time ratio in the
+// bound so that the sweep holds calibrated times against the headroom;
+// else from its traced sweep, which prices every row; else, when the
+// inner model has neither or its sweeps decline the space, with one
+// PredictKernel per configuration under one forest-eval span. Either
+// sweep's power, and the traced sweep's time, then take the kernel's
+// ratio: the same multiplications the scalar path performs. Over the
+// compiled model it allocates nothing once the model's plan is built
 // (TestPredictSpaceWithinZeroAllocThroughCalibrated).
-func (c *Calibrated) PredictSpaceWithin(cs counters.Set, space hw.Space, dst []Estimate, b SweepBound, tc *telemetry.Context) bool {
-	bse, ok := c.inner.(BoundedSpaceEvaluator)
-	r, scaled := c.ratios[counters.SignatureOf(cs)]
-	if !ok || scaled && b.HasRatio {
-		if !c.PredictSpaceTraced(cs, space, dst, tc) {
-			return false
-		}
-		if b.HasRatio {
-			for i := range dst {
-				dst[i].TimeMS *= b.TimeRatio
-			}
-		}
-		return true
-	}
-	if scaled {
+func (c *Calibrated) PredictSpaceWithin(cs counters.Set, space hw.Space, dst []Estimate, headroomMS float64, failSafe int, tc *telemetry.Context) {
+	r := c.ratios[counters.SignatureOf(cs)]
+	b := SweepBound{HeadroomMS: headroomMS, FailSafe: failSafe}
+	if r != nil {
 		b.TimeRatio, b.HasRatio = r.time, true
 	}
-	if !bse.PredictSpaceWithin(cs, space, dst, b, tc) {
-		return false
-	}
-	if scaled {
-		for i := range dst {
-			dst[i].GPUPowerW *= r.power
+	switch {
+	case c.bounded != nil && c.bounded.PredictSpaceWithin(cs, space, dst, b, tc):
+		if r != nil {
+			for i := range dst {
+				dst[i].GPUPowerW *= r.power
+			}
 		}
-	}
-	return true
-}
-
-// applyRatio applies the kernel's learned correction ratio to every
-// estimate of a batched sweep — the same two multiplications the
-// scalar path performs.
-func (c *Calibrated) applyRatio(cs counters.Set, dst []Estimate) {
-	if r, ok := c.ratios[counters.SignatureOf(cs)]; ok {
-		for i := range dst {
-			dst[i].TimeMS *= r.time
-			dst[i].GPUPowerW *= r.power
+	case c.traced != nil && c.traced.PredictSpaceTraced(cs, space, dst, tc):
+		if r != nil {
+			for i := range dst {
+				dst[i].TimeMS *= r.time
+				dst[i].GPUPowerW *= r.power
+			}
 		}
+	default:
+		sp := tc.Start(telemetry.SpanForestEval)
+		for i := range dst {
+			dst[i] = c.PredictKernel(cs, space.At(i))
+		}
+		sp.End()
 	}
 }
 
@@ -312,8 +283,5 @@ func usableRatio(q float64) bool { return q > 0 && q <= math.MaxFloat64 }
 // KnownKernels returns the number of signatures with feedback state.
 func (c *Calibrated) KnownKernels() int { return len(c.ratios) }
 
-// Compile-time interface checks for the time-first scalar path.
-var (
-	_ SplitEvaluator   = (*RandomForest)(nil)
-	_ BoundedEvaluator = (*Calibrated)(nil)
-)
+// Compile-time interface check for the time-first scalar path.
+var _ SplitEvaluator = (*RandomForest)(nil)

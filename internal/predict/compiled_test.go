@@ -179,39 +179,33 @@ func TestPredictSpaceDstSizePanics(t *testing.T) {
 	m.PredictSpace(kernel.NewPeak("pk", 1).Counters(), hw.DefaultSpace(), make([]Estimate, 3))
 }
 
-// TestCalibratedPredictSpaceForwards checks that the feedback wrapper's
-// batched path applies exactly the scalar path's correction — after
-// Feedback installs a ratio, batched and scalar calibrated estimates
-// stay bit-identical.
+// TestCalibratedPredictSpaceForwards checks that the feedback
+// wrapper's sweep applies exactly the scalar path's correction: after
+// Feedback installs a ratio, every row of the calibrated sweep at an
+// infinite headroom is the calibrated scalar estimate bit for bit,
+// whether the compiled model's bounded sweep fills it or, over the
+// scalar-only tree walk, one PredictKernel per configuration does.
 func TestCalibratedPredictSpaceForwards(t *testing.T) {
 	m := quickRF(t)
-	cal := NewCalibrated(m)
 	cs := kernel.NewMemoryBound("mb", 1).Counters()
 	space := hw.DefaultSpace()
-	// Install a non-trivial ratio for this kernel's signature.
 	cfg := space.At(0)
 	raw := m.PredictKernel(cs, cfg)
-	cal.Feedback(cs, cfg, raw.TimeMS*1.17, raw.GPUPowerW*0.83)
-	if cal.KnownKernels() != 1 {
-		t.Fatalf("feedback not recorded: %d known kernels", cal.KnownKernels())
-	}
-
 	dst := make([]Estimate, space.Size())
-	if !cal.PredictSpace(cs, space, dst) {
-		t.Fatal("Calibrated.PredictSpace returned false over a compiled model")
-	}
-	for r, c := range space.Configs() {
-		want := cal.PredictKernel(cs, c)
-		if math.Float64bits(dst[r].TimeMS) != math.Float64bits(want.TimeMS) ||
-			math.Float64bits(dst[r].GPUPowerW) != math.Float64bits(want.GPUPowerW) {
-			t.Fatalf("row %d: calibrated batched %+v != scalar %+v", r, dst[r], want)
+	for _, inner := range []Model{m, treeWalkOf(t, m)} {
+		cal := NewCalibrated(inner)
+		// Install a non-trivial ratio for this kernel's signature.
+		cal.Feedback(cs, cfg, raw.TimeMS*1.17, raw.GPUPowerW*0.83)
+		if cal.KnownKernels() != 1 {
+			t.Fatalf("feedback not recorded: %d known kernels", cal.KnownKernels())
 		}
-	}
-
-	// A wrapper over a model with no batched path must refuse too.
-	for _, inner := range []Model{NewOracle(), treeWalkOf(t, m)} {
-		if NewCalibrated(inner).PredictSpace(cs, space, dst) {
-			t.Fatalf("Calibrated.PredictSpace returned true over scalar-only %s", inner.Name())
+		cal.PredictSpaceWithin(cs, space, dst, math.Inf(1), 0, nil)
+		for r, c := range space.Configs() {
+			want := cal.PredictKernel(cs, c)
+			if math.Float64bits(dst[r].TimeMS) != math.Float64bits(want.TimeMS) ||
+				math.Float64bits(dst[r].GPUPowerW) != math.Float64bits(want.GPUPowerW) {
+				t.Fatalf("%s row %d: calibrated sweep %+v != scalar %+v", inner.Name(), r, dst[r], want)
+			}
 		}
 	}
 }
@@ -256,11 +250,10 @@ func TestPredictSpaceWithinZeroAllocThroughCalibrated(t *testing.T) {
 	raw := m.PredictKernel(cs, fs)
 	cal.Feedback(cs, fs, raw.TimeMS*1.2, raw.GPUPowerW*0.9)
 	dst := make([]Estimate, space.Size())
-	b := SweepBound{HeadroomMS: raw.TimeMS, FailSafe: space.Index(fs)}
-	cal.PredictSpaceWithin(cs, space, dst, b, nil) // warm up: builds the plan
+	row := space.Index(fs)
+	cal.PredictSpaceWithin(cs, space, dst, raw.TimeMS, row, nil) // warm up: builds the plan
 	for _, head := range []float64{raw.TimeMS, math.Inf(1), math.Inf(-1)} {
-		b.HeadroomMS = head
-		if allocs := testing.AllocsPerRun(50, func() { cal.PredictSpaceWithin(cs, space, dst, b, nil) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(50, func() { cal.PredictSpaceWithin(cs, space, dst, head, row, nil) }); allocs != 0 {
 			t.Fatalf("warm Calibrated.PredictSpaceWithin at headroom %v allocates %v times per call, want 0", head, allocs)
 		}
 	}
@@ -294,10 +287,18 @@ func TestPredictSpaceWithinOwesOnlyTheFeasibleProduct(t *testing.T) {
 			cal := NewCalibrated(m)
 			raw := m.PredictKernel(cs, space.At(fs))
 			cal.Feedback(cs, space.At(fs), 7.5, raw.GPUPowerW*1.1)
-			for _, model := range []BoundedSpaceEvaluator{m, cal} {
-				if !model.(SpaceEvaluator).PredictSpace(cs, space, full) {
-					t.Fatal("PredictSpace declined")
-				}
+			for _, model := range []struct {
+				name  string
+				sweep func(dst []Estimate, head float64)
+			}{
+				{"forest", func(dst []Estimate, head float64) {
+					if !m.PredictSpaceWithin(cs, space, dst, SweepBound{HeadroomMS: head, FailSafe: fs}, nil) {
+						t.Fatal("PredictSpaceWithin declined")
+					}
+				}},
+				{"calibrated", func(dst []Estimate, head float64) { cal.PredictSpaceWithin(cs, space, dst, head, fs, nil) }},
+			} {
+				model.sweep(full, math.Inf(1)) // every row is within +Inf: the unbounded sweep
 				times := make([]float64, n)
 				for r := range full {
 					times[r] = full[r].TimeMS
@@ -305,9 +306,7 @@ func TestPredictSpaceWithinOwesOnlyTheFeasibleProduct(t *testing.T) {
 				slices.Sort(times)
 				for _, head := range []float64{times[n/2], times[n/7], times[0] - 1, 0, math.Inf(1), math.Inf(-1), math.NaN()} {
 					h0, m0 := m.ArenaPoolStats()
-					if !model.PredictSpaceWithin(cs, space, dst, SweepBound{HeadroomMS: head, FailSafe: fs}, nil) {
-						t.Fatal("PredictSpaceWithin declined")
-					}
+					model.sweep(dst, head)
 					if h, mi := m.ArenaPoolStats(); h+mi != h0+m0+1 {
 						t.Fatalf("one bounded sweep counted %d plan lookups, want 1", h+mi-h0-m0)
 					}
@@ -324,7 +323,7 @@ func TestPredictSpaceWithinOwesOnlyTheFeasibleProduct(t *testing.T) {
 						if cover[0] == 0 {
 							owed = r == fs
 						}
-						label := fmt.Sprintf("space %d set %d %s headroom %v row %d", n, i, model.(Model).Name(), head, r)
+						label := fmt.Sprintf("space %d set %d %s headroom %v row %d", n, i, model.name, head, r)
 						if math.Float64bits(dst[r].TimeMS) != math.Float64bits(full[r].TimeMS) {
 							t.Fatalf("%s: bounded time %v != unbounded %v", label, dst[r].TimeMS, full[r].TimeMS)
 						}
@@ -349,11 +348,10 @@ type tracedOnly struct{ *RandomForest }
 func (tracedOnly) PredictSpaceWithin() {} // shadows the bounded method
 
 // TestCalibratedPredictSpaceWithinFallsBack checks the Calibrated's
-// unbounded fallbacks: over an inner model with only the unbounded
-// traced sweep, and for a bound that carries a ratio of its own while
-// the kernel has one, every row comes out as the calibrated unbounded
-// sweep's, its time times the bound's ratio when there is one; over a
-// scalar-only inner model the call declines.
+// fills without the inner model's bounded sweep: over an inner model
+// with only the unbounded traced sweep, and over a scalar-only one,
+// every row at any headroom comes out as the calibrated bounded
+// sweep's at an infinite headroom, which prices every row.
 func TestCalibratedPredictSpaceWithinFallsBack(t *testing.T) {
 	m := quickRF(t)
 	space := hw.DefaultSpace()
@@ -365,37 +363,21 @@ func TestCalibratedPredictSpaceWithinFallsBack(t *testing.T) {
 		return cal
 	}
 	want := make([]Estimate, space.Size())
-	if !calibrated(m).PredictSpace(cs, space, want) {
-		t.Fatal("Calibrated.PredictSpace declined")
-	}
+	calibrated(m).PredictSpaceWithin(cs, space, want, math.Inf(1), 0, nil)
 	if _, ok := Model(tracedOnly{m}).(BoundedSpaceEvaluator); ok {
 		t.Fatal("tracedOnly still has a bounded sweep")
 	}
 	dst := make([]Estimate, space.Size())
-	for _, tc := range []struct {
-		name  string
-		inner Model
-		b     SweepBound
-	}{
-		{"traced-only inner", tracedOnly{m}, SweepBound{HeadroomMS: math.Inf(-1)}},
-		{"bound with a ratio", m, SweepBound{HeadroomMS: math.Inf(-1), TimeRatio: 0.5, HasRatio: true}},
-	} {
-		if !calibrated(tc.inner).PredictSpaceWithin(cs, space, dst, tc.b, nil) {
-			t.Fatalf("%s: PredictSpaceWithin declined", tc.name)
-		}
-		for r := range dst {
-			w := want[r]
-			if tc.b.HasRatio {
-				w.TimeMS *= tc.b.TimeRatio
-			}
-			if math.Float64bits(dst[r].TimeMS) != math.Float64bits(w.TimeMS) ||
-				math.Float64bits(dst[r].GPUPowerW) != math.Float64bits(w.GPUPowerW) {
-				t.Fatalf("%s row %d: %+v, want %+v", tc.name, r, dst[r], w)
+	for _, inner := range []Model{tracedOnly{m}, treeWalkOf(t, m)} {
+		for _, head := range []float64{math.Inf(-1), 0, math.NaN(), math.Inf(1)} {
+			calibrated(inner).PredictSpaceWithin(cs, space, dst, head, 0, nil)
+			for r := range dst {
+				if math.Float64bits(dst[r].TimeMS) != math.Float64bits(want[r].TimeMS) ||
+					math.Float64bits(dst[r].GPUPowerW) != math.Float64bits(want[r].GPUPowerW) {
+					t.Fatalf("%T at headroom %v row %d: %+v, want %+v", inner, head, r, dst[r], want[r])
+				}
 			}
 		}
-	}
-	if calibrated(treeWalkOf(t, m)).PredictSpaceWithin(cs, space, dst, SweepBound{}, nil) {
-		t.Fatal("Calibrated.PredictSpaceWithin accepted a scalar-only inner model")
 	}
 }
 
@@ -427,7 +409,7 @@ func TestPredictSpaceWithinSpans(t *testing.T) {
 	}
 	for _, head := range []float64{math.Inf(-1), 0, math.Inf(1)} {
 		got := names(func(tc *telemetry.Context) {
-			NewCalibrated(m).PredictSpaceWithin(cs, space, dst, SweepBound{HeadroomMS: head, FailSafe: 0}, tc)
+			NewCalibrated(m).PredictSpaceWithin(cs, space, dst, head, 0, tc)
 		})
 		if !maps.Equal(got, want) {
 			t.Fatalf("bounded sweep at headroom %v spans %v, want %v", head, got, want)

@@ -67,18 +67,6 @@ type SplitEvaluator interface {
 	PredictPower(cs counters.Set, c hw.Config) float64
 }
 
-// BoundedEvaluator is the scalar twin of BoundedSpaceEvaluator, for a
-// search that reads a configuration's power only where the
-// configuration meets a throughput headroom. PredictKernelWithin
-// returns PredictKernel's TimeMS bit for bit, and owes PredictKernel's
-// GPUPowerW only where that time is not above headroomMS, so a NaN time
-// is within and headroom +Inf owes every power. Where it does not owe
-// the power it may still return it; a power it did not price is NaN.
-// Calibrated implements it.
-type BoundedEvaluator interface {
-	PredictKernelWithin(cs counters.Set, c hw.Config, headroomMS float64) Estimate
-}
-
 // cpuRefState anchors the normalized V²f CPU power model to the ground
 // truth at one state; other states are scaled by V²f. The deliberate
 // omission of the leakage term keeps this a (slightly imperfect) model,

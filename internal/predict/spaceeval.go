@@ -11,18 +11,19 @@ import (
 	"mpcdvfs/internal/telemetry"
 )
 
-// SpaceEvaluator is the optional batched extension of Model: a model
-// that can evaluate one kernel at every configuration of a space in a
-// single call. PredictSpace fills dst (which must hold space.Size()
-// estimates) in hw.Space.At order and returns true, or returns false —
-// touching nothing — when the batched path cannot take the space.
+// SpaceEvaluator is the batched extension of Model: a model that can
+// evaluate one kernel at every configuration of a space in a single
+// call. PredictSpace fills dst (which must hold space.Size() estimates)
+// in hw.Space.At order and returns true, or returns false — touching
+// nothing — when the batched path cannot take the space.
 //
 // The contract is strict bit-exactness: dst[i] must equal
 // PredictKernel(cs, space.At(i)) bit for bit, so callers may use either
-// path interchangeably without perturbing replays. The optimizer's
-// exhaustive sweep prices only what its reduce reads, through
-// BoundedSpaceEvaluator; a Calibrated falls back to its inner model's
-// PredictSpace when that model has no bounded sweep.
+// path interchangeably without perturbing replays. No search sweeps
+// through it: Calibrated resolves its inner model's
+// BoundedSpaceEvaluator and TracedSpaceEvaluator instead. It is kept as
+// the untraced half of the unbounded sweep, which the benchmark's model
+// wrapper forwards alongside the traced one.
 type SpaceEvaluator interface {
 	PredictSpace(cs counters.Set, space hw.Space, dst []Estimate) bool
 }
@@ -34,6 +35,10 @@ type SpaceEvaluator interface {
 // read-only with respect to predictions, so PredictSpaceTraced fills
 // dst with exactly the bytes PredictSpace would (tc may be nil or
 // unsampled, in which case the span calls are no-ops).
+// Calibrated.PredictSpaceWithin fills its sweep through it, pricing
+// every row, when the inner model has no bounded sweep: the benchmark's
+// model wrapper, which forwards only the unbounded sweeps, is such a
+// model.
 type TracedSpaceEvaluator interface {
 	SpaceEvaluator
 	PredictSpaceTraced(cs counters.Set, space hw.Space, dst []Estimate, tc *telemetry.Context) bool
@@ -55,7 +60,9 @@ type TracedSpaceEvaluator interface {
 // Every value it owes is bit-identical to PredictSpace's (times the
 // ratio); it may fill more rows than it owes, and the unbounded sweep
 // is a valid implementation. RandomForest writes NaN to the power of
-// the rows it does not owe.
+// the rows it does not owe. Calibrated.PredictSpaceWithin sweeps
+// through it when its inner model has it, with the kernel's time ratio
+// in the bound.
 type BoundedSpaceEvaluator interface {
 	PredictSpaceWithin(cs counters.Set, space hw.Space, dst []Estimate, b SweepBound, tc *telemetry.Context) bool
 }
@@ -276,10 +283,6 @@ func (m *RandomForest) PredictSpaceWithin(cs counters.Set, space hw.Space, dst [
 
 // Compile-time interface checks for the batched path.
 var (
-	_ SpaceEvaluator        = (*RandomForest)(nil)
-	_ SpaceEvaluator        = (*Calibrated)(nil)
 	_ TracedSpaceEvaluator  = (*RandomForest)(nil)
-	_ TracedSpaceEvaluator  = (*Calibrated)(nil)
 	_ BoundedSpaceEvaluator = (*RandomForest)(nil)
-	_ BoundedSpaceEvaluator = (*Calibrated)(nil)
 )

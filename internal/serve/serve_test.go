@@ -641,6 +641,124 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
+// reloadedModel is the model a test's /reload installs, told apart
+// from fakeModel by its name.
+type reloadedModel struct{ fakeModel }
+
+func (reloadedModel) Name() string { return "reloaded" }
+
+// TestReloadDuringHeldDecide interleaves a reload with a running
+// decision, through the real mux: while a decide holds its session
+// inside the policy, /reload {} installs generation 2 without waiting
+// for it. The held decide then completes with 200 on its session's
+// generation 1, a session opened afterwards is built over the reloaded
+// model, and after Shutdown no goroutine the server or its clients
+// started is left.
+func TestReloadDuringHeldDecide(t *testing.T) {
+	before := runtime.NumGoroutine()
+	gate := make(chan struct{})
+	var release sync.Once
+	started := make(chan struct{}, 1)
+	built := make(chan predict.Model, 2)
+	srv, err := serve.New(serve.Config{
+		Model: fakeModel{},
+		NewPolicy: func(m predict.Model) sim.Policy {
+			built <- m
+			return &blockingPolicy{gate: gate, started: started}
+		},
+		Train: func() (predict.Model, error) { return reloadedModel{}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	hc := &http.Client{Transport: &http.Transport{}, Timeout: 10 * time.Second}
+	// Cleanups run last-in first-out: the gate opens before the drain.
+	t.Cleanup(func() { srv.Shutdown(); ts.Close() })
+	t.Cleanup(func() { release.Do(func() { close(gate) }) })
+
+	type reply struct {
+		code int
+		body []byte
+		err  error
+	}
+	send := func(path string, req any) reply {
+		body, err := json.Marshal(req)
+		if err != nil {
+			return reply{err: err}
+		}
+		resp, err := hc.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return reply{err: err}
+		}
+		b, err := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		return reply{resp.StatusCode, b, err}
+	}
+	open := func() serve.SessionResponse {
+		t.Helper()
+		r := send("/v1/session", serve.SessionRequest{App: "x", NumKernels: 4})
+		var sresp serve.SessionResponse
+		if r.err != nil || r.code != http.StatusOK || json.Unmarshal(r.body, &sresp) != nil {
+			t.Fatalf("session open: %d %s %v", r.code, r.body, r.err)
+		}
+		return sresp
+	}
+
+	held := open()
+	if m := <-built; m != (fakeModel{}) || held.SnapshotGen != 1 {
+		t.Fatalf("first session built over %s at gen %d, want fake at 1", m.Name(), held.SnapshotGen)
+	}
+	decided := make(chan reply, 1)
+	go func() { decided <- send("/v1/decide", serve.DecideRequest{SessionID: held.SessionID, Index: 0}) }()
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("decide never reached the policy")
+	}
+
+	r := send("/reload", serve.ReloadRequest{})
+	var rresp serve.ReloadResponse
+	if r.err != nil || r.code != http.StatusOK || json.Unmarshal(r.body, &rresp) != nil {
+		t.Fatalf("reload during a held decide: %d %s %v, want 200", r.code, r.body, r.err)
+	}
+	if rresp.SnapshotGen != 2 || rresp.Model != "reloaded" {
+		t.Fatalf("reload installed %q as gen %d, want reloaded as 2", rresp.Model, rresp.SnapshotGen)
+	}
+
+	release.Do(func() { close(gate) })
+	select {
+	case r := <-decided:
+		var dresp serve.DecideResponse
+		if r.err != nil || r.code != http.StatusOK || json.Unmarshal(r.body, &dresp) != nil {
+			t.Fatalf("held decide: %d %s %v, want 200", r.code, r.body, r.err)
+		}
+		if dresp.SnapshotGen != 1 {
+			t.Fatalf("held decide answered on gen %d, want its session's 1", dresp.SnapshotGen)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("held decide never completed after the gate opened")
+	}
+
+	next := open()
+	if m := <-built; m != (reloadedModel{}) || next.SnapshotGen != 2 {
+		t.Fatalf("session after reload built over %s at gen %d, want reloaded at 2", m.Name(), next.SnapshotGen)
+	}
+
+	srv.Shutdown()
+	ts.Close()
+	hc.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, want at most %d as before the server existed", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestSessionValidation pins the cheap protocol guards, among them the
 // kernel count (a session may declare at most 2^20 kernels) and the
 // decide index: outside [0, num_kernels) it is a 400.
