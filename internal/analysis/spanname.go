@@ -6,12 +6,11 @@ import (
 	"strings"
 )
 
-// spanMethods are the telemetry.Context methods that mint a span (or
-// aggregate phase) from a name argument, keyed by the argument's index.
+// spanMethods are the telemetry.Context methods that mint a span from
+// a name argument, keyed by the argument's index.
 var spanMethods = map[string]int{
 	"StartRoot": 0,
 	"Start":     0,
-	"EndPhase":  0,
 }
 
 func init() {

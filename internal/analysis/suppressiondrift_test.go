@@ -57,9 +57,9 @@ func TestNoSuppressionDrift(t *testing.T) {
 		// hotpath-alloc: slog observers build attributes only behind the
 		// enabled() gate.
 		filepath.Join("internal", "obs", "stream.go"): 6,
-		// hotpath-alloc: span buffer's first-trace build and the two
-		// capacity-bounded appends.
-		filepath.Join("internal", "telemetry", "span.go"): 3,
+		// hotpath-alloc: span buffer's first-trace build and the
+		// record append in Span.End.
+		filepath.Join("internal", "telemetry", "span.go"): 2,
 		// pooled-concurrency: the CLI's long-lived HTTP accept loop.
 		filepath.Join("internal", "cli", "cli.go"): 1,
 	}

@@ -9,8 +9,6 @@ func trace(tc *telemetry.Context, log *logger) {
 	sp := tc.Start(telemetry.SpanSearch)
 	feat := tc.Start("mpcdvfs_featurize")
 	feat.End()
-	t0 := tc.StartPhase()
-	tc.EndPhase("mpcdvfs_forest_eval", t0)
 	sp.End()
 	root.End()
 	log.Start("anything goes: not the trace context")

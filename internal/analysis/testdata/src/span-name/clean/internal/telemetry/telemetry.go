@@ -3,8 +3,6 @@
 // exercised.
 package telemetry
 
-import "time"
-
 const (
 	SpanDecide = "mpcdvfs_decide"
 	SpanSearch = "mpcdvfs_search"
@@ -15,6 +13,4 @@ type Span struct{}
 
 func (c *Context) StartRoot(name string, index int) Span { return Span{} }
 func (c *Context) Start(name string) Span                { return Span{} }
-func (c *Context) StartPhase() time.Time                 { return time.Time{} }
-func (c *Context) EndPhase(name string, t0 time.Time)    {}
 func (s Span) End()                                      {}

@@ -289,28 +289,38 @@ func TestExhaustiveBatchedSweepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestExhaustiveSweepSpans pins a traced sweep's spans under the search
-// span: filled per configuration, one forest-eval span, not an
-// aggregate of one phase per configuration; through the forest's
-// bounded sweep, its one featurize and one forest-eval span.
+// TestExhaustiveSweepSpans pins a traced search's spans under the
+// search span: a sweep filled per configuration gets one forest-eval
+// span, not one per configuration; the forest's bounded sweep gets its
+// one featurize and one forest-eval span; and a hill climb gets none,
+// however many configurations it prices, since spans mark layer
+// boundaries and the decision counts its model calls (Evals).
 func TestExhaustiveSweepSpans(t *testing.T) {
 	m := batchedModel(t)
 	cs := kernel.NewComputeBound("cb", 1).Counters()
+	sweep := func(o *Optimizer) climbResult { return o.ExhaustiveSearch(cs, math.Inf(1)) }
+	climb := func(o *Optimizer) climbResult { return o.HillClimb(cs, math.Inf(1)) }
 	for _, tc := range []struct {
-		inner predict.Model
-		want  map[string]int
+		name   string
+		inner  predict.Model
+		search func(*Optimizer) climbResult
+		want   map[string]int
 	}{
-		{scalarOnly{m}, map[string]int{telemetry.SpanForestEval: 1}},
-		{m, map[string]int{telemetry.SpanFeaturize: 1, telemetry.SpanForestEval: 1}},
+		{"scalar fill", scalarOnly{m}, sweep, map[string]int{telemetry.SpanForestEval: 1}},
+		{"bounded sweep", m, sweep, map[string]int{telemetry.SpanFeaturize: 1, telemetry.SpanForestEval: 1}},
+		{"hill climb", m, climb, map[string]int{}},
 	} {
 		tr := telemetry.NewTracer(64, 1)
 		o := NewOptimizer(predict.NewCalibrated(tc.inner), hw.DefaultSpace())
 		o.Trace = tr.NewContext("s")
 		root := o.Trace.StartRoot(telemetry.SpanDecide, 0)
 		search := o.Trace.Start(telemetry.SpanSearch)
-		o.ExhaustiveSearch(cs, math.Inf(1))
+		res := tc.search(o)
 		search.End()
 		root.End()
+		if res.Evals == 0 {
+			t.Fatalf("%s: the search priced no configuration", tc.name)
+		}
 		recs := tr.Snapshot(nil)
 		var searchID uint64
 		for _, r := range recs {
@@ -323,13 +333,13 @@ func TestExhaustiveSweepSpans(t *testing.T) {
 			if r.Name == telemetry.SpanDecide || r.Name == telemetry.SpanSearch {
 				continue
 			}
-			if r.Agg || r.ParentID != searchID {
-				t.Fatalf("%T: span %+v, want a non-aggregate child of the search span", tc.inner, r)
+			if r.ParentID != searchID {
+				t.Fatalf("%s: span %+v, want a child of the search span", tc.name, r)
 			}
 			got[r.Name]++
 		}
 		if !maps.Equal(got, tc.want) {
-			t.Fatalf("%T: sweep spans %v, want %v", tc.inner, got, tc.want)
+			t.Fatalf("%s: spans under the search %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

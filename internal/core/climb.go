@@ -19,10 +19,10 @@ type Optimizer struct {
 	// bound improves; the evaluation count explodes by the |S|/Σ|knob|
 	// factor the paper quotes as ~19×.
 	UseExhaustive bool
-	// Trace, when non-nil, receives the search's span decomposition:
-	// batched sweeps emit featurize/forest-eval child spans, a sweep
-	// filled per configuration one forest-eval span, and the climb's
-	// scalar predictor calls accumulate into a forest-eval aggregate.
+	// Trace, when non-nil, receives the search's sweep spans: a
+	// batched sweep emits featurize and forest-eval child spans, a sweep
+	// filled per configuration one forest-eval span. The hill climb's
+	// scalar predictor calls emit none; climbResult.Evals counts them.
 	// Tracing is read-only with respect to decisions — every search
 	// returns the same bytes with Trace nil, unsampled, or active
 	// (pinned by the traced-replay golden test).
@@ -142,9 +142,7 @@ func (c *evalCache) evalTime(cfg hw.Config) predict.Estimate {
 //mpclint:hotpath pinned at 0 allocs/op over a non-allocating model by TestEvalCacheHitZeroAlloc
 func (c *evalCache) evalWithin(cfg hw.Config, headroomMS float64) (predict.Estimate, float64) {
 	c.mark(cfg)
-	t0 := c.o.Trace.StartPhase()
 	est := c.o.c.PredictKernelWithin(c.cs, cfg, headroomMS)
-	c.o.Trace.EndPhase(telemetry.SpanForestEval, t0)
 	return est, predict.EnergyMJ(est, cfg)
 }
 

@@ -193,8 +193,9 @@ func (t *Trainer) Instrument(reg *metrics.Registry) {
 }
 
 // Add offers one served observation to the reservoir. Invalid samples
-// (non-positive or non-finite measurements) are counted and dropped —
-// they would poison the log-time target. Safe for concurrent use; the
+// (predict.Sample.Valid: non-positive or non-finite measurements, or a
+// work volume that overflows) are counted and dropped — they would
+// poison the log-time target. Safe for concurrent use; the
 // serve layer calls it from every session's observe operation.
 func (t *Trainer) Add(s predict.Sample) {
 	m := t.m.Load()
@@ -324,7 +325,8 @@ func (t *Trainer) TrainOnce() (promoted bool, err error) {
 		return false, fmt.Errorf("learn: round %d candidate: %w", round, err)
 	}
 	tm, pm, _ := predict.EvaluateOnSamples(cand, hold)
-	if tm > t.cfg.Gate.MaxTimeMAPE || pm > t.cfg.Gate.MaxPowerMAPE {
+	// A NaN MAPE fails the gate: promote only what is provably within it.
+	if !(tm <= t.cfg.Gate.MaxTimeMAPE && pm <= t.cfg.Gate.MaxPowerMAPE) {
 		t.finishRound(m, start, tm, pm, "rejected", nil)
 		return false, nil
 	}

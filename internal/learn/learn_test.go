@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/metrics"
 	"mpcdvfs/internal/predict"
 	"mpcdvfs/internal/rf"
@@ -105,48 +106,59 @@ func TestTrainOncePromotesAndRecordsBaseline(t *testing.T) {
 	}
 }
 
+// TestTrainOnceRejectsPoisonedCandidate: a candidate trained on
+// poisoned targets fails the holdout gate, whether its holdout time
+// MAPE is off the charts (measurements inflated 100×) or NaN (NaN time
+// targets, so the time forest predicts NaN everywhere): the gate
+// promotes only a candidate provably within both ceilings. The next
+// round, with the default builder restored, promotes.
 func TestTrainOnceRejectsPoisonedCandidate(t *testing.T) {
-	ir := &installRecorder{}
-	tr := newTestTrainer(ir)
-	// The poisoned builder trains on measurements inflated 100×: a
-	// plausible-looking forest whose holdout error is catastrophic.
-	tr.cfg.BuildCandidate = func(train []predict.Sample, fcfg rf.Config, workers int) (*predict.RandomForest, error) {
-		bad := make([]predict.Sample, len(train))
-		copy(bad, train)
-		for i := range bad {
-			bad[i].TimeMS *= 100
+	for _, p := range []struct {
+		name   string
+		poison func(*predict.Sample)
+	}{
+		{"inflated 100×", func(s *predict.Sample) { s.TimeMS *= 100 }},
+		{"NaN time", func(s *predict.Sample) { s.TimeMS = math.NaN() }},
+	} {
+		ir := &installRecorder{}
+		tr := newTestTrainer(ir)
+		tr.cfg.BuildCandidate = func(train []predict.Sample, fcfg rf.Config, workers int) (*predict.RandomForest, error) {
+			bad := make([]predict.Sample, len(train))
+			copy(bad, train)
+			for i := range bad {
+				p.poison(&bad[i])
+			}
+			return predict.TrainOnSamples(bad, fcfg, workers)
 		}
-		return predict.TrainOnSamples(bad, fcfg, workers)
-	}
-	for _, s := range streamSamples(200, 3) {
-		tr.Add(s)
-	}
-	promoted, err := tr.TrainOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if promoted || len(ir.models) != 0 {
-		t.Fatalf("poisoned candidate was promoted (holdout time MAPE %.3f)", tr.Status().LastTimeMAPE)
-	}
-	st := tr.Status()
-	if st.Rejected != 1 || st.LastOutcome != "rejected" {
-		t.Fatalf("status after rejection: %+v", st)
-	}
-	if st.LastTimeMAPE < 1 {
-		t.Fatalf("poisoned candidate's holdout time MAPE is %.3f, expected off the charts", st.LastTimeMAPE)
-	}
+		for _, s := range streamSamples(200, 3) {
+			tr.Add(s)
+		}
+		promoted, err := tr.TrainOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if promoted || len(ir.models) != 0 {
+			t.Fatalf("%s: poisoned candidate was promoted (holdout time MAPE %.3f)", p.name, tr.Status().LastTimeMAPE)
+		}
+		st := tr.Status()
+		if st.Rejected != 1 || st.LastOutcome != "rejected" {
+			t.Fatalf("%s: status after rejection: %+v", p.name, st)
+		}
+		if st.LastTimeMAPE < 1 {
+			t.Fatalf("%s: poisoned candidate's holdout time MAPE is %.3f, expected off the charts", p.name, st.LastTimeMAPE)
+		}
 
-	// The next round, with the default builder restored, promotes.
-	tr.cfg.BuildCandidate = predict.TrainOnSamples
-	promoted, err = tr.TrainOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !promoted || len(ir.models) != 1 {
-		t.Fatalf("recovery round did not promote: %+v", tr.Status())
-	}
-	if tr.Status().Rejected != 1 || tr.Status().Promoted != 1 {
-		t.Fatalf("round accounting wrong: %+v", tr.Status())
+		tr.cfg.BuildCandidate = predict.TrainOnSamples
+		promoted, err = tr.TrainOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !promoted || len(ir.models) != 1 {
+			t.Fatalf("%s: recovery round did not promote: %+v", p.name, tr.Status())
+		}
+		if tr.Status().Rejected != 1 || tr.Status().Promoted != 1 {
+			t.Fatalf("%s: round accounting wrong: %+v", p.name, tr.Status())
+		}
 	}
 }
 
@@ -218,9 +230,13 @@ func TestTrainerDropsInvalidSamples(t *testing.T) {
 	bad = good[2]
 	bad.GPUPowerW = -3
 	tr.Add(bad)
+	bad = good[3]
+	// Finite counters whose work volume overflows: a time target of −Inf.
+	bad.Counters[counters.VALUInsts], bad.Counters[counters.GlobalWorkSize] = 1e200, 1e200
+	tr.Add(bad)
 	st := tr.Status()
-	if st.Samples != 1 || st.DroppedInvalid != 2 {
-		t.Fatalf("samples=%d dropped=%d, want 1/2", st.Samples, st.DroppedInvalid)
+	if st.Samples != 1 || st.DroppedInvalid != 3 {
+		t.Fatalf("samples=%d dropped=%d, want 1/3", st.Samples, st.DroppedInvalid)
 	}
 }
 

@@ -322,19 +322,6 @@ func addFloat(bits *atomic.Uint64, v float64) {
 	}
 }
 
-// LinearBuckets returns count bucket bounds starting at start, spaced by
-// width.
-func LinearBuckets(start, width float64, count int) []float64 {
-	if count < 1 {
-		panic("metrics: LinearBuckets needs count >= 1")
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns count bucket bounds starting at start, each
 // factor times the previous.
 func ExponentialBuckets(start, factor float64, count int) []float64 {

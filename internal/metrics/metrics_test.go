@@ -194,7 +194,7 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestGaugeAndBucketsHelpers covers Add/Set and the bucket constructors.
+// TestGaugeAndBucketsHelpers covers Add/Set and the bucket constructor.
 func TestGaugeAndBucketsHelpers(t *testing.T) {
 	r := New()
 	g := r.Gauge("g", "").With()
@@ -202,10 +202,6 @@ func TestGaugeAndBucketsHelpers(t *testing.T) {
 	g.Add(-3)
 	if g.Value() != 7 {
 		t.Errorf("gauge = %v, want 7", g.Value())
-	}
-	lin := LinearBuckets(1, 2, 3)
-	if lin[0] != 1 || lin[1] != 3 || lin[2] != 5 {
-		t.Errorf("LinearBuckets = %v", lin)
 	}
 	exp := ExponentialBuckets(1, 10, 3)
 	if exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {

@@ -45,8 +45,9 @@ type MPC struct {
 
 	// tc is the decision-path trace context threaded in via
 	// SetTraceContext (nil when tracing is off); it also rides on the
-	// optimizer so batched sweeps and scalar predictor calls land in
-	// the same trace.
+	// optimizer so its sweeps' featurize and forest-eval spans land in
+	// the same trace. The hill climb's scalar predictor calls get no
+	// span: the decision counts them (Evals).
 	tc *telemetry.Context
 
 	// Cross-run state.

@@ -284,6 +284,3 @@ func (t *TheoreticallyOptimal) solveLagrangian(budgetMS float64) []hw.Config {
 	}
 	return bestPlan
 }
-
-// Plan exposes the computed plan (after Begin), for tests and analysis.
-func (t *TheoreticallyOptimal) Plan() []hw.Config { return t.plan }

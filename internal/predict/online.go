@@ -26,8 +26,11 @@ type Sample struct {
 }
 
 // Valid reports whether the sample can participate in training: both
-// measurements positive and finite (the time target is a log of a
-// ratio, the relative-error evaluation divides by the measurement).
+// measurements positive and finite (the relative-error evaluation
+// divides by the measurement), every counter finite, and a finite time
+// target. The target is the log of time per instruction, so finite
+// counters whose work volume (VALUInsts × GlobalWorkSize) overflows
+// give it −Inf, and a forest fitted to it prices clean kernels at 0 ms.
 func (s Sample) Valid() bool {
 	if s.TimeMS <= 0 || s.GPUPowerW <= 0 ||
 		math.IsInf(s.TimeMS, 0) || math.IsInf(s.GPUPowerW, 0) ||
@@ -39,8 +42,13 @@ func (s Sample) Valid() bool {
 			return false
 		}
 	}
-	return true
+	t := timeTarget(s)
+	return !math.IsInf(t, 0) && !math.IsNaN(t)
 }
+
+// timeTarget is the time forest's training target for s: the log of
+// its time per instruction.
+func timeTarget(s Sample) float64 { return math.Log(s.TimeMS / instsOf(s.Counters)) }
 
 // sampleMatrix featurizes samples into the forests' training matrix and
 // target vectors, applying the exact transforms offline training uses
@@ -53,7 +61,7 @@ func sampleMatrix(samples []Sample) (X [][]float64, yTime, yPower []float64) {
 	yPower = make([]float64, 0, len(samples))
 	for _, s := range samples {
 		X = append(X, featurize(s.Counters, s.Config))
-		yTime = append(yTime, math.Log(s.TimeMS/instsOf(s.Counters)))
+		yTime = append(yTime, timeTarget(s))
 		yPower = append(yPower, s.GPUPowerW)
 	}
 	return X, yTime, yPower

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/hw"
 	"mpcdvfs/internal/kernel"
 	"mpcdvfs/internal/rf"
@@ -57,6 +58,19 @@ func TestSampleValid(t *testing.T) {
 	bad.Counters[0] = math.NaN()
 	if bad.Valid() {
 		t.Fatal("sample with NaN counter accepted")
+	}
+	// Finite counters whose work volume overflows (time target −Inf),
+	// and a vanishing volume under a huge time (time target +Inf).
+	for _, w := range []struct{ insts, gws, timeMS float64 }{
+		{1e200, 1e200, 1.5},
+		{1e308, 1e308, 1.5},
+		{1e-160, 1e-160, 1e300},
+	} {
+		bad = good
+		bad.Counters[counters.VALUInsts], bad.Counters[counters.GlobalWorkSize], bad.TimeMS = w.insts, w.gws, w.timeMS
+		if bad.Valid() {
+			t.Fatalf("sample with VALUInsts %g × GlobalWorkSize %g at %g ms accepted", w.insts, w.gws, w.timeMS)
+		}
 	}
 }
 

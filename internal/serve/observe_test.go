@@ -13,6 +13,7 @@ import (
 	"mpcdvfs/internal/counters"
 	"mpcdvfs/internal/hw"
 	"mpcdvfs/internal/metrics"
+	"mpcdvfs/internal/predict"
 	"mpcdvfs/internal/serve"
 	"mpcdvfs/internal/telemetry"
 )
@@ -190,15 +191,17 @@ func TestOverflowingObservationDecidesFailSafe(t *testing.T) {
 
 // FuzzObserveHandler posts fuzzer-built observation bodies to a live
 // session over the committed forest, on a server whose hub feeds the
-// metrics registry. Whatever the body, the reply is a 200 or a 4xx —
-// never a 5xx or a dead process — a body carrying a negative
-// measurement gets a 400, and the session still answers its next
-// decide with a 200.
+// metrics registry and whose trainer's reservoir taps every observe.
+// Whatever the body, the reply is a 200 or a 4xx — never a 5xx or a
+// dead process — a body carrying a negative measurement gets a 400,
+// the session still answers its next decide with a 200, and every
+// sample the reservoir stores has a finite time target.
 func FuzzObserveHandler(f *testing.F) {
 	sys, app, target, _ := testStack(f)
 	hub := telemetry.NewHub(telemetry.Options{})
 	hub.Instrument(metrics.New())
-	_, ts := newTestServer(f, sys, loadGoldenModel(f), serve.Config{Telemetry: hub})
+	tr := newTestTrainer(nil)
+	_, ts := newTestServer(f, sys, loadGoldenModel(f), serve.Config{Telemetry: hub, Learn: tr})
 
 	seed := func(edit func(*serve.ObservationWire)) {
 		o := validObservation(app)
@@ -258,7 +261,24 @@ func FuzzObserveHandler(f *testing.F) {
 		if code, _, reply := post(t, ts.URL, "/v1/session/close", serve.CloseRequest{SessionID: id}); code != http.StatusOK {
 			t.Fatalf("close: %d %s", code, reply)
 		}
+		for _, s := range tr.SnapshotSamples() {
+			if !finiteTimeTarget(s) {
+				t.Fatalf("observe %q: the reservoir stores %+v, whose time target is not finite", observation, s)
+			}
+		}
 	})
+}
+
+// finiteTimeTarget reports whether s's time-forest training target, the
+// log of its time per instruction (VALUInsts × GlobalWorkSize, or 1
+// when that product is not positive), is finite.
+func finiteTimeTarget(s predict.Sample) bool {
+	insts := s.Counters[counters.VALUInsts] * s.Counters[counters.GlobalWorkSize]
+	if insts <= 0 {
+		insts = 1
+	}
+	target := math.Log(s.TimeMS / insts)
+	return !math.IsInf(target, 0) && !math.IsNaN(target)
 }
 
 // negativeMeasurement reports whether o carries a negative counter,

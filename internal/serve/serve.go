@@ -113,11 +113,10 @@ type Server struct {
 }
 
 type serveMetrics struct {
-	latency   *metrics.Histogram
-	requests  *metrics.CounterVec
-	active    *metrics.Gauge
-	backpress *metrics.Counter
-	snapGen   *metrics.Gauge
+	latency  *metrics.Histogram
+	requests *metrics.CounterVec
+	active   *metrics.Gauge
+	snapGen  *metrics.Gauge
 }
 
 // New validates cfg and returns a Server serving cfg.Model as
@@ -146,10 +145,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Instrument mirrors the server's counters into reg:
-// decision latency, request outcomes, live session count, backpressure
-// rejections and the installed snapshot generation. Call before serving
-// traffic.
+// Instrument mirrors the server's counters into reg: decision latency,
+// request outcomes (a 429 is backpressure: the request's session was
+// busy), live session count and the installed snapshot generation.
+// Call before serving traffic.
 func (s *Server) Instrument(reg *metrics.Registry) {
 	m := &serveMetrics{
 		latency: reg.Histogram("mpcdvfs_serve_decision_latency_ms",
@@ -159,8 +158,6 @@ func (s *Server) Instrument(reg *metrics.Registry) {
 			"Decision-service requests by endpoint and outcome.", "endpoint", "code"),
 		active: reg.Gauge("mpcdvfs_serve_sessions_active",
 			"Sessions currently open.").With(),
-		backpress: reg.Counter("mpcdvfs_serve_backpressure_total",
-			"Requests rejected with 429 because their session was busy.").With(),
 		snapGen: reg.Gauge("mpcdvfs_serve_snapshot_generation",
 			"Generation of the model snapshot new sessions receive.").With(),
 	}
@@ -262,14 +259,11 @@ func (s *Server) fail(w http.ResponseWriter, endpoint string, status int, msg st
 }
 
 // refuse answers an operation session.do did not run to completion:
-// busy is backpressure (429 with a Retry-After hint, counted), closed
-// is 410, and a panicking operation is 500.
+// busy is backpressure (429 with a Retry-After hint, counted as the
+// endpoint's 429), closed is 410, and a panicking operation is 500.
 func (s *Server) refuse(w http.ResponseWriter, endpoint string, err error) {
 	switch err {
 	case errSessionBusy:
-		if m := s.m.Load(); m != nil {
-			m.backpress.Inc()
-		}
 		w.Header().Set("Retry-After", "1")
 		s.fail(w, endpoint, http.StatusTooManyRequests, "session busy")
 	case errSessionClosed:

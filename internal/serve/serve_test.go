@@ -9,7 +9,9 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -293,7 +295,7 @@ func TestBackpressure429AndDrain(t *testing.T) {
 	}
 	reg := metrics.New()
 	srv.Instrument(reg)
-	backpress := reg.Counter("mpcdvfs_serve_backpressure_total", "").With()
+	busy := reg.Counter("mpcdvfs_serve_requests_total", "", "endpoint", "code").With("decide", "429")
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		srv.Shutdown()
@@ -327,8 +329,8 @@ func TestBackpressure429AndDrain(t *testing.T) {
 	if got := hdr.Get("Retry-After"); got == "" {
 		t.Fatal("429 response missing Retry-After header")
 	}
-	if got := backpress.Value(); got != 1 {
-		t.Fatalf("backpressure counter = %v after one 429, want 1", got)
+	if got := busy.Value(); got != 1 {
+		t.Fatalf(`requests_total{endpoint="decide",code="429"} = %v after one 429, want 1`, got)
 	}
 
 	// Close while decide #0 still runs, then open the gate: the held
@@ -527,6 +529,84 @@ func TestNoGoroutinePerSession(t *testing.T) {
 	srv.Shutdown()
 	ts.Close()
 	tr.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, want at most %d as before the server existed", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestClientDisconnectMidRequest injects a client that hangs up
+// mid-request, through the real mux over raw TCP connections: a decide
+// and then an observe are each written in full on a fresh connection,
+// which is closed before the reply is read. The server runs each lost
+// operation to completion and counts it; re-sending the lost decide
+// answers 200, the session's next observe and its close succeed, and
+// after Shutdown the goroutine count returns to its level before the
+// server existed.
+func TestClientDisconnectMidRequest(t *testing.T) {
+	sys, app, target, model := testStack(t)
+	before := runtime.NumGoroutine()
+	srv, err := serve.New(serve.Config{
+		Model:     model,
+		NewPolicy: func(m predict.Model) sim.Policy { return sys.NewMPC(m) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	srv.Instrument(reg)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { srv.Shutdown(); ts.Close() })
+	served := reg.Counter("mpcdvfs_serve_requests_total", "", "endpoint", "code")
+
+	// hangUp writes one request over a new connection and closes it
+	// without reading the reply, then waits until the server has
+	// answered the endpoint's first 200.
+	hangUp := func(path, endpoint string, req any) {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+			path, ts.Listener.Addr(), len(body), body)
+		if cerr := conn.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := served.With(endpoint, "200")
+		for deadline := time.Now().Add(5 * time.Second); ok.Value() < 1; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s after the client hung up: no 200 counted", path)
+			}
+		}
+	}
+
+	id := openSession(t, ts.URL, app, target)
+	hangUp("/v1/decide", "decide", serve.DecideRequest{SessionID: id, Index: 0})
+	mustDecide(t, ts.URL, id, 0)
+	o := validObservation(app)
+	hangUp("/v1/observe", "observe", serve.ObserveRequest{SessionID: id, Observation: o})
+	mustDecide(t, ts.URL, id, 1)
+	o.Index = 1
+	if code, _, body := post(t, ts.URL, "/v1/observe", serve.ObserveRequest{SessionID: id, Observation: o}); code != http.StatusOK {
+		t.Fatalf("observe after a lost observe: %d %s, want 200", code, body)
+	}
+	if code, _, body := post(t, ts.URL, "/v1/session/close", serve.CloseRequest{SessionID: id}); code != http.StatusOK {
+		t.Fatalf("close after lost replies: %d %s, want 200", code, body)
+	}
+
+	srv.Shutdown()
+	ts.Close() // also closes http.DefaultTransport's idle connections
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {

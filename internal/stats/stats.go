@@ -1,13 +1,11 @@
 // Package stats provides the small statistical utilities the simulator
-// and evaluation harness need: means, geometric means, percentage errors,
-// and the half-normal error distribution the paper uses to model published
-// predictor inaccuracies (§VI-D).
+// and evaluation harness need: means, geometric means, percentage errors
+// and percentiles.
 package stats
 
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -137,40 +135,3 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
-
-// HalfNormal samples |X| where X ~ N(0, sigma²). The paper (§VI-D) models
-// published predictor inaccuracies as half-normally distributed errors
-// whose absolute mean equals the reported average error.
-type HalfNormal struct {
-	sigma float64
-	rng   *rand.Rand
-}
-
-// NewHalfNormalWithMean returns a half-normal sampler whose expected value
-// is mean. For a half-normal, E|X| = sigma·sqrt(2/pi), so
-// sigma = mean·sqrt(pi/2).
-func NewHalfNormalWithMean(mean float64, seed int64) *HalfNormal {
-	if mean < 0 {
-		panic("stats: half-normal mean must be non-negative")
-	}
-	return &HalfNormal{
-		sigma: mean * math.Sqrt(math.Pi/2),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
-}
-
-// Sample draws one half-normal value.
-func (h *HalfNormal) Sample() float64 { return math.Abs(h.rng.NormFloat64()) * h.sigma }
-
-// SampleSigned draws a half-normal magnitude with a uniformly random sign,
-// producing a symmetric error with the given absolute mean.
-func (h *HalfNormal) SampleSigned() float64 {
-	v := h.Sample()
-	if h.rng.Intn(2) == 0 {
-		return -v
-	}
-	return v
-}
-
-// Sigma returns the underlying normal sigma.
-func (h *HalfNormal) Sigma() float64 { return h.sigma }

@@ -93,61 +93,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestHalfNormalMean(t *testing.T) {
-	h := NewHalfNormalWithMean(0.15, 7)
-	n := 200000
-	s := 0.0
-	for i := 0; i < n; i++ {
-		v := h.Sample()
-		if v < 0 {
-			t.Fatal("half-normal sample negative")
-		}
-		s += v
-	}
-	got := s / float64(n)
-	if math.Abs(got-0.15) > 0.003 {
-		t.Errorf("half-normal sample mean = %v, want ~0.15", got)
-	}
-}
-
-func TestHalfNormalSignedSymmetric(t *testing.T) {
-	h := NewHalfNormalWithMean(0.1, 11)
-	n := 100000
-	s, abs := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := h.SampleSigned()
-		s += v
-		abs += math.Abs(v)
-	}
-	if m := s / float64(n); math.Abs(m) > 0.005 {
-		t.Errorf("signed mean = %v, want ~0", m)
-	}
-	if m := abs / float64(n); math.Abs(m-0.1) > 0.005 {
-		t.Errorf("signed abs mean = %v, want ~0.1", m)
-	}
-}
-
-func TestHalfNormalZeroMean(t *testing.T) {
-	h := NewHalfNormalWithMean(0, 3)
-	for i := 0; i < 10; i++ {
-		if v := h.Sample(); v != 0 {
-			t.Fatalf("zero-mean sample = %v", v)
-		}
-	}
-	if h.Sigma() != 0 {
-		t.Errorf("Sigma = %v, want 0", h.Sigma())
-	}
-}
-
-func TestHalfNormalNegativeMeanPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative mean did not panic")
-		}
-	}()
-	NewHalfNormalWithMean(-1, 0)
-}
-
 // Property: GeoMean is bounded by Mean for positive inputs (AM-GM).
 func TestAMGMQuick(t *testing.T) {
 	f := func(raw []uint16) bool {

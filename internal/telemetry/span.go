@@ -22,10 +22,11 @@ const (
 	// SpanFeaturize covers building the predictor's feature matrix
 	// (counter prefix + per-configuration rows) in a batched sweep.
 	SpanFeaturize = "mpcdvfs_featurize"
-	// SpanForestEval covers Random-Forest inference: the two batched
-	// compiled-forest evaluations of a space sweep, or (as an
-	// aggregate span) the sum of scalar predictor calls a hill climb
-	// spends within one enclosing span.
+	// SpanForestEval covers model inference over a space sweep: the
+	// compiled-forest evaluations of a batched sweep, or the scalar
+	// predictor calls of a sweep filled one configuration at a time. A
+	// hill climb's scalar calls get no span; the decision counts them
+	// (sim.Decision.Evals).
 	SpanForestEval = "mpcdvfs_forest_eval"
 )
 
@@ -40,11 +41,6 @@ type SpanRecord struct {
 	Index    int    `json:"index"`             // kernel invocation index of the trace
 	StartUNS int64  `json:"start_unix_ns"`
 	DurNS    int64  `json:"dur_ns"`
-	// Agg marks a synthetic span aggregating many short phases (e.g.
-	// the scalar predictor calls of a hill climb): StartUNS is the
-	// parent's start and DurNS the summed duration, not a contiguous
-	// interval.
-	Agg bool `json:"agg,omitempty"`
 }
 
 // Tracer owns the span id space, the 1-in-N sampling decision and the
@@ -182,25 +178,15 @@ func (t *Tracer) sampleRoot() bool {
 	return true
 }
 
-// Span depth and aggregate-phase bounds per frame. Both are fixed-size
-// so an active trace allocates nothing per span.
-const (
-	maxSpanDepth = 8
-	maxAggPhases = 4
-)
-
-type aggPhase struct {
-	name string
-	ns   int64
-}
+// maxSpanDepth bounds a context's open spans. The frame stack is
+// fixed-size so an active trace allocates nothing per span.
+const maxSpanDepth = 8
 
 type frame struct {
 	name   string
 	id     uint64
 	parent uint64
 	start  time.Time
-	agg    [maxAggPhases]aggPhase
-	nagg   int
 }
 
 // Context is one session's tracing state: a fixed-depth span stack and
@@ -229,10 +215,6 @@ type Span struct {
 	idx int32
 }
 
-// Active reports whether the context is inside a sampled trace. Guard
-// optional timing work (per-call phase accumulation) with it.
-func (c *Context) Active() bool { return c != nil && c.depth > 0 }
-
 // StartRoot opens the root span of one decision for kernel invocation
 // index, applying the tracer's sampling decision. The returned span
 // must be ended by the same goroutine; ending it publishes the whole
@@ -247,7 +229,7 @@ func (c *Context) StartRoot(name string, index int) Span {
 	c.index = index
 	if c.buf == nil {
 		//mpclint:ignore hotpath-alloc one-time buffer build on a context's first sampled trace; steady state reuses it, pinned by TestActiveTraceSteadyStateZeroAlloc
-		c.buf = make([]SpanRecord, 0, maxSpanDepth*(maxAggPhases+2))
+		c.buf = make([]SpanRecord, 0, maxSpanDepth)
 	}
 	c.frames[0] = frame{name: name, id: c.t.ids.Add(1), start: time.Now()}
 	c.depth = 1
@@ -268,46 +250,9 @@ func (c *Context) Start(name string) Span {
 	return Span{c: c, idx: int32(c.depth - 1)}
 }
 
-// StartPhase returns a timestamp for EndPhase, or the zero time when
-// the context is not inside a sampled trace — so hot paths pay the
-// clock read only while a trace is active.
-//
-//mpclint:hotpath pinned at 0 allocs/op by TestDisabledPathZeroAlloc and TestActiveTraceSteadyStateZeroAlloc
-func (c *Context) StartPhase() time.Time {
-	if !c.Active() {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// EndPhase accumulates the time since t0 into the innermost open
-// span's aggregate phase named name (see SpanRecord.Agg). A zero t0 is
-// a no-op, pairing with StartPhase's disabled path. Each frame holds
-// at most maxAggPhases distinct phase names; excess names are dropped.
-//
-//mpclint:hotpath pinned at 0 allocs/op by TestDisabledPathZeroAlloc and TestActiveTraceSteadyStateZeroAlloc
-func (c *Context) EndPhase(name string, t0 time.Time) {
-	if t0.IsZero() || c == nil || c.depth == 0 {
-		return
-	}
-	ns := time.Since(t0).Nanoseconds()
-	top := &c.frames[c.depth-1]
-	for i := 0; i < top.nagg; i++ {
-		if top.agg[i].name == name {
-			top.agg[i].ns += ns
-			return
-		}
-	}
-	if top.nagg < maxAggPhases {
-		top.agg[top.nagg] = aggPhase{name: name, ns: ns}
-		top.nagg++
-	}
-}
-
-// End closes the span: its record (and any aggregate-phase records)
-// join the trace buffer, and closing the root publishes the whole
-// trace to the tracer's ring. Ending an inert or out-of-order span is
-// a no-op.
+// End closes the span: its record joins the trace buffer, and closing
+// the root publishes the whole trace to the tracer's ring. Ending an
+// inert or out-of-order span is a no-op.
 //
 //mpclint:hotpath pinned at 0 allocs/op by TestDisabledPathZeroAlloc and TestActiveTraceSteadyStateZeroAlloc
 func (s Span) End() {
@@ -317,21 +262,7 @@ func (s Span) End() {
 	}
 	f := &c.frames[c.depth-1]
 	dur := time.Since(f.start)
-	for i := 0; i < f.nagg; i++ {
-		//mpclint:ignore hotpath-alloc bounded by maxSpanDepth*(maxAggPhases+2), the capacity StartRoot reserves; steady state pinned by TestActiveTraceSteadyStateZeroAlloc
-		c.buf = append(c.buf, SpanRecord{
-			TraceID:  c.traceID,
-			SpanID:   c.t.ids.Add(1),
-			ParentID: f.id,
-			Name:     f.agg[i].name,
-			Session:  c.session,
-			Index:    c.index,
-			StartUNS: f.start.UnixNano(),
-			DurNS:    f.agg[i].ns,
-			Agg:      true,
-		})
-	}
-	//mpclint:ignore hotpath-alloc bounded by maxSpanDepth*(maxAggPhases+2), the capacity StartRoot reserves; steady state pinned by TestActiveTraceSteadyStateZeroAlloc
+	//mpclint:ignore hotpath-alloc within the capacity StartRoot reserves; a longer trace grows the context's buffer, which later traces reuse; steady state pinned by TestActiveTraceSteadyStateZeroAlloc
 	c.buf = append(c.buf, SpanRecord{
 		TraceID:  c.traceID,
 		SpanID:   f.id,

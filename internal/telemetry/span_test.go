@@ -21,26 +21,19 @@ func TestSpanTree(t *testing.T) {
 	c := tr.NewContext("s1")
 
 	root := c.StartRoot(SpanDecide, 7)
-	if !c.Active() {
-		t.Fatal("context not active inside a sampled root")
-	}
 	search := c.Start(SpanSearch)
 	feat := c.Start(SpanFeaturize)
 	feat.End()
-	t0 := c.StartPhase()
-	if t0.IsZero() {
-		t.Fatal("StartPhase returned zero time while active")
-	}
-	c.EndPhase(SpanForestEval, t0)
+	c.Start(SpanForestEval).End()
 	search.End()
-	root.End()
-	if c.Active() {
-		t.Fatal("context still active after root end")
+	if got := len(tr.Snapshot(nil)); got != 0 {
+		t.Fatalf("%d spans published before the root ended, want 0", got)
 	}
+	root.End()
 
 	recs := tr.Snapshot(nil)
 	if len(recs) != 4 {
-		t.Fatalf("got %d spans, want 4 (root, search, featurize, forest agg): %+v", len(recs), recs)
+		t.Fatalf("got %d spans, want 4 (root, search, featurize, forest eval): %+v", len(recs), recs)
 	}
 	roots := findByName(recs, SpanDecide)
 	if len(roots) != 1 || roots[0].ParentID != 0 {
@@ -62,9 +55,9 @@ func TestSpanTree(t *testing.T) {
 	if len(featRec) != 1 || featRec[0].ParentID != searchRec.SpanID {
 		t.Fatalf("featurize not a child of search: %+v", featRec)
 	}
-	agg := findByName(recs, SpanForestEval)
-	if len(agg) != 1 || !agg[0].Agg || agg[0].ParentID != searchRec.SpanID {
-		t.Fatalf("forest-eval aggregate wrong: %+v", agg)
+	eval := findByName(recs, SpanForestEval)
+	if len(eval) != 1 || eval[0].ParentID != searchRec.SpanID {
+		t.Fatalf("forest eval not a child of search: %+v", eval)
 	}
 }
 
@@ -105,11 +98,7 @@ func TestRingWrap(t *testing.T) {
 
 func TestNilAndDisabledSafe(t *testing.T) {
 	var c *Context
-	if c.Active() {
-		t.Fatal("nil context active")
-	}
 	root := c.StartRoot(SpanDecide, 0)
-	c.EndPhase(SpanForestEval, c.StartPhase())
 	c.Start(SpanSearch).End()
 	root.End() // all no-ops
 
@@ -117,8 +106,8 @@ func TestNilAndDisabledSafe(t *testing.T) {
 	tr := NewTracer(8, 0)
 	d := tr.NewContext("s")
 	r := d.StartRoot(SpanDecide, 0)
-	if d.Active() {
-		t.Fatal("sample=0 context active")
+	if sp := d.Start(SpanSearch); sp != (Span{}) {
+		t.Fatal("sample=0 context opened a child span")
 	}
 	r.End()
 	if got := len(tr.Snapshot(nil)); got != 0 {
@@ -134,7 +123,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		root := nilCtx.StartRoot(SpanDecide, 0)
 		sp := nilCtx.Start(SpanSearch)
-		nilCtx.EndPhase(SpanForestEval, nilCtx.StartPhase())
+		nilCtx.Start(SpanForestEval).End()
 		sp.End()
 		root.End()
 	}); n != 0 {
@@ -146,7 +135,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		root := c.StartRoot(SpanDecide, 0)
 		sp := c.Start(SpanSearch)
-		c.EndPhase(SpanForestEval, c.StartPhase())
+		c.Start(SpanForestEval).End()
 		sp.End()
 		root.End()
 	}); n != 0 {
@@ -163,7 +152,7 @@ func TestActiveTraceSteadyStateZeroAlloc(t *testing.T) {
 	warm := func() {
 		root := c.StartRoot(SpanDecide, 0)
 		sp := c.Start(SpanSearch)
-		c.EndPhase(SpanForestEval, c.StartPhase())
+		c.Start(SpanForestEval).End()
 		sp.End()
 		root.End()
 	}
@@ -183,14 +172,14 @@ func TestDepthBoundAndMismatchedEnd(t *testing.T) {
 	}
 	// Ending a parent before its still-open child is ignored.
 	root.End()
-	if !c.Active() {
+	if c.depth == 0 {
 		t.Fatal("out-of-order root end closed the trace")
 	}
 	for i := len(spans) - 1; i >= 0; i-- {
 		spans[i].End()
 	}
 	root.End()
-	if c.Active() {
+	if c.depth != 0 {
 		t.Fatal("trace still open after ordered unwind")
 	}
 	recs := tr.Snapshot(nil)
@@ -233,7 +222,7 @@ func BenchmarkTelemetrySpanDisabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		root := c.StartRoot(SpanDecide, i)
 		sp := c.Start(SpanSearch)
-		c.EndPhase(SpanForestEval, c.StartPhase())
+		c.Start(SpanForestEval).End()
 		sp.End()
 		root.End()
 	}
@@ -245,7 +234,7 @@ func BenchmarkTelemetrySpanNilContext(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		root := c.StartRoot(SpanDecide, i)
 		sp := c.Start(SpanSearch)
-		c.EndPhase(SpanForestEval, c.StartPhase())
+		c.Start(SpanForestEval).End()
 		sp.End()
 		root.End()
 	}
@@ -258,7 +247,7 @@ func BenchmarkTelemetrySpanSampled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		root := c.StartRoot(SpanDecide, i)
 		sp := c.Start(SpanSearch)
-		c.EndPhase(SpanForestEval, c.StartPhase())
+		c.Start(SpanForestEval).End()
 		sp.End()
 		root.End()
 	}

@@ -19,7 +19,10 @@
 //   - Tracer/Context/Span (span.go): zero-alloc-when-disabled span
 //     tracing with 1-in-N root sampling, a bounded ring of finished
 //     spans, and JSONL export (jsonl.go). One Context per session,
-//     used by one of its operations at a time.
+//     used by one of its operations at a time. Spans mark layer
+//     boundaries (decide, search, featurize, forest eval) and nothing
+//     finer: a hill climb's scalar model calls are counted in the
+//     decision's Evals, not timed.
 //   - Scoreboard (scoreboard.go): per-(generation, app) rolling windows
 //     of signed relative prediction error and MAPE for time and power,
 //     with drift detection against a training-time MAPE baseline.
@@ -43,10 +46,10 @@ import (
 )
 
 // Traceable is implemented by policies that carry a trace context into
-// their decision internals (search spans, predictor phase timing). The
-// engine and the serve layer thread their context into such policies
-// the same way obs.Instrumentable threads observers. A nil context
-// disables tracing for the policy.
+// their decision internals (the search span and a sweep's featurize and
+// forest-eval spans). The engine and the serve layer thread their
+// context into such policies the same way obs.Instrumentable threads
+// observers. A nil context disables tracing for the policy.
 type Traceable interface {
 	SetTraceContext(*Context)
 }
